@@ -22,6 +22,7 @@ from farmerjoshi.market import (
     init_simulation,
     market_impact_update,
     simulate,
+    simulate_batch,
     step_adaptive,
     step_standard,
     strategy_profit,

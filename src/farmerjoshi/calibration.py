@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from farmerjoshi.data_io import ReturnSeries
-from farmerjoshi.market import BlowUpError, ModelParameters, ParameterError, simulate
+from farmerjoshi.market import BlowUpError, ModelParameters, ParameterError, simulate_batch
 from farmerjoshi.optimize import (
     CalibrationResult,
     GAParams,
@@ -200,30 +200,52 @@ class ObjectiveConfig:
             self.replications)
 
 
-def _simulated_moments(cfg: ObjectiveConfig, theta: np.ndarray, seed: int) -> np.ndarray:
-    params = cfg.space.to_model_parameters(theta)
-    out = simulate(params, cfg.space.variant, cfg.sim_days, p0=cfg.p0, seed=seed)
-    return moment_vector(ReturnSeries(out.log_returns), cfg.empirical_returns).as_array()
+def _simulated_moments(cfg: ObjectiveConfig, theta: np.ndarray) -> list:
+    """Moment vector per CRN seed, None where the run failed.
+
+    All I seeds go through one batched simulation.
+    """
+    try:
+        params = cfg.space.to_model_parameters(theta)
+    except ParameterError:
+        return [None] * cfg.replications
+    moments = []
+    for out in simulate_batch(params, cfg.space.variant, cfg.sim_days, p0=cfg.p0,
+                              seeds=cfg.sim_seeds):
+        try:
+            moments.append(None if isinstance(out, BlowUpError) else moment_vector(
+                ReturnSeries(out.log_returns), cfg.empirical_returns).as_array())
+        except StatisticError:
+            moments.append(None)
+    return moments
+
+
+def _stub_moments(cfg: ObjectiveConfig, theta: np.ndarray, moments_fn) -> list:
+    """Moment vector per CRN seed from ``moments_fn``, None where it failed."""
+    moments = []
+    for seed in cfg.sim_seeds:
+        try:
+            moments.append(moments_fn(cfg, theta, int(seed)))
+        except (BlowUpError, StatisticError, ParameterError):
+            moments.append(None)
+    return moments
 
 
 def estimation_error(theta, cfg: ObjectiveConfig, moments_fn=None) -> np.ndarray:
     """Mean deviation of simulated from empirical moments over I runs.
 
+    The I common-random-number runs go through one batched simulation.
     Simulations that blow up or whose statistics degenerate are dropped;
     more than half failing raises CalibrationError (the fitness layer
-    maps that to the penalty value).
+    maps that to the penalty value). ``moments_fn(cfg, theta, seed)``, if
+    given, stands in for simulation plus statistics, one seed at a time.
     """
     theta = np.asarray(theta, dtype=float)
     cfg.space.validate(theta)
-    moments_fn = moments_fn or _simulated_moments
-    deviations = []
-    failures = 0
-    for seed in cfg.sim_seeds:
-        try:
-            m_s = moments_fn(cfg, theta, int(seed))
-            deviations.append(cfg.empirical_moments - m_s)
-        except (BlowUpError, StatisticError, ParameterError):
-            failures += 1
+    moments = (_simulated_moments(cfg, theta) if moments_fn is None
+               else _stub_moments(cfg, theta, moments_fn))
+    deviations = [cfg.empirical_moments - m for m in moments if m is not None]
+    failures = cfg.replications - len(deviations)
     if failures > cfg.replications / 2 or not deviations:
         raise CalibrationError(
             f"{failures}/{cfg.replications} simulations failed at theta={theta}")

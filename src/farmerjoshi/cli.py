@@ -31,6 +31,8 @@ import numpy as np
 
 from farmerjoshi import report as report_mod
 from farmerjoshi.calibration import (
+    INTEGRAL_PARAMETERS,
+    PARAMETER_NAMES,
     CalibrationError,
     ObjectiveConfig,
     ParameterSpace,
@@ -52,6 +54,7 @@ from farmerjoshi.market import (
     ModelParameters,
     ParameterError,
     simulate,
+    simulate_batch,
 )
 from farmerjoshi.optimize import GAParams, NMTAParams
 from farmerjoshi.stats import StatisticError, moment_vector
@@ -65,8 +68,6 @@ from farmerjoshi.weighting import (
 logger = logging.getLogger("farmerjoshi")
 
 OUTPUT_DIR_ENV = "FARMERJOSHI_OUT"
-
-_INT_PARAM_FIELDS = {"n_traders", "d_min", "d_max", "horizon"}
 
 
 class UsageError(Exception):
@@ -170,12 +171,17 @@ def _parse_params(resolved: dict) -> ModelParameters:
         if name not in values:
             raise UsageError(f"unknown parameter {name!r}; valid: {sorted(values)}")
         values[name] = float(raw)
-    for name in _INT_PARAM_FIELDS:
-        values[name] = int(round(values[name]))
+    return _model_parameters(values, "invalid parameters")
+
+
+def _model_parameters(values: dict, context: str) -> ModelParameters:
+    """ModelParameters from field values, integral fields rounded."""
+    values = {name: int(round(v)) if name in INTEGRAL_PARAMETERS else v
+              for name, v in values.items()}
     try:
         return ModelParameters(**values)
     except ParameterError as exc:
-        raise UsageError(f"invalid parameters: {exc}") from None
+        raise UsageError(f"{context}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -380,21 +386,19 @@ def _cmd_report(args, defaults) -> int:
     variant, theta_by_name = _load_calibration(resolved.get("calibration"))
     emp_log_prices, emp_returns = _load_empirical(resolved.get("empirical"))
 
-    values = {**dataclasses.asdict(DEFAULT_PARAMETERS), **theta_by_name}
-    for name in _INT_PARAM_FIELDS:
-        values[name] = int(round(values[name]))
-    try:
-        params = ModelParameters(**values)
-    except ParameterError as exc:
-        raise UsageError(f"calibration theta invalid: {exc}") from None
+    params = _model_parameters({**dataclasses.asdict(DEFAULT_PARAMETERS), **theta_by_name},
+                               "calibration theta invalid")
 
     sims = resolved["simulations"]
     days = resolved["days"] or len(emp_returns)
     if sims < 1 or days < 1:
         raise UsageError("--simulations and --days must be >= 1")
     seeds = np.random.SeedSequence(resolved["seed"]).generate_state(sims)
-    p0 = float(emp_log_prices[0])
-    outputs = [simulate(params, variant, days, p0=p0, seed=int(s)) for s in seeds]
+    outputs = simulate_batch(params, variant, days, p0=float(emp_log_prices[0]),
+                             seeds=seeds)
+    for outcome in outputs:
+        if isinstance(outcome, BlowUpError):
+            raise outcome
 
     max_lag = resolved["max_lag"]
     write_csv(out / "price_paths.csv",
@@ -427,7 +431,6 @@ def _cmd_surface(args, defaults) -> int:
     name_x, name_y = resolved["x"], resolved["y"]
     if not name_x or not name_y:
         raise UsageError("--x and --y parameter names are required")
-    from farmerjoshi.calibration import PARAMETER_NAMES
     for name in (name_x, name_y):
         if name not in PARAMETER_NAMES:
             raise UsageError(f"unknown parameter {name!r}; valid names: "

@@ -16,6 +16,11 @@ strategies, tracks each strategy's profit over the last ``horizon`` days,
 and re-draws its active strategy daily with logistic probability in the
 profit difference (temperature ``gamma``); its actual position snaps to
 the active strategy's shadow position.
+
+``simulate_batch`` runs the I common-random-number seeds of one parameter
+set through a single daily loop over an (I, N) state; ``simulate`` is its
+one-seed case and ``step_standard``/``step_adaptive`` advance a one-seed
+state a day at a time. Every row reproduces the one-seed run bit for bit.
 """
 
 from __future__ import annotations
@@ -142,127 +147,6 @@ class TraderState:
     shadow_positions: dict
 
 
-class MarketState:
-    """All trader state plus price history for one simulation run.
-
-    Trader attributes are stored as parallel arrays. The log-price
-    history is pre-seeded with ``d_max + 1`` copies of the initial log
-    price so chartist lags are defined from the first day; day-indexed
-    access goes through :meth:`log_price`.
-    """
-
-    def __init__(self, params: ModelParameters, p0: float, seed: int):
-        params.validate()
-        n = params.n_traders
-        ss = np.random.SeedSequence(seed)
-        init_ss, zeta_ss, eta_ss, switch_ss = ss.spawn(4)
-        init_rng = np.random.Generator(np.random.PCG64(init_ss))
-
-        self.params_echo = params
-        self.seed = seed
-        self.day = 0
-        self.pad = params.d_max  # index of p_0 in the padded buffer
-
-        self.entry = init_rng.uniform(params.T_min, params.T_max, size=n)
-        self.exit = init_rng.uniform(params.tau_min, params.tau_max, size=n)
-        self.lag = init_rng.integers(params.d_min, params.d_max + 1, size=n)
-        self.value = p0 + init_rng.uniform(params.v_min, params.v_max, size=n)
-        self.capital = params.a * (self.entry - self.exit)
-
-        self.rng_zeta = np.random.Generator(np.random.PCG64(zeta_ss))
-        self.rng_eta = np.random.Generator(np.random.PCG64(eta_ss))
-        self.rng_switch = np.random.Generator(np.random.PCG64(switch_ss))
-
-        # Padded price buffer; _n_prices counts valid entries.
-        self._prices = np.empty(self.pad + 1 + 256)
-        self._prices[: self.pad + 1] = p0
-        self._n_prices = self.pad + 1
-
-        # Shadow strategy positions, day-indexed rows 0..day (flat at day 0).
-        self._pos_fund = np.zeros((256, n))
-        self._pos_chart = np.zeros((256, n))
-        self._n_pos = 1
-
-        # Active strategy per trader; by convention in the standard
-        # variant the first n_fundamentalists() traders are
-        # fundamentalists and the rest chartists.
-        n_f = params.n_fundamentalists()
-        self.is_chartist = np.arange(n) >= n_f
-        self.pos_actual = np.zeros(n)
-
-        # Filled by adaptive steps for diagnostics.
-        self.last_profit_chart = 0.0
-        self.last_profit_fund = 0.0
-
-    # -- history access ------------------------------------------------
-
-    def log_price(self, t: int) -> float:
-        """p_t for day t; padding makes t - d valid for any d <= d_max."""
-        return float(self._prices[self.pad + t])
-
-    @property
-    def log_prices(self) -> np.ndarray:
-        """Day-indexed log prices p_0..p_day (padding excluded)."""
-        return self._prices[self.pad : self._n_prices].copy()
-
-    def reserve(self, days: int) -> None:
-        """Pre-size internal buffers for ``days`` further steps."""
-        need_p = self._n_prices + days
-        if need_p > len(self._prices):
-            grown = np.empty(need_p)
-            grown[: self._n_prices] = self._prices[: self._n_prices]
-            self._prices = grown
-        need_r = self._n_pos + days
-        if need_r > self._pos_fund.shape[0]:
-            for name in ("_pos_fund", "_pos_chart"):
-                old = getattr(self, name)
-                grown = np.zeros((need_r, old.shape[1]))
-                grown[: self._n_pos] = old[: self._n_pos]
-                setattr(self, name, grown)
-
-    def _append_price(self, p: float) -> None:
-        if self._n_prices == len(self._prices):
-            self.reserve(256)
-        self._prices[self._n_prices] = p
-        self._n_prices += 1
-
-    def _append_positions(self, fund: np.ndarray, chart: np.ndarray) -> None:
-        if self._n_pos == self._pos_fund.shape[0]:
-            self.reserve(256)
-        self._pos_fund[self._n_pos] = fund
-        self._pos_chart[self._n_pos] = chart
-        self._n_pos += 1
-
-    def shadow_fund(self, t: int) -> np.ndarray:
-        return self._pos_fund[t]
-
-    def shadow_chart(self, t: int) -> np.ndarray:
-        return self._pos_chart[t]
-
-    # -- inspection ----------------------------------------------------
-
-    def trader(self, i: int) -> TraderState:
-        h0 = max(0, self._n_pos - (self.params_echo.horizon + 1))
-        return TraderState(
-            entry_threshold=float(self.entry[i]),
-            exit_threshold=float(self.exit[i]),
-            capital=float(self.capital[i]),
-            lag=int(self.lag[i]),
-            value_perception=float(self.value[i]),
-            active_strategy="chartist" if self.is_chartist[i] else "fundamentalist",
-            position_fund=float(self._pos_fund[self._n_pos - 1, i]),
-            position_chart=float(self._pos_chart[self._n_pos - 1, i]),
-            shadow_positions={
-                "fundamentalist": self._pos_fund[h0 : self._n_pos, i].copy(),
-                "chartist": self._pos_chart[h0 : self._n_pos, i].copy(),
-            },
-        )
-
-    @property
-    def traders(self) -> list[TraderState]:
-        return [self.trader(i) for i in range(self.params_echo.n_traders)]
-
-
 @dataclass(frozen=True)
 class SimulationOutput:
     """Price path plus per-day agent diagnostics for one run.
@@ -336,20 +220,6 @@ def threshold_transition(current: float, m: float, T: float, tau: float, c: floa
     return 0.0 if m < tau else current
 
 
-def _threshold_transition_vec(pos: np.ndarray, m: np.ndarray, T: np.ndarray,
-                              tau: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Vectorized threshold_transition over traders."""
-    new = pos.copy()
-    flat = pos == 0.0
-    enter_long = flat & (m < -T)
-    enter_short = flat & (m > T)
-    new[enter_long] = c[enter_long]
-    new[enter_short] = -c[enter_short]
-    new[(pos > 0.0) & (m > -tau)] = 0.0
-    new[(pos < 0.0) & (m < tau)] = 0.0
-    return new
-
-
 def value_perception_step(v: float, eta_draw: float) -> float:
     """Advance a log value perception by one random-walk increment."""
     return v + eta_draw
@@ -388,76 +258,291 @@ def switch_probability(pi_c: float, pi_f: float, gamma: float) -> tuple[float, f
     return phi_c, 1.0 - phi_c
 
 
-def _switch_probability_vec(pi_c: np.ndarray, pi_f: np.ndarray, gamma: float) -> np.ndarray:
-    z = (pi_f - pi_c) / gamma
-    out = np.empty_like(z)
-    nonneg = z >= 0
-    e = np.exp(-z[nonneg])
-    out[nonneg] = e / (1.0 + e)
-    out[~nonneg] = 1.0 / (1.0 + np.exp(z[~nonneg]))
-    return out
+# ---------------------------------------------------------------------------
+# The day kernel, batched over the seeds of one parameter set
+# ---------------------------------------------------------------------------
+
+#: Days of noise drawn per generator call, and days between slides of the
+#: price and shadow-position windows. It bounds the per-seed memory to a
+#: few MB at N = 1000 while keeping generator calls out of the daily loop.
+BLOCK_DAYS = 128
+
+#: Index of each strategy on the strategy axis of shadow positions and
+#: rolling profits.
+FUND, CHART = 0, 1
+
+
+def _seed_streams(seed: int) -> list[np.random.Generator]:
+    """The four independent streams of one seed: init, zeta, eta, switch."""
+    return [np.random.Generator(np.random.PCG64(s))
+            for s in np.random.SeedSequence(seed).spawn(4)]
+
+
+def _transition(pos: np.ndarray, m: np.ndarray, thresholds: tuple) -> np.ndarray:
+    """Elementwise threshold_transition over traders (and strategies)."""
+    T, neg_T, tau, neg_tau, c, neg_c = thresholds
+    enter = np.where(m < neg_T, c, np.where(m > T, neg_c, 0.0))
+    leave = np.where(pos > 0.0, m > neg_tau, m < tau)
+    return np.where(pos == 0.0, enter, np.where(leave, 0.0, pos))
+
+
+def _blowup(p: float, day: int) -> BlowUpError:
+    return BlowUpError(f"log price {p!r} diverged at day {day} "
+                       f"(|p| > {BLOWUP_LOG_PRICE} signals parameter blow-up)")
+
+
+class _Runs:
+    """Trader state of I runs that share one parameter set, one row per seed.
+
+    Trader arrays are (I, N). Only the history the next day reads is kept,
+    in windows that slide every BLOCK_DAYS days: the log prices of the
+    last ``d_max + horizon`` days and, when ``shadows`` is set, the last
+    ``horizon`` rows of both strategies' shadow positions. Window row j
+    holds day ``base + j``; the price window has ``d_max`` extra columns in
+    front, pre-seeded with p0 so chartist lags are defined from day one.
+    """
+
+    _ROW_ARRAYS = ("entry", "exit", "lag", "value", "capital", "is_chartist",
+                   "pos_actual", "shadow", "shadow_window", "price_window", "p",
+                   "profit")
+
+    def __init__(self, params: ModelParameters, p0: float, seeds, shadows: bool):
+        params.validate()
+        n, n_runs = params.n_traders, len(seeds)
+        self.params = params
+        self.day = 0
+        self.base = 0
+        self.rows = params.horizon + BLOCK_DAYS
+
+        streams = [_seed_streams(seed) for seed in seeds]
+        draws = []
+        for init_rng, *_ in streams:
+            draws.append((init_rng.uniform(params.T_min, params.T_max, size=n),
+                          init_rng.uniform(params.tau_min, params.tau_max, size=n),
+                          init_rng.integers(params.d_min, params.d_max + 1, size=n),
+                          p0 + init_rng.uniform(params.v_min, params.v_max, size=n)))
+        self.entry, self.exit, self.lag, self.value = (
+            np.array([d[k] for d in draws]).reshape(n_runs, n) for k in range(4))
+        self.capital = params.a * (self.entry - self.exit)
+        #: (zeta, eta, switch) generators per row.
+        self.streams = [s[1:] for s in streams]
+
+        # By convention the first n_fundamentalists() traders start as
+        # fundamentalists; in the standard variant the split never changes.
+        split = np.arange(n) >= params.n_fundamentalists()
+        self.is_chartist = np.tile(split, (n_runs, 1))
+        self.pos_actual = np.zeros((n_runs, n))
+        self.shadow = np.zeros((n_runs, 2, n)) if shadows else None
+        self.shadow_window = (np.zeros((n_runs, 2, self.rows, n)) if shadows
+                              else None)
+        self.price_window = np.full((n_runs, params.d_max + self.rows), float(p0))
+        self.p = np.full(n_runs, float(p0))
+        #: Strategy profits in force for the last day, (I, 2).
+        self.profit = np.zeros((n_runs, 2))
+        self._derive()
+
+    def _derive(self) -> None:
+        """Index and threshold arrays that depend on the row set."""
+        n_runs, width = self.price_window.shape
+        self._lag_index = (np.arange(n_runs)[:, None] * width
+                           + self.params.d_max - self.lag)
+        columns = [(x, -x) for x in (self.entry, self.exit, self.capital)]
+        self._thresholds = tuple(a for pair in columns for a in pair)
+        # the same per strategy, materialised: broadcasting slows the ufuncs
+        self._thresholds_2 = tuple(np.repeat(a[:, None, :], 2, axis=1)
+                                   for a in self._thresholds)
+
+    def keep(self, mask: np.ndarray) -> None:
+        """Drop the rows where ``mask`` is false."""
+        for name in self._ROW_ARRAYS:
+            arr = getattr(self, name)
+            if arr is not None:
+                setattr(self, name, arr[mask])
+        self.streams = [s for s, k in zip(self.streams, mask) if k]
+        self._derive()
+
+    def rolling_profits(self) -> np.ndarray:
+        """Per-trader strategy profits over the last ``horizon`` days, (I, 2, N).
+
+        The matmul stacks one (1, h) @ (h, N) product per seed and strategy,
+        each on a C-contiguous slab, which numpy hands to BLAS gemv one by
+        one: the same call, so the same rounding, as a single run's
+        ``dp @ slab``. One (h, 2N) product rounds differently.
+        """
+        t = self.day
+        if t < 1:
+            return np.zeros(self.shadow.shape)
+        a = max(1, t - self.params.horizon + 1) - 1 - self.base
+        b = t - self.base
+        c = self.params.d_max
+        dp = self.price_window[:, c + a + 1 : c + b + 1] - self.price_window[:, c + a : c + b]
+        return np.matmul(dp[:, None, None, :], self.shadow_window[:, :, a:b])[:, :, 0]
+
+    def _slide(self) -> None:
+        """Move the last ``horizon`` days of both windows to the front."""
+        h, shift = self.params.horizon, self.rows - self.params.horizon
+        self.price_window[:, : self.params.d_max + h] = self.price_window[:, shift:]
+        if self.shadow_window is not None:
+            self.shadow_window[:, :, :h] = self.shadow_window[:, :, shift:]
+        self.base += shift
+
+    def advance(self, adaptive: bool, zeta, eta, u) -> np.ndarray:
+        """Move every row one day ahead; return the mask of rows still in range.
+
+        ``zeta`` (I,), ``eta`` (I, n_eta) and, for the adaptive variant, the
+        switching uniforms ``u`` (I, N) are this day's draws. The state of a
+        row that blew up is garbage; drop it with :meth:`keep`.
+        """
+        params = self.params
+        j = self.day - self.base
+        p = self.p[:, None]
+        lagged = self.price_window.ravel()[self._lag_index + j]
+        if adaptive:
+            pi = self.rolling_profits()
+            z = (pi[:, FUND] - pi[:, CHART]) / params.gamma
+            e = np.exp(-np.abs(z))
+            self.is_chartist = u < np.where(z >= 0.0, e, 1.0) / (1.0 + e)
+            m = np.empty_like(self.shadow)
+            np.subtract(p, self.value, out=m[:, FUND])
+            np.subtract(lagged, p, out=m[:, CHART])
+            self.shadow = shadow = _transition(self.shadow, m, self._thresholds_2)
+            new_pos = np.where(self.is_chartist, shadow[:, CHART], shadow[:, FUND])
+            np.add.reduce(pi, axis=2, out=self.profit)
+        else:
+            m = np.where(self.is_chartist, lagged - p, p - self.value)
+            new_pos = _transition(self.pos_actual, m, self._thresholds)
+        p_next = self.p + np.add.reduce(new_pos - self.pos_actual, axis=1) / params.lam + zeta
+        if not adaptive:
+            dp = p_next - self.p
+            n_f = params.n_fundamentalists()
+            np.multiply(np.add.reduce(new_pos[:, :n_f], axis=1), dp, out=self.profit[:, FUND])
+            np.multiply(np.add.reduce(new_pos[:, n_f:], axis=1), dp, out=self.profit[:, CHART])
+        self.pos_actual = new_pos
+
+        if j + 1 == self.rows:
+            self._slide()
+            j = self.day - self.base
+        self.price_window[:, params.d_max + j + 1] = p_next
+        if self.shadow_window is not None:
+            self.shadow_window[:, :, j + 1] = self.shadow
+        if adaptive:
+            self.value += eta
+        else:
+            self.value[:, : params.n_fundamentalists()] += eta
+        self.p = p_next
+        self.day += 1
+        return np.abs(p_next) <= BLOWUP_LOG_PRICE
 
 
 # ---------------------------------------------------------------------------
-# Daily steps
+# Day-at-a-time API
 # ---------------------------------------------------------------------------
+
+def _first_row(name: str) -> property:
+    return property(lambda self: getattr(self._runs, name)[0])
+
+
+class MarketState:
+    """One run, advanced a day at a time by step_standard / step_adaptive.
+
+    A one-row batch of the simulate_batch kernel. The steps draw the day's
+    noise from ``rng_zeta``, ``rng_eta`` and ``rng_switch``, which tests may
+    replace with prescribed streams. Trader attributes are (N,) arrays;
+    day-indexed prices go through :meth:`log_price`, which is defined back
+    to day ``-d_max`` (pre-seeded with p0).
+    """
+
+    entry = _first_row("entry")
+    exit = _first_row("exit")
+    lag = _first_row("lag")
+    value = _first_row("value")
+    capital = _first_row("capital")
+    is_chartist = _first_row("is_chartist")
+    pos_actual = _first_row("pos_actual")
+    day = property(lambda self: self._runs.day)
+    last_profit_fund = property(lambda self: float(self._runs.profit[0, FUND]))
+    last_profit_chart = property(lambda self: float(self._runs.profit[0, CHART]))
+
+    def __init__(self, params: ModelParameters, p0: float, seed: int):
+        self._runs = _Runs(params, p0, [seed], shadows=True)
+        self.params_echo = params
+        self.seed = seed
+        self.pad = params.d_max
+        self.rng_zeta, self.rng_eta, self.rng_switch = self._runs.streams[0]
+        self._prices = [float(p0)] * (self.pad + 1)
+
+    def log_price(self, t: int) -> float:
+        """p_t for day t; padding makes t - d valid for any d <= d_max."""
+        if not -self.pad <= t <= self.day:
+            raise IndexError(f"no log price for day {t}")
+        return self._prices[self.pad + t]
+
+    @property
+    def log_prices(self) -> np.ndarray:
+        """Day-indexed log prices p_0..p_day (padding excluded)."""
+        return np.array(self._prices[self.pad :])
+
+    def _shadows(self, t: int) -> np.ndarray:
+        """Both strategies' shadow positions held after day t, (2, N)."""
+        r = self._runs
+        if not r.base <= t <= r.day:
+            raise IndexError(f"day {t} is outside the kept window "
+                             f"{r.base}..{r.day}")
+        return r.shadow_window[0, :, t - r.base]
+
+    def shadow_fund(self, t: int) -> np.ndarray:
+        return self._shadows(t)[FUND]
+
+    def shadow_chart(self, t: int) -> np.ndarray:
+        return self._shadows(t)[CHART]
+
+    def rolling_profits(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-trader (chartist, fundamentalist) profits that drive the next switch."""
+        pi = self._runs.rolling_profits()[0]
+        return pi[CHART], pi[FUND]
+
+    # -- inspection ----------------------------------------------------
+
+    def trader(self, i: int) -> TraderState:
+        r = self._runs
+        j = r.day - r.base
+        window = r.shadow_window[0, :, max(0, j - self.params_echo.horizon) : j + 1, i]
+        return TraderState(
+            entry_threshold=float(self.entry[i]),
+            exit_threshold=float(self.exit[i]),
+            capital=float(self.capital[i]),
+            lag=int(self.lag[i]),
+            value_perception=float(self.value[i]),
+            active_strategy="chartist" if self.is_chartist[i] else "fundamentalist",
+            position_fund=float(window[FUND, -1]),
+            position_chart=float(window[CHART, -1]),
+            shadow_positions={"fundamentalist": window[FUND].copy(),
+                              "chartist": window[CHART].copy()},
+        )
+
+    @property
+    def traders(self) -> list[TraderState]:
+        return [self.trader(i) for i in range(self.params_echo.n_traders)]
+
 
 def init_simulation(params: ModelParameters, p0: float, seed: int) -> MarketState:
     """Draw trader attributes and seed the price history with p0."""
     return MarketState(params, p0, seed)
 
 
-def _check_finite(p_next: float, day: int) -> None:
-    if not math.isfinite(p_next) or abs(p_next) > BLOWUP_LOG_PRICE:
-        raise BlowUpError(
-            f"log price {p_next!r} diverged at day {day} "
-            f"(|p| > {BLOWUP_LOG_PRICE} signals parameter blow-up)"
-        )
-
-
-def _windowed_profits(state: MarketState, H: int, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-trader rolling strategy profits (chartist, fundamentalist) at day t."""
-    n = state.params_echo.n_traders
-    if t < 1:
-        return np.zeros(n), np.zeros(n)
-    k0 = max(1, t - H + 1)
-    lo = state.pad + k0
-    dp = state._prices[lo : state.pad + t + 1] - state._prices[lo - 1 : state.pad + t]
-    pi_c = dp @ state._pos_chart[k0 - 1 : t]
-    pi_f = dp @ state._pos_fund[k0 - 1 : t]
-    return pi_c, pi_f
+def _step(state: MarketState, adaptive: bool, zeta, eta, u) -> MarketState:
+    if not state._runs.advance(adaptive, zeta, eta, u)[0]:
+        raise _blowup(float(state._runs.p[0]), state.day)
+    state._prices.append(float(state._runs.p[0]))
+    return state
 
 
 def step_standard(state: MarketState, params: ModelParameters) -> MarketState:
     """Advance one day with fixed strategies per trader."""
-    t = state.day
-    p_t = state.log_price(t)
-    chart = state.is_chartist
-    fund = ~chart
-
-    m = np.empty(params.n_traders)
-    m[fund] = p_t - state.value[fund]
-    m[chart] = state._prices[state.pad + t - state.lag[chart]] - p_t
-
-    new_pos = _threshold_transition_vec(state.pos_actual, m, state.entry,
-                                        state.exit, state.capital)
-    net_order = float(np.sum(new_pos - state.pos_actual))
-    zeta = float(state.rng_zeta.normal(0.0, params.sigma_zeta))
-    p_next = market_impact_update(p_t, net_order, params.lam, zeta)
-    _check_finite(p_next, t + 1)
-
-    # Realized one-day P&L per group over this step, for diagnostics.
-    dp = p_next - p_t
-    state.last_profit_chart = float(np.sum(new_pos[chart]) * dp)
-    state.last_profit_fund = float(np.sum(new_pos[fund]) * dp)
-
-    state.pos_actual = new_pos
-    state._append_price(p_next)
-    n_f = params.n_fundamentalists()
-    eta = state.rng_eta.normal(params.mu_eta, params.sigma_eta, size=n_f)
-    state.value[fund] = state.value[fund] + eta
-    state.day = t + 1
-    return state
+    zeta = state.rng_zeta.normal(0.0, params.sigma_zeta)
+    eta = state.rng_eta.normal(params.mu_eta, params.sigma_eta,
+                               size=params.n_fundamentalists())
+    return _step(state, False, zeta, eta, None)
 
 
 def step_adaptive(state: MarketState, params: ModelParameters) -> MarketState:
@@ -467,73 +552,87 @@ def step_adaptive(state: MarketState, params: ModelParameters) -> MarketState:
     profits stay defined for the strategy not in use; the trader's actual
     position is the active strategy's shadow position.
     """
-    t = state.day
-    p_t = state.log_price(t)
+    u = state.rng_switch.random(params.n_traders)
+    zeta = state.rng_zeta.normal(0.0, params.sigma_zeta)
+    eta = state.rng_eta.normal(params.mu_eta, params.sigma_eta, size=params.n_traders)
+    return _step(state, True, zeta, eta, u)
+
+
+# ---------------------------------------------------------------------------
+# Whole runs
+# ---------------------------------------------------------------------------
+
+def simulate_batch(params: ModelParameters, variant: Variant, days: int,
+                   p0: float = 0.0, seeds=(0,)) -> list:
+    """Run ``days`` steps from a fresh state for each seed, in one daily loop.
+
+    Returns one outcome per seed, in order: its SimulationOutput, or the
+    BlowUpError it raised on its own. A row that blows up is dropped and
+    the others go on. Each row is bit for bit the run ``simulate`` gives
+    for its seed: every seed keeps its own four streams, drawn BLOCK_DAYS
+    days at a time, and the reductions run per row in the single-run order.
+    """
+    if days < 1:
+        raise ParameterError("days must be >= 1")
+    if variant not in ("standard", "adaptive"):
+        raise ParameterError(f"unknown variant {variant!r}")
+    seeds = [int(s) for s in seeds]
+    adaptive = variant == "adaptive"
+    runs = _Runs(params, p0, seeds, shadows=adaptive)
     n = params.n_traders
+    n_eta = n if adaptive else params.n_fundamentalists()
 
-    pi_c, pi_f = _windowed_profits(state, params.horizon, t)
-    phi_c = _switch_probability_vec(pi_c, pi_f, params.gamma)
-    u = state.rng_switch.random(n)
-    state.is_chartist = u < phi_c
+    rows = np.arange(len(seeds))  # seed index of each live row
+    prices = np.empty((len(seeds), days + 1))
+    prices[:, 0] = p0
+    n_chart = np.full((len(seeds), days), n - params.n_fundamentalists())
+    profit = np.empty((len(seeds), 2, days))
+    errors = {}
+    for t in range(days):
+        k = t % BLOCK_DAYS
+        if k == 0:
+            size = min(BLOCK_DAYS, days - t)
+            zeta = np.array([z.normal(0.0, params.sigma_zeta, size=size)
+                             for z, _, _ in runs.streams]).reshape(-1, size)
+            eta = np.array([e.normal(params.mu_eta, params.sigma_eta, size=(size, n_eta))
+                            for _, e, _ in runs.streams]).reshape(-1, size, n_eta)
+            u = (np.array([s.random((size, n)) for _, _, s in runs.streams])
+                 .reshape(-1, size, n) if adaptive else None)
+        live = runs.advance(adaptive, zeta[:, k], eta[:, k],
+                            u[:, k] if adaptive else None)
+        prices[:, t + 1] = runs.p
+        profit[:, :, t] = runs.profit
+        if adaptive:
+            n_chart[:, t] = runs.is_chartist.sum(axis=1)
+        if not live.all():
+            for i in np.flatnonzero(~live):
+                errors[int(rows[i])] = _blowup(float(runs.p[i]), t + 1)
+            runs.keep(live)
+            rows, prices, n_chart, profit, zeta, eta = (
+                a[live] for a in (rows, prices, n_chart, profit, zeta, eta))
+            u = u[live] if adaptive else None
+            if not len(rows):
+                break
 
-    m_f = p_t - state.value
-    m_c = state._prices[state.pad + t - state.lag] - p_t
-    fund_now = state._pos_fund[t]
-    chart_now = state._pos_chart[t]
-    new_fund = _threshold_transition_vec(fund_now, m_f, state.entry, state.exit,
-                                         state.capital)
-    new_chart = _threshold_transition_vec(chart_now, m_c, state.entry, state.exit,
-                                          state.capital)
-    state._append_positions(new_fund, new_chart)
-
-    new_pos = np.where(state.is_chartist, new_chart, new_fund)
-    net_order = float(np.sum(new_pos - state.pos_actual))
-    zeta = float(state.rng_zeta.normal(0.0, params.sigma_zeta))
-    p_next = market_impact_update(p_t, net_order, params.lam, zeta)
-    _check_finite(p_next, t + 1)
-
-    state.last_profit_chart = float(np.sum(pi_c))
-    state.last_profit_fund = float(np.sum(pi_f))
-
-    state.pos_actual = new_pos
-    state._append_price(p_next)
-    eta = state.rng_eta.normal(params.mu_eta, params.sigma_eta, size=n)
-    state.value = state.value + eta
-    state.day = t + 1
-    return state
+    outcomes: list = [errors.get(i) for i in range(len(seeds))]
+    for i, row in enumerate(rows):
+        outcomes[row] = SimulationOutput(
+            variant=variant,
+            seed=seeds[row],
+            log_prices=prices[i],
+            log_returns=np.diff(prices[i]),
+            n_chartists=n_chart[i],
+            n_fundamentalists=n - n_chart[i],
+            profit_chartists=profit[i, CHART],
+            profit_fundamentalists=profit[i, FUND],
+        )
+    return outcomes
 
 
 def simulate(params: ModelParameters, variant: Variant, days: int,
              p0: float = 0.0, seed: int = 0) -> SimulationOutput:
     """Run ``days`` steps of the chosen variant from a fresh state."""
-    if days < 1:
-        raise ParameterError("days must be >= 1")
-    if variant not in ("standard", "adaptive"):
-        raise ParameterError(f"unknown variant {variant!r}")
-    state = init_simulation(params, p0, seed)
-    state.reserve(days)
-    step = step_standard if variant == "standard" else step_adaptive
-
-    n_chart = np.empty(days, dtype=int)
-    n_fund = np.empty(days, dtype=int)
-    prof_chart = np.empty(days)
-    prof_fund = np.empty(days)
-    for s in range(days):
-        step(state, params)
-        nc = int(np.sum(state.is_chartist))
-        n_chart[s] = nc
-        n_fund[s] = params.n_traders - nc
-        prof_chart[s] = state.last_profit_chart
-        prof_fund[s] = state.last_profit_fund
-
-    log_prices = state.log_prices
-    return SimulationOutput(
-        variant=variant,
-        seed=seed,
-        log_prices=log_prices,
-        log_returns=np.diff(log_prices),
-        n_chartists=n_chart,
-        n_fundamentalists=n_fund,
-        profit_chartists=prof_chart,
-        profit_fundamentalists=prof_fund,
-    )
+    (outcome,) = simulate_batch(params, variant, days, p0, [seed])
+    if isinstance(outcome, BlowUpError):
+        raise outcome
+    return outcome

@@ -1,0 +1,110 @@
+"""Golden fingerprints of the simulator and the calibration objective.
+
+Run from the repository root to (re)write ``tests/data/golden_paths.json``:
+
+    PYTHONPATH=src python tests/make_golden.py
+
+``tests/test_golden.py`` recomputes the same fingerprints and compares them
+bit for bit. Regenerate only when a change to the simulated paths or to the
+objective is intended, and record in CHANGES.md what changed and why.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from farmerjoshi.calibration import ObjectiveConfig, ParameterSpace, fitness
+from farmerjoshi.data_io import ReturnSeries
+from farmerjoshi.market import DEFAULT_PARAMETERS, BlowUpError, simulate
+from farmerjoshi.stats import N_MOMENTS, moment_vector
+from farmerjoshi.weighting import WeightMatrix
+
+GOLDEN_FILE = Path(__file__).parent / "data" / "golden_paths.json"
+
+PATH_DAYS = 2500
+PATH_SEEDS = (3, 20210419, 987654321)
+PARAMETER_SETS = {
+    "default": DEFAULT_PARAMETERS,
+    "n37_h7_d1": DEFAULT_PARAMETERS.with_values(n_traders=37, horizon=7, d_min=1),
+}
+VARIANTS = ("standard", "adaptive")
+OUTPUT_ARRAYS = ("log_prices", "log_returns", "n_chartists", "n_fundamentalists",
+                 "profit_chartists", "profit_fundamentalists")
+
+FITNESS_DAYS = 1000
+FITNESS_REPLICATIONS = 3
+FITNESS_THETA_SEED = 5
+
+
+def path_key(variant: str, set_name: str, seed: int) -> str:
+    return f"{variant}/{set_name}/{seed}"
+
+
+def path_fingerprint(variant: str, set_name: str, seed: int) -> dict:
+    """sha256 of every output array of one simulated path, or its blow-up."""
+    try:
+        out = simulate(PARAMETER_SETS[set_name], variant, PATH_DAYS, p0=0.0, seed=seed)
+    except BlowUpError as exc:
+        return {"blowup": str(exc)}
+    return {name: hashlib.sha256(np.ascontiguousarray(getattr(out, name)).tobytes())
+            .hexdigest() for name in OUTPUT_ARRAYS}
+
+
+def empirical_returns() -> ReturnSeries:
+    """GARCH(1,1) returns with unit-variance t(5) shocks, fixed seed."""
+    rng = np.random.default_rng(321)
+    z = rng.standard_t(df=5.0, size=FITNESS_DAYS) / np.sqrt(5.0 / 3.0)
+    r = np.empty(FITNESS_DAYS)
+    s2 = 2e-6 / (1.0 - 0.12 - 0.85)
+    for t in range(FITNESS_DAYS):
+        r[t] = np.sqrt(s2) * z[t]
+        s2 = 2e-6 + 0.12 * r[t] ** 2 + 0.85 * s2
+    return ReturnSeries(r)
+
+
+def objective_config(variant: str) -> ObjectiveConfig:
+    emp = empirical_returns()
+    return ObjectiveConfig(
+        space=ParameterSpace(variant),
+        empirical_returns=emp,
+        empirical_moments=moment_vector(emp, emp).as_array(),
+        weight=WeightMatrix(np.eye(N_MOMENTS)),
+        replications=FITNESS_REPLICATIONS,
+        sim_days=FITNESS_DAYS,
+        p0=0.0,
+        master_seed=11,
+    )
+
+
+def fitness_thetas(space: ParameterSpace) -> list[np.ndarray]:
+    """The bound midpoints and two uniform draws from the box, repaired."""
+    rng = np.random.default_rng(FITNESS_THETA_SEED)
+    draws = [space.lower + rng.random(space.dim) * (space.upper - space.lower)
+             for _ in range(2)]
+    return [space.repair(t) for t in [(space.lower + space.upper) / 2.0, *draws]]
+
+
+def fitness_fingerprints(variant: str) -> list[dict]:
+    cfg = objective_config(variant)
+    return [{"theta": [float.hex(float(x)) for x in theta],
+             "fitness": float.hex(fitness(theta, cfg))}
+            for theta in fitness_thetas(cfg.space)]
+
+
+def generate() -> dict:
+    return {
+        "paths": {path_key(v, s, seed): path_fingerprint(v, s, seed)
+                  for v in VARIANTS for s in PARAMETER_SETS for seed in PATH_SEEDS},
+        "fitness": {v: fitness_fingerprints(v) for v in VARIANTS},
+    }
+
+
+if __name__ == "__main__":
+    GOLDEN_FILE.parent.mkdir(parents=True, exist_ok=True)
+    GOLDEN_FILE.write_text(json.dumps(generate(), indent=1, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN_FILE}", file=sys.stderr)

@@ -1,0 +1,135 @@
+"""simulate_batch against simulate: every row bit for bit, blow-ups per row."""
+
+import numpy as np
+import pytest
+
+from farmerjoshi.market import (
+    BLOCK_DAYS,
+    DEFAULT_PARAMETERS,
+    BlowUpError,
+    init_simulation,
+    simulate,
+    simulate_batch,
+    step_adaptive,
+    step_standard,
+    strategy_profit,
+)
+from make_golden import OUTPUT_ARRAYS
+
+VARIANTS = ("standard", "adaptive")
+
+#: Parameter sets where some seeds blow up within ``days`` and others do not.
+BLOWUP_CASES = {
+    "standard": (DEFAULT_PARAMETERS.with_values(a=35.0, lam=5.0, n_traders=60,
+                                                sigma_zeta=0.03, d_max=20, horizon=20), 400),
+    "adaptive": (DEFAULT_PARAMETERS.with_values(a=14.0, lam=5.0, n_traders=100,
+                                                sigma_zeta=0.03), 300),
+}
+
+
+def assert_same_output(a, b):
+    assert (a.variant, a.seed) == (b.variant, b.seed)
+    for name in OUTPUT_ARRAYS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
+def single_outcome(params, variant, days, p0, seed):
+    try:
+        return simulate(params, variant, days, p0=p0, seed=seed)
+    except BlowUpError as exc:
+        return exc
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("n_seeds", [1, 2, 10])
+def test_batch_rows_equal_single_runs(variant, n_seeds):
+    # 400 days cross the history windows' slides at horizon + BLOCK_DAYS
+    params = DEFAULT_PARAMETERS.with_values(n_traders=23, horizon=9, d_max=12)
+    seeds = [1000 + 7 * k for k in range(n_seeds)]
+    batch = simulate_batch(params, variant, 400, p0=1.5, seeds=seeds)
+    assert len(batch) == n_seeds
+    for seed, row in zip(seeds, batch):
+        assert_same_output(row, simulate(params, variant, 400, p0=1.5, seed=seed))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_blow_up_fails_its_row_alone(variant):
+    params, days = BLOWUP_CASES[variant]
+    seeds = list(range(8))
+    singles = [single_outcome(params, variant, days, 0.0, s) for s in seeds]
+    blown = [isinstance(s, BlowUpError) for s in singles]
+    assert any(blown) and not all(blown)
+
+    for batch_seeds in (seeds, seeds[::-1]):
+        batch = simulate_batch(params, variant, days, p0=0.0, seeds=batch_seeds)
+        for seed, row in zip(batch_seeds, batch):
+            single = singles[seed]
+            if isinstance(single, BlowUpError):
+                # same message, so the same price and the same day
+                assert isinstance(row, BlowUpError) and str(row) == str(single)
+            else:
+                assert_same_output(row, single)
+
+
+def test_all_rows_blowing_up_returns_every_error():
+    params = DEFAULT_PARAMETERS.with_values(a=1000.0, lam=0.001, v_min=0.2, v_max=0.2)
+    batch = simulate_batch(params, "standard", 50, seeds=[1, 2, 3])
+    assert all(isinstance(row, BlowUpError) for row in batch)
+    for seed, row in zip([1, 2, 3], batch):
+        with pytest.raises(BlowUpError, match="diverged") as info:
+            simulate(params, "standard", 50, seed=seed)
+        assert str(info.value) == str(row)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_day_steps_agree_with_simulate_across_window_slides(variant):
+    params = DEFAULT_PARAMETERS.with_values(n_traders=15, horizon=5, d_max=8)
+    days = 2 * (params.horizon + BLOCK_DAYS) + 3
+    out = simulate(params, variant, days, p0=0.3, seed=42)
+    state = init_simulation(params, 0.3, seed=42)
+    step = step_standard if variant == "standard" else step_adaptive
+    n_chart, profit_chart, profit_fund = [], [], []
+    for _ in range(days):
+        step(state, params)
+        n_chart.append(int(np.sum(state.is_chartist)))
+        profit_chart.append(state.last_profit_chart)
+        profit_fund.append(state.last_profit_fund)
+    assert np.array_equal(state.log_prices, out.log_prices)
+    assert n_chart == out.n_chartists.tolist()
+    assert profit_chart == out.profit_chartists.tolist()
+    assert profit_fund == out.profit_fundamentalists.tolist()
+
+    assert state.log_price(-params.d_max) == 0.3
+    window = state.trader(3).shadow_positions["chartist"]
+    assert len(window) == params.horizon + 1
+    if variant == "adaptive":
+        assert window[-1] == state.shadow_chart(days)[3]
+    with pytest.raises(IndexError):
+        state.shadow_fund(days - params.horizon - BLOCK_DAYS - 1)
+
+
+@pytest.mark.parametrize("horizon", [7, BLOCK_DAYS + 1])
+def test_rolling_profits_match_oracle_across_window_slides(horizon):
+    # Checked every day: only the day after a slide reads the window's first
+    # row. horizon > BLOCK_DAYS makes a slide copy overlapping rows.
+    params = DEFAULT_PARAMETERS.with_values(n_traders=6, horizon=horizon, gamma=0.2)
+    state = init_simulation(params, 0.0, seed=13)
+    chart_rows, fund_rows = [state.shadow_chart(0).copy()], [state.shadow_fund(0).copy()]
+    for day in range(1, 2 * (horizon + BLOCK_DAYS) + 5):
+        step_adaptive(state, params)
+        chart_rows.append(state.shadow_chart(day).copy())
+        fund_rows.append(state.shadow_fund(day).copy())
+        prices = state.log_prices
+        for pi, rows in zip(state.rolling_profits(), (chart_rows, fund_rows)):
+            history = np.array(rows)
+            expected = [strategy_profit(history[:, i], prices, horizon, day)
+                        for i in range(params.n_traders)]
+            assert pi == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+
+def test_seed_arrays_accepted():
+    seeds = np.random.SeedSequence(0).generate_state(2)
+    batch = simulate_batch(DEFAULT_PARAMETERS, "adaptive", 20, seeds=seeds)
+    assert [row.seed for row in batch] == [int(s) for s in seeds]
+    assert all(type(row.seed) is int for row in batch)

@@ -77,8 +77,10 @@ class TestInitSimulation:
 
     def test_price_history_padded_with_p0(self):
         state = init_simulation(params_with(d_max=5), 4.6, seed=0)
-        assert state._n_prices == 6
-        assert np.all(state._prices[:6] == 4.6)
+        assert state.log_prices.tolist() == [4.6]
+        assert [state.log_price(t) for t in range(-5, 1)] == [4.6] * 6
+        with pytest.raises(IndexError):
+            state.log_price(-6)
 
     def test_value_offsets_from_p0(self):
         state = init_simulation(params_with(v_min=-0.2, v_max=-0.2), 4.0, seed=0)
@@ -326,17 +328,23 @@ class TestAdaptiveMicroOracle:
     def test_windowed_profit_matches_public_op(self):
         p = params_with(gamma=0.2, horizon=7)
         state = init_simulation(p, 0.0, seed=13)
-        state.reserve(40)
+        chart_rows, fund_rows = [state.shadow_chart(0).copy()], [state.shadow_fund(0).copy()]
         for _ in range(40):
             step_adaptive(state, p)
-        from farmerjoshi.market import _windowed_profits
-        pi_c, pi_f = _windowed_profits(state, p.horizon, state.day)
+            chart_rows.append(state.shadow_chart(state.day).copy())
+            fund_rows.append(state.shadow_fund(state.day).copy())
+        pi_c, pi_f = state.rolling_profits()
         prices = state.log_prices
         for i in (0, 3, 9):
             assert pi_c[i] == pytest.approx(strategy_profit(
-                state._pos_chart[: state.day + 1, i], prices, p.horizon, state.day))
+                np.array(chart_rows)[:, i], prices, p.horizon, state.day))
             assert pi_f[i] == pytest.approx(strategy_profit(
-                state._pos_fund[: state.day + 1, i], prices, p.horizon, state.day))
+                np.array(fund_rows)[:, i], prices, p.horizon, state.day))
+            # the trader view keeps the last horizon + 1 rows, all the window reads
+            window = state.trader(i).shadow_positions
+            kept = -(p.horizon + 1)
+            assert np.array_equal(window["chartist"], np.array(chart_rows)[kept:, i])
+            assert np.array_equal(window["fundamentalist"], np.array(fund_rows)[kept:, i])
 
 
 class TestSimulate:
@@ -378,7 +386,6 @@ class TestSimulate:
     def test_order_telescoping_per_trader(self):
         p = params_with(gamma=0.3)
         state = init_simulation(p, 0.0, seed=17)
-        state.reserve(60)
         start = state.pos_actual.copy()
         order_sum = np.zeros(p.n_traders)
         for _ in range(60):
@@ -390,10 +397,9 @@ class TestSimulate:
     def test_positions_stay_in_domain(self):
         p = params_with(gamma=0.3)
         state = init_simulation(p, 0.0, seed=19)
-        state.reserve(80)
         for _ in range(80):
             step_adaptive(state, p)
-            for pos in (state._pos_fund[state.day], state._pos_chart[state.day],
+            for pos in (state.shadow_fund(state.day), state.shadow_chart(state.day),
                         state.pos_actual):
                 ok = (pos == 0.0) | (pos == state.capital) | (pos == -state.capital)
                 assert np.all(ok)
