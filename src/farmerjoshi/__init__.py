@@ -32,6 +32,7 @@ from farmerjoshi.market import (
 )
 from farmerjoshi.stats import (
     MOMENT_NAMES,
+    MOMENTS_VERSION,
     MomentVector,
     StatisticError,
     acf,

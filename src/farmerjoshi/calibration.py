@@ -367,7 +367,8 @@ def replicate_calibrations(run_one, space: ParameterSpace, runs: int,
     """Repeat ``run_one(seed_i)`` with distinct derived seeds and summarize.
 
     ``run_one`` maps an integer seed to a CalibrationResult. Failing runs
-    are recorded and excluded; at least two must succeed.
+    are excluded and only counted (``runs_succeeded`` falls short of
+    ``runs_requested``); at least two must succeed.
     """
     results, run_seeds = run_replications(run_one, runs, seed)
     return summarize_replications(results, space, runs, run_seeds)

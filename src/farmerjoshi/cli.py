@@ -61,7 +61,7 @@ from farmerjoshi.stats import StatisticError, moment_vector
 from farmerjoshi.weighting import (
     WeightMatrix,
     WeightingError,
-    cache_key,
+    cache_path,
     estimate_weight_matrix,
 )
 
@@ -234,9 +234,8 @@ def _weight_matrix(resolved: dict, emp_returns: ReturnSeries, out: Path) -> Weig
     block = resolved["block_len"]
     reps = resolved["bootstrap_replicates"]
     seed = resolved["bootstrap_seed"]
-    cache_dir = Path(resolved.get("cache_dir") or (out / "weights-cache"))
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    cached = cache_dir / f"weights-{cache_key(emp_returns, block, reps, seed)}.json"
+    cached = cache_path(resolved.get("cache_dir") or (out / "weights-cache"),
+                        emp_returns, block, reps, seed)
     if cached.exists():
         logger.info("using cached weight matrix %s", cached)
         return WeightMatrix.load(cached)

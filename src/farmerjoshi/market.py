@@ -25,7 +25,6 @@ state a day at a time. Every row reproduces the one-seed run bit for bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Iterator, Literal
 
@@ -245,16 +244,15 @@ def strategy_profit(shadow_positions, log_prices, H: int, t: int) -> float:
 def switch_probability(pi_c: float, pi_f: float, gamma: float) -> tuple[float, float]:
     """Logistic strategy-selection probabilities (phi_chartist, phi_fund).
 
-    Computed in the overflow-safe form of 1 / (1 + exp((pi_f - pi_c)/gamma)).
+    Computed in the overflow-safe form of 1 / (1 + exp((pi_f - pi_c)/gamma)),
+    with numpy's exp as in the day kernel, so the two agree to the last bit
+    (``math.exp`` differs from ``np.exp`` in the last bit on some inputs).
     """
     if gamma <= 0:
         raise ParameterError("gamma must be positive")
     z = (pi_f - pi_c) / gamma
-    if z >= 0:
-        e = math.exp(-z)
-        phi_c = e / (1.0 + e)
-    else:
-        phi_c = 1.0 / (1.0 + math.exp(z))
+    e = np.exp(-abs(z))
+    phi_c = float((e if z >= 0.0 else 1.0) / (1.0 + e))
     return phi_c, 1.0 - phi_c
 
 

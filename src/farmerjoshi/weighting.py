@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from farmerjoshi.data_io import ReturnSeries
-from farmerjoshi.stats import N_MOMENTS, StatisticError, moment_vector
+from farmerjoshi.stats import MOMENTS_VERSION, N_MOMENTS, StatisticError, moment_vector
 
 #: Condition number above which the covariance is pseudo-inverted.
 CONDITION_CUTOFF = 1e12
@@ -147,27 +147,37 @@ def estimate_weight_matrix(r_emp, block_len: int = DEFAULT_BLOCK_LEN,
         "replicates_used": int(replicates - failures),
         "failed_replicates": int(failures),
         "seed": int(seed),
+        "moments_version": MOMENTS_VERSION,
         **report,
     }
     return WeightMatrix(entries=entries, metadata=meta)
 
 
 def cache_key(r_emp, block_len: int, replicates: int, seed: int) -> str:
-    """Stable disk-cache key for a weight matrix estimation."""
+    """Stable disk-cache key for a weight matrix estimation.
+
+    It hashes the statistic conventions' version with the inputs, so a
+    matrix cached under other conventions is never reused.
+    """
     values = np.asarray(getattr(r_emp, "values", r_emp), dtype=float)
     h = hashlib.sha256()
     h.update(values.tobytes())
-    h.update(f"|{block_len}|{replicates}|{seed}".encode())
+    h.update(f"|{block_len}|{replicates}|{seed}|moments-v{MOMENTS_VERSION}".encode())
     return h.hexdigest()[:24]
+
+
+def cache_path(cache_dir, r_emp, block_len: int, replicates: int, seed: int) -> Path:
+    """The cache file of a weight matrix estimation; creates ``cache_dir``."""
+    cache_dir = Path(cache_dir)
+    cache_dir.mkdir(parents=True, exist_ok=True)
+    return cache_dir / f"weights-{cache_key(r_emp, block_len, replicates, seed)}.json"
 
 
 def cached_weight_matrix(r_emp, cache_dir, block_len: int = DEFAULT_BLOCK_LEN,
                          replicates: int = DEFAULT_REPLICATES,
                          seed: int = 0) -> WeightMatrix:
     """Load a weight matrix from cache or estimate and cache it."""
-    cache_dir = Path(cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    path = cache_dir / f"weights-{cache_key(r_emp, block_len, replicates, seed)}.json"
+    path = cache_path(cache_dir, r_emp, block_len, replicates, seed)
     if path.exists():
         return WeightMatrix.load(path)
     wm = estimate_weight_matrix(r_emp, block_len, replicates, seed)

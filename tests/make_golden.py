@@ -1,4 +1,4 @@
-"""Golden fingerprints of the simulator and the calibration objective.
+"""Golden fingerprints of the simulator, the statistics and the objective.
 
 Run from the repository root to (re)write ``tests/data/golden_paths.json``:
 
@@ -24,6 +24,8 @@ from farmerjoshi.market import DEFAULT_PARAMETERS, BlowUpError, simulate
 from farmerjoshi.stats import N_MOMENTS, moment_vector
 from farmerjoshi.weighting import WeightMatrix
 
+from conftest import garch_returns
+
 GOLDEN_FILE = Path(__file__).parent / "data" / "golden_paths.json"
 
 PATH_DAYS = 2500
@@ -39,6 +41,8 @@ OUTPUT_ARRAYS = ("log_prices", "log_returns", "n_chartists", "n_fundamentalists"
 FITNESS_DAYS = 1000
 FITNESS_REPLICATIONS = 3
 FITNESS_THETA_SEED = 5
+
+MOMENT_DAYS = 2500
 
 
 def path_key(variant: str, set_name: str, seed: int) -> str:
@@ -96,11 +100,30 @@ def fitness_fingerprints(variant: str) -> list[dict]:
             for theta in fitness_thetas(cfg.space)]
 
 
+def moment_series() -> dict[str, np.ndarray]:
+    """Three fixed series: clustered, i.i.d. and one simulated adaptive path."""
+    path = simulate(DEFAULT_PARAMETERS, "adaptive", MOMENT_DAYS, p0=0.0, seed=PATH_SEEDS[0])
+    return {
+        "garch_returns": garch_returns(MOMENT_DAYS, seed=2024),
+        "iid_normal": 0.01 * np.random.default_rng(17).standard_normal(MOMENT_DAYS),
+        "adaptive_path": path.log_returns,
+    }
+
+
+def moment_fingerprints() -> dict:
+    """``float.hex`` of each series' nine moments; KS is against garch_returns."""
+    series = moment_series()
+    reference = series["garch_returns"]
+    return {name: {k: float.hex(v) for k, v in moment_vector(x, reference).to_dict().items()}
+            for name, x in series.items()}
+
+
 def generate() -> dict:
     return {
         "paths": {path_key(v, s, seed): path_fingerprint(v, s, seed)
                   for v in VARIANTS for s in PARAMETER_SETS for seed in PATH_SEEDS},
         "fitness": {v: fitness_fingerprints(v) for v in VARIANTS},
+        "moments": moment_fingerprints(),
     }
 
 

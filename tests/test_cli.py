@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from farmerjoshi.cli import main
+from farmerjoshi.data_io import load_price_series, log_returns
+from farmerjoshi.weighting import cached_weight_matrix
 
 
 def run_cli(*args) -> int:
@@ -100,6 +102,15 @@ class TestCalibrateCommand:
         assert doc["objective"]["weight_metadata"]["replicates"] == 40
         trace = (calibrated / "fitness_trace.csv").read_text()
         assert trace.count("\n") >= 4
+
+    def test_weights_cache_shared_with_library(self, calibrated, empirical_csv_session):
+        cache = calibrated / "weights-cache"
+        files = sorted(cache.glob("weights-*.json"))
+        assert len(files) == 1
+        emp = log_returns(load_price_series(empirical_csv_session))
+        wm = cached_weight_matrix(emp, cache, block_len=50, replicates=40, seed=0)
+        assert sorted(cache.glob("weights-*.json")) == files
+        assert wm.metadata["replicates"] == 40
 
     def test_missing_weights_without_bootstrap(self, empirical_csv_session, outdir):
         code = run_cli("calibrate", "--empirical", empirical_csv_session,

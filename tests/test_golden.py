@@ -3,7 +3,8 @@
 The determinism tests compare one run with a second run, so a change that
 alters every path would still pass them. These compare with fingerprints
 written by ``tests/make_golden.py``: sha256 of all six SimulationOutput
-arrays, and ``float.hex`` of the fitness at fixed thetas, bit for bit.
+arrays, ``float.hex`` of the fitness at fixed thetas and of the nine
+moments of three fixed series, bit for bit.
 """
 
 import json
@@ -18,6 +19,7 @@ from make_golden import (
     PATH_SEEDS,
     VARIANTS,
     fitness_fingerprints,
+    moment_fingerprints,
     path_fingerprint,
     path_key,
 )
@@ -46,3 +48,7 @@ def test_golden_fitness_values_are_not_penalties():
         values = [float.fromhex(e["fitness"]) for e in GOLDEN["fitness"][variant]]
         assert all(np.isfinite(values)) and max(values) < 1e6
         assert len(GOLDEN["fitness"][variant][0]["theta"]) == ParameterSpace(variant).dim
+
+
+def test_moments_match_golden():
+    assert moment_fingerprints() == GOLDEN["moments"]

@@ -230,6 +230,29 @@ class TestSwitchProbability:
         assert 0.0 <= phi_c <= 1.0
         assert phi_c + phi_f == 1.0
 
+    def test_kernel_switches_exactly_at_phi(self):
+        # A trader turns chartist when u < phi_c, so u = phi_c must give a
+        # fundamentalist and the next float below it a chartist: the day
+        # kernel and this function agree on phi_c to the last bit, at each
+        # of 400 traders' profit gaps. The gaps stay within a few gamma of
+        # zero on either side, where phi_c carries the last bit of exp.
+        p = params_with(n_traders=400, gamma=3.0)
+        at_phi, below_phi = (init_simulation(p, 0.0, seed=5) for _ in range(2))
+        for _ in range(30):
+            step_adaptive(at_phi, p)
+            step_adaptive(below_phi, p)
+        pi_c, pi_f = at_phi.rolling_profits()
+        phi_c = np.array([switch_probability(c, f, p.gamma)[0]
+                          for c, f in zip(pi_c, pi_f)])
+        assert len(np.unique(phi_c)) > 100
+        assert phi_c.min() < 0.5 < phi_c.max()
+        at_phi.rng_switch = StubUniform([phi_c])
+        below_phi.rng_switch = StubUniform([np.nextafter(phi_c, 0.0)])
+        step_adaptive(at_phi, p)
+        step_adaptive(below_phi, p)
+        assert not at_phi.is_chartist.any()
+        assert below_phi.is_chartist.all()
+
 
 def micro_params(**kwargs) -> ModelParameters:
     """Degenerate draws so every trader is identical and deterministic."""

@@ -18,6 +18,10 @@ from farmerjoshi.stats import (
     moment_vector,
     sample_moments,
 )
+from farmerjoshi.stats import _garch_fit, _garch_objective
+
+from conftest import garch_returns
+from garch_oracle import compare, equivalence_series, garch_nll, within_tolerance
 
 
 def brute_force_ks(x, y):
@@ -223,6 +227,57 @@ class TestGarchPersistence:
         x = clustered_returns.values
         shuffled = np.random.default_rng(2).permutation(x)
         assert garch_persistence(x) != garch_persistence(shuffled)
+
+
+class TestGarchAgainstNelderMead:
+    """The gradient fit against the version-1 Nelder-Mead fit it replaced."""
+
+    @staticmethod
+    def feasible_points(seed, count=6):
+        rng = np.random.default_rng(seed)
+        return [np.array([rng.normal(0.0, 0.1), rng.uniform(0.01, 1.0),
+                          rng.uniform(0.0, 0.99), rng.uniform(0.0, 1.0)])
+                for _ in range(count)]
+
+    @staticmethod
+    def standardized(x):
+        return (x - x.mean()) / x.std(ddof=1)
+
+    def test_equivalence_on_fixed_series(self):
+        rows = {name: compare(x) for name, x in equivalence_series(6).items()}
+        assert len(rows) >= 25
+        fitted = [name for name, r in rows.items() if r["p_old"] > 0.0]
+        assert 5 <= len(fitted) <= len(rows) - 5  # both BIC outcomes occur
+        outside = {name: r for name, r in rows.items() if not within_tolerance(r)}
+        assert outside == {}
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_objective_is_the_reference_likelihood(self, seed):
+        y = self.standardized(garch_returns(1000, seed=seed))
+        for mu, omega, p, s in self.feasible_points(seed):
+            nll, _ = _garch_objective(np.array([mu, omega, p, s]), y)
+            assert nll == pytest.approx(garch_nll((mu, omega, p * s, p * (1 - s)), y),
+                                        rel=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_gradient_matches_central_differences(self, seed):
+        y = self.standardized(garch_returns(1000, seed=seed))
+        for theta in self.feasible_points(seed + 10):
+            _, grad = _garch_objective(theta, y)
+            fd = np.empty(4)
+            for k in range(4):
+                h = 1e-6 * max(1.0, abs(theta[k]))
+                up, down = theta.copy(), theta.copy()
+                up[k] += h
+                down[k] -= h
+                fd[k] = (_garch_objective(up, y)[0] - _garch_objective(down, y)[0]) / (2 * h)
+            np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-6)
+
+    def test_fit_reported_in_series_units(self, clustered_returns):
+        x = clustered_returns.values
+        nll, mu, omega, alpha, beta = _garch_fit(x)
+        assert nll == pytest.approx(garch_nll((mu, omega, alpha, beta), x), rel=1e-10)
+        assert garch_persistence(x) == alpha + beta
 
 
 class TestHillTailAverage:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from farmerjoshi import weighting
 from farmerjoshi.data_io import ReturnSeries
+from farmerjoshi.stats import MOMENTS_VERSION
 from farmerjoshi.weighting import (
     WeightingError,
     WeightMatrix,
@@ -93,6 +95,7 @@ class TestEstimateWeightMatrix:
         assert eig.min() >= -1e-8 * max(eig.max(), 1.0)
         assert wm.metadata["replicates"] == 40
         assert wm.metadata["failed_replicates"] == 0
+        assert wm.metadata["moments_version"] == MOMENTS_VERSION
 
     def test_deterministic_under_seed(self, clustered_returns):
         a = estimate_weight_matrix(clustered_returns, 50, 12, seed=3)
@@ -132,6 +135,12 @@ class TestCache:
         k2 = cache_key(clustered_returns, 100, 500, 1)
         k3 = cache_key(ReturnSeries(clustered_returns.values[:-1]), 100, 500, 0)
         assert len({k1, k2, k3}) == 3
+
+    def test_cache_key_changes_with_moments_version(self, clustered_returns,
+                                                    monkeypatch):
+        current = cache_key(clustered_returns, 100, 500, 0)
+        monkeypatch.setattr(weighting, "MOMENTS_VERSION", MOMENTS_VERSION - 1)
+        assert cache_key(clustered_returns, 100, 500, 0) != current
 
     def test_cached_roundtrip(self, clustered_returns, tmp_path):
         wm1 = cached_weight_matrix(clustered_returns, tmp_path, 50, 12, seed=4)
