@@ -324,7 +324,11 @@ def percentile_interval(samples, lo: float = 2.5, hi: float = 97.5) -> tuple:
 
 def run_replications(run_one, runs: int, seed: int = 0
                      ) -> tuple[list[CalibrationResult], list[int]]:
-    """Run ``run_one(seed_i)`` over distinct derived seeds, skipping failures."""
+    """Run ``run_one(seed_i)`` over distinct derived seeds, skipping failed runs.
+
+    A run fails when it raises one of the model's domain errors; any other
+    exception is a fault in the program and propagates.
+    """
     if runs < 2:
         raise CalibrationError("need at least 2 replication runs")
     run_seeds = [int(s) for s in np.random.SeedSequence(seed).generate_state(runs)]
@@ -332,7 +336,7 @@ def run_replications(run_one, runs: int, seed: int = 0
     for s in run_seeds:
         try:
             results.append(run_one(s))
-        except Exception:
+        except (CalibrationError, BlowUpError, StatisticError, ParameterError):
             continue
     return results, run_seeds
 

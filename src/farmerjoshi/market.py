@@ -21,6 +21,10 @@ the active strategy's shadow position.
 set through a single daily loop over an (I, N) state; ``simulate`` is its
 one-seed case and ``step_standard``/``step_adaptive`` advance a one-seed
 state a day at a time. Every row reproduces the one-seed run bit for bit.
+The kernel writes prices, returns, chartist counts and profits in place
+into the output buffers, one column a day. Across days it keeps only the
+trader state (position signs, value perceptions) and, in the adaptive
+variant, a bounded window of shadow positions for the rolling profits.
 """
 
 from __future__ import annotations
@@ -261,8 +265,8 @@ def switch_probability(pi_c: float, pi_f: float, gamma: float) -> tuple[float, f
 # ---------------------------------------------------------------------------
 
 #: Days of noise drawn per generator call, and days between slides of the
-#: price and shadow-position windows. It bounds the per-seed memory to a
-#: few MB at N = 1000 while keeping generator calls out of the daily loop.
+#: shadow-position window. It bounds the per-seed memory to a few MB at
+#: N = 1000 while keeping generator calls out of the daily loop.
 BLOCK_DAYS = 128
 
 #: Index of each strategy on the strategy axis of shadow positions and
@@ -276,12 +280,69 @@ def _seed_streams(seed: int) -> list[np.random.Generator]:
             for s in np.random.SeedSequence(seed).spawn(4)]
 
 
-def _transition(pos: np.ndarray, m: np.ndarray, thresholds: tuple) -> np.ndarray:
-    """Elementwise threshold_transition over traders (and strategies)."""
-    T, neg_T, tau, neg_tau, c, neg_c = thresholds
-    enter = np.where(m < neg_T, c, np.where(m > T, neg_c, 0.0))
-    leave = np.where(pos > 0.0, m > neg_tau, m < tau)
-    return np.where(pos == 0.0, enter, np.where(leave, 0.0, pos))
+def _normal(rng: np.random.Generator, loc: float, scale: float, out: np.ndarray) -> None:
+    """Fill ``out`` with ``rng.normal(loc, scale, out.shape)``, without allocating.
+
+    numpy draws a normal as loc + scale * z from the standard normal z, in
+    two roundings; the same operations in place give the same floats.
+    """
+    rng.standard_normal(out=out)
+    np.multiply(out, scale, out=out)
+    np.add(out, loc, out=out)
+
+
+class _Positions:
+    """threshold_transition over a whole array of positions, in place.
+
+    The state is each position's sign s in {-1, 0, 1}, kept as int8 with
+    its mirror -s: a short position is a long one of -m, so one set of
+    ufunc calls over (2, *shape) arrays moves both sides. A side is held
+    tomorrow when
+
+        s + [m < -T] + [m <= -tau] >= 2,
+
+    that is [m < -T] from flat, [m <= -tau] from held (tau < T, so m < -T
+    implies m <= -tau) and never from the other side. ``m <= -tau`` is
+    tested as ``m < nextafter(-tau, +inf)``, the same for every float m.
+    The position is then s * c: flat is +0.0, as in threshold_transition.
+
+    Trader arrays come in the layout of the variant: (I, N) standard or
+    (I, 2, N) adaptive, one position per strategy. The caller writes each
+    day's mispricing into ``mispricing`` and calls :meth:`step`.
+    """
+
+    def __init__(self, entry: np.ndarray, exit: np.ndarray, capital: np.ndarray,
+                 signs: np.ndarray | None = None):
+        pair = (2, *capital.shape)
+        self.capital = capital
+        self._m = np.empty(pair)  # m, then -m
+        self.mispricing = self._m[0]
+        #: The signs s, then -s.
+        self.sides = np.zeros(pair, np.int8)
+        if signs is not None:
+            self.sides[0] = signs
+            np.negative(self.sides[0], out=self.sides[1])
+        self._enter = np.broadcast_to(-entry, pair).copy()
+        self._hold = np.broadcast_to(np.nextafter(-exit, np.inf), pair).copy()
+        self._one = np.ones(pair, np.int8)  # an array: a scalar operand is converted per call
+        self._level = np.empty(pair, np.int8)
+        self._test = np.empty(pair, bool)
+        self._held = self._test.view(np.int8)
+        self._held_mirror = self._held[::-1]
+        self._sign = np.empty(capital.shape)
+
+    def step(self, out: np.ndarray) -> None:
+        """Move every position one day on ``mispricing``; write them to ``out``."""
+        m, sides, level, test, held = self._m, self.sides, self._level, self._test, self._held
+        np.negative(self.mispricing, out=m[1])
+        np.less(m, self._enter, out=test)
+        np.add(sides, held, out=level)
+        np.less(m, self._hold, out=test)
+        np.add(level, held, out=level)
+        np.greater(level, self._one, out=test)
+        np.subtract(held, self._held_mirror, out=sides)
+        self._sign[...] = sides[0]
+        np.multiply(self._sign, self.capital, out=out)
 
 
 def _blowup(p: float, day: int) -> BlowUpError:
@@ -290,21 +351,23 @@ def _blowup(p: float, day: int) -> BlowUpError:
 
 
 class _Runs:
-    """Trader state of I runs that share one parameter set, one row per seed.
+    """Trader state and outputs of I runs that share one parameter set, one row per seed.
 
-    Trader arrays are (I, N). Only the history the next day reads is kept,
-    in windows that slide every BLOCK_DAYS days: the log prices of the
-    last ``d_max + horizon`` days and, when ``shadows`` is set, the last
-    ``horizon`` rows of both strategies' shadow positions. Window row j
-    holds day ``base + j``; the price window has ``d_max`` extra columns in
-    front, pre-seeded with p0 so chartist lags are defined from day one.
+    Trader arrays are (I, N). The kernel writes its outputs in place, one
+    column per day: log prices (``d_max`` columns of p0 in front, so
+    chartist lags are defined from day one; column ``d_max + t`` holds
+    p_t), log returns, chartist counts and strategy profits. Of the
+    shadow positions it keeps, when ``shadows`` is set, only a window of
+    the last ``horizon + 1`` days or more that slides every BLOCK_DAYS
+    days; window row j holds day ``base + j``. Positions follow the
+    variant of the first :meth:`advance`.
     """
 
     _ROW_ARRAYS = ("entry", "exit", "lag", "value", "capital", "is_chartist",
-                   "pos_actual", "shadow", "shadow_window", "price_window", "p",
+                   "pos_actual", "shadow_window", "prices", "returns", "n_chart",
                    "profit")
 
-    def __init__(self, params: ModelParameters, p0: float, seeds, shadows: bool):
+    def __init__(self, params: ModelParameters, p0: float, seeds, days: int, shadows: bool):
         params.validate()
         n, n_runs = params.n_traders, len(seeds)
         self.params = params
@@ -330,25 +393,51 @@ class _Runs:
         split = np.arange(n) >= params.n_fundamentalists()
         self.is_chartist = np.tile(split, (n_runs, 1))
         self.pos_actual = np.zeros((n_runs, n))
-        self.shadow = np.zeros((n_runs, 2, n)) if shadows else None
         self.shadow_window = (np.zeros((n_runs, 2, self.rows, n)) if shadows
                               else None)
-        self.price_window = np.full((n_runs, params.d_max + self.rows), float(p0))
-        self.p = np.full(n_runs, float(p0))
-        #: Strategy profits in force for the last day, (I, 2).
-        self.profit = np.zeros((n_runs, 2))
-        self._derive()
+        self.prices = np.full((n_runs, params.d_max + days + 1), float(p0))
+        self.returns = np.zeros((n_runs, days))
+        self.n_chart = np.full((n_runs, days), n - params.n_fundamentalists())
+        self.profit = np.zeros((n_runs, 2, days))
+        #: The variant the rows run, fixed by the first advance.
+        self.adaptive = None
+        self.positions = None
 
-    def _derive(self) -> None:
-        """Index and threshold arrays that depend on the row set."""
-        n_runs, width = self.price_window.shape
-        self._lag_index = (np.arange(n_runs)[:, None] * width
-                           + self.params.d_max - self.lag)
-        columns = [(x, -x) for x in (self.entry, self.exit, self.capital)]
-        self._thresholds = tuple(a for pair in columns for a in pair)
-        # the same per strategy, materialised: broadcasting slows the ufuncs
-        self._thresholds_2 = tuple(np.repeat(a[:, None, :], 2, axis=1)
-                                   for a in self._thresholds)
+    def _index(self) -> None:
+        """Flat price indices of the lagged prices the chartists read on day 0.
+
+        On day t the same indices read the flat prices from element t on.
+        """
+        n_runs, width = self.prices.shape
+        index = np.arange(n_runs)[:, None] * width + self.params.d_max - self.lag
+        self._lag_index = index if self.adaptive else index[:, self.params.n_fundamentalists():]
+        self._lagged = np.empty(self._lag_index.shape)
+        self._flat_prices = self.prices.reshape(-1)
+
+    def _start(self, adaptive: bool, signs: np.ndarray | None = None) -> None:
+        """Fix the variant; build the positions, the day's buffers and their views."""
+        self.adaptive = adaptive
+        self._index()
+        n_runs, n = self.pos_actual.shape
+        if adaptive:
+            layout = [np.repeat(x[:, None, :], 2, axis=1)
+                      for x in (self.entry, self.exit, self.capital)]
+            self.positions = _Positions(*layout, signs)
+            fund, chart = FUND, CHART
+            # the value perceptions the fundamentalist mispricing reads and eta moves
+            self._value_fund = self.value
+            self._pi = np.empty((n_runs, 2, 1, n))
+            self._gap, self._odds = np.empty((2, n_runs, n))
+            self._neg_gamma = -self.params.gamma
+        else:
+            self.positions = _Positions(self.entry, self.exit, self.capital, signs)
+            n_f = self.params.n_fundamentalists()
+            fund, chart = slice(None, n_f), slice(n_f, None)
+            self._value_fund = self.value[:, fund]
+            self._next_pos = np.empty((n_runs, n))
+        self._m_fund = self.positions.mispricing[:, fund]
+        self._m_chart = self.positions.mispricing[:, chart]
+        self._order = np.empty((n_runs, n))
 
     def keep(self, mask: np.ndarray) -> None:
         """Drop the rows where ``mask`` is false."""
@@ -357,32 +446,61 @@ class _Runs:
             if arr is not None:
                 setattr(self, name, arr[mask])
         self.streams = [s for s, k in zip(self.streams, mask) if k]
-        self._derive()
+        self._start(self.adaptive, self.positions.sides[0][mask])
 
-    def rolling_profits(self) -> np.ndarray:
+    def extend(self, days: int) -> None:
+        """Make room in the outputs for ``days`` more days."""
+        for name in ("prices", "returns", "n_chart", "profit"):
+            arr = getattr(self, name)
+            # "edge" carries the standard variant's constant chartist count on
+            setattr(self, name, np.pad(arr, [(0, 0)] * (arr.ndim - 1) + [(0, days)],
+                                       mode="edge"))
+        if self.adaptive is not None:
+            self._index()
+
+    def rolling_profits(self, out: np.ndarray | None = None) -> np.ndarray:
         """Per-trader strategy profits over the last ``horizon`` days, (I, 2, N).
 
         The matmul stacks one (1, h) @ (h, N) product per seed and strategy,
         each on a C-contiguous slab, which numpy hands to BLAS gemv one by
         one: the same call, so the same rounding, as a single run's
-        ``dp @ slab``. One (h, 2N) product rounds differently.
+        ``dp @ slab``. One (h, 2N) product rounds differently. Before day 1
+        the products are empty, so zero.
         """
         t = self.day
-        if t < 1:
-            return np.zeros(self.shadow.shape)
-        a = max(1, t - self.params.horizon + 1) - 1 - self.base
-        b = t - self.base
-        c = self.params.d_max
-        dp = self.price_window[:, c + a + 1 : c + b + 1] - self.price_window[:, c + a : c + b]
-        return np.matmul(dp[:, None, None, :], self.shadow_window[:, :, a:b])[:, :, 0]
+        k = max(0, t - self.params.horizon)
+        dp = self.returns[:, None, None, k:t]
+        window = self.shadow_window[:, :, k - self.base : t - self.base]
+        return np.matmul(dp, window, out=out)[:, :, 0]
 
     def _slide(self) -> None:
-        """Move the last ``horizon`` days of both windows to the front."""
+        """Move the last ``horizon`` days of the shadow window to the front."""
         h, shift = self.params.horizon, self.rows - self.params.horizon
-        self.price_window[:, : self.params.d_max + h] = self.price_window[:, shift:]
-        if self.shadow_window is not None:
-            self.shadow_window[:, :, :h] = self.shadow_window[:, :, shift:]
+        self.shadow_window[:, :, :h] = self.shadow_window[:, :, shift:]
         self.base += shift
+
+    def _switch(self, u) -> None:
+        """Re-draw every strategy from the rolling profits; record the day's profits.
+
+        phi_chartist is switch_probability's overflow-safe logistic: with
+        e = exp(-|z|), z = (pi_f - pi_c) / gamma, it is e / (1 + e) where
+        z >= 0 and 1 / (1 + e) where z < 0, i.e. where pi_c - pi_f > 0, so
+        the numerator is max(e, sign(pi_c - pi_f)). -|z| is computed as
+        |pi_c - pi_f| / -gamma, the same float.
+        """
+        t = self.day
+        pi = self.rolling_profits(out=self._pi)
+        gap, odds = self._gap, self._odds
+        np.subtract(pi[:, CHART], pi[:, FUND], out=gap)
+        np.abs(gap, out=odds)
+        np.divide(odds, self._neg_gamma, out=odds)
+        np.exp(odds, out=odds)
+        np.maximum(odds, np.sign(gap, out=gap), out=gap)
+        np.add(odds, 1.0, out=odds)
+        np.divide(gap, odds, out=gap)
+        np.less(u, gap, out=self.is_chartist)
+        np.add.reduce(self.is_chartist, axis=1, out=self.n_chart[:, t])
+        np.add.reduce(pi, axis=2, out=self.profit[:, :, t])
 
     def advance(self, adaptive: bool, zeta, eta, u) -> np.ndarray:
         """Move every row one day ahead; return the mask of rows still in range.
@@ -391,43 +509,39 @@ class _Runs:
         switching uniforms ``u`` (I, N) are this day's draws. The state of a
         row that blew up is garbage; drop it with :meth:`keep`.
         """
-        params = self.params
-        j = self.day - self.base
-        p = self.p[:, None]
-        lagged = self.price_window.ravel()[self._lag_index + j]
+        if self.adaptive is None:
+            self._start(adaptive)
+        params, t, prices = self.params, self.day, self.prices
+        col = params.d_max + t
+        p_now = prices[:, col]
+        p = p_now[:, None]
+        lagged = self._flat_prices[t:].take(self._lag_index, mode="clip", out=self._lagged)
+        np.subtract(p, self._value_fund, out=self._m_fund)
+        np.subtract(lagged, p, out=self._m_chart)
         if adaptive:
-            pi = self.rolling_profits()
-            z = (pi[:, FUND] - pi[:, CHART]) / params.gamma
-            e = np.exp(-np.abs(z))
-            self.is_chartist = u < np.where(z >= 0.0, e, 1.0) / (1.0 + e)
-            m = np.empty_like(self.shadow)
-            np.subtract(p, self.value, out=m[:, FUND])
-            np.subtract(lagged, p, out=m[:, CHART])
-            self.shadow = shadow = _transition(self.shadow, m, self._thresholds_2)
-            new_pos = np.where(self.is_chartist, shadow[:, CHART], shadow[:, FUND])
-            np.add.reduce(pi, axis=2, out=self.profit)
-        else:
-            m = np.where(self.is_chartist, lagged - p, p - self.value)
-            new_pos = _transition(self.pos_actual, m, self._thresholds)
-        p_next = self.p + np.add.reduce(new_pos - self.pos_actual, axis=1) / params.lam + zeta
-        if not adaptive:
-            dp = p_next - self.p
-            n_f = params.n_fundamentalists()
-            np.multiply(np.add.reduce(new_pos[:, :n_f], axis=1), dp, out=self.profit[:, FUND])
-            np.multiply(np.add.reduce(new_pos[:, n_f:], axis=1), dp, out=self.profit[:, CHART])
-        self.pos_actual = new_pos
-
-        if j + 1 == self.rows:
+            self._switch(u)
+        if self.shadow_window is not None and t + 1 - self.base == self.rows:
             self._slide()
-            j = self.day - self.base
-        self.price_window[:, params.d_max + j + 1] = p_next
-        if self.shadow_window is not None:
-            self.shadow_window[:, :, j + 1] = self.shadow
         if adaptive:
-            self.value += eta
+            shadow = self.shadow_window[:, :, t + 1 - self.base]
+            self.positions.step(shadow)
+            new_pos = np.where(self.is_chartist, shadow[:, CHART], shadow[:, FUND])
         else:
-            self.value[:, : params.n_fundamentalists()] += eta
-        self.p = p_next
+            new_pos = self._next_pos
+            self.positions.step(new_pos)
+
+        # operators on these (I,) arrays: measured faster than out= calls here
+        order = np.subtract(new_pos, self.pos_actual, out=self._order)
+        p_next = p_now + np.add.reduce(order, axis=1) / params.lam + zeta
+        prices[:, col + 1] = p_next
+        dp = self.returns[:, t] = p_next - p_now
+        if not adaptive:
+            n_f = params.n_fundamentalists()
+            np.multiply(np.add.reduce(new_pos[:, :n_f], axis=1), dp, out=self.profit[:, FUND, t])
+            np.multiply(np.add.reduce(new_pos[:, n_f:], axis=1), dp, out=self.profit[:, CHART, t])
+            self._next_pos = self.pos_actual
+        self._value_fund += eta
+        self.pos_actual = new_pos
         self.day += 1
         return np.abs(p_next) <= BLOWUP_LOG_PRICE
 
@@ -440,14 +554,20 @@ def _first_row(name: str) -> property:
     return property(lambda self: getattr(self._runs, name)[0])
 
 
+def _last_profit(strategy: int) -> property:
+    return property(lambda self: float(self._runs.profit[0, strategy, self.day - 1])
+                    if self.day else 0.0)
+
+
 class MarketState:
     """One run, advanced a day at a time by step_standard / step_adaptive.
 
-    A one-row batch of the simulate_batch kernel. The steps draw the day's
-    noise from ``rng_zeta``, ``rng_eta`` and ``rng_switch``, which tests may
-    replace with prescribed streams. Trader attributes are (N,) arrays;
-    day-indexed prices go through :meth:`log_price`, which is defined back
-    to day ``-d_max`` (pre-seeded with p0).
+    A one-row batch of the simulate_batch kernel, whose outputs grow as the
+    days go by. A state runs the variant of its first step. The steps draw
+    the day's noise from ``rng_zeta``, ``rng_eta`` and ``rng_switch``, which
+    tests may replace with prescribed streams. Trader attributes are (N,)
+    arrays; day-indexed prices go through :meth:`log_price`, which is
+    defined back to day ``-d_max`` (pre-seeded with p0).
     """
 
     entry = _first_row("entry")
@@ -458,27 +578,26 @@ class MarketState:
     is_chartist = _first_row("is_chartist")
     pos_actual = _first_row("pos_actual")
     day = property(lambda self: self._runs.day)
-    last_profit_fund = property(lambda self: float(self._runs.profit[0, FUND]))
-    last_profit_chart = property(lambda self: float(self._runs.profit[0, CHART]))
+    last_profit_fund = _last_profit(FUND)
+    last_profit_chart = _last_profit(CHART)
 
     def __init__(self, params: ModelParameters, p0: float, seed: int):
-        self._runs = _Runs(params, p0, [seed], shadows=True)
+        self._runs = _Runs(params, p0, [seed], BLOCK_DAYS, shadows=True)
         self.params_echo = params
         self.seed = seed
         self.pad = params.d_max
         self.rng_zeta, self.rng_eta, self.rng_switch = self._runs.streams[0]
-        self._prices = [float(p0)] * (self.pad + 1)
 
     def log_price(self, t: int) -> float:
         """p_t for day t; padding makes t - d valid for any d <= d_max."""
         if not -self.pad <= t <= self.day:
             raise IndexError(f"no log price for day {t}")
-        return self._prices[self.pad + t]
+        return float(self._runs.prices[0, self.pad + t])
 
     @property
     def log_prices(self) -> np.ndarray:
         """Day-indexed log prices p_0..p_day (padding excluded)."""
-        return np.array(self._prices[self.pad :])
+        return self._runs.prices[0, self.pad : self.pad + self.day + 1].copy()
 
     def _shadows(self, t: int) -> np.ndarray:
         """Both strategies' shadow positions held after day t, (2, N)."""
@@ -523,15 +642,19 @@ class MarketState:
         return [self.trader(i) for i in range(self.params_echo.n_traders)]
 
 
+
+
 def init_simulation(params: ModelParameters, p0: float, seed: int) -> MarketState:
     """Draw trader attributes and seed the price history with p0."""
     return MarketState(params, p0, seed)
 
 
 def _step(state: MarketState, adaptive: bool, zeta, eta, u) -> MarketState:
-    if not state._runs.advance(adaptive, zeta, eta, u)[0]:
-        raise _blowup(float(state._runs.p[0]), state.day)
-    state._prices.append(float(state._runs.p[0]))
+    runs = state._runs
+    if runs.day == runs.returns.shape[1]:
+        runs.extend(runs.day)
+    if not runs.advance(adaptive, zeta, eta, u)[0]:
+        raise _blowup(state.log_price(state.day), state.day)
     return state
 
 
@@ -569,6 +692,7 @@ def simulate_batch(params: ModelParameters, variant: Variant, days: int,
     the others go on. Each row is bit for bit the run ``simulate`` gives
     for its seed: every seed keeps its own four streams, drawn BLOCK_DAYS
     days at a time, and the reductions run per row in the single-run order.
+    The output arrays are rows of the buffers the kernel writes day by day.
     """
     if days < 1:
         raise ParameterError("days must be >= 1")
@@ -576,38 +700,33 @@ def simulate_batch(params: ModelParameters, variant: Variant, days: int,
         raise ParameterError(f"unknown variant {variant!r}")
     seeds = [int(s) for s in seeds]
     adaptive = variant == "adaptive"
-    runs = _Runs(params, p0, seeds, shadows=adaptive)
+    runs = _Runs(params, p0, seeds, days, shadows=adaptive)
     n = params.n_traders
     n_eta = n if adaptive else params.n_fundamentalists()
 
     rows = np.arange(len(seeds))  # seed index of each live row
-    prices = np.empty((len(seeds), days + 1))
-    prices[:, 0] = p0
-    n_chart = np.full((len(seeds), days), n - params.n_fundamentalists())
-    profit = np.empty((len(seeds), 2, days))
+    # each seed's draws for the next BLOCK_DAYS days, refilled in place
+    block = min(BLOCK_DAYS, days)
+    zeta = np.empty((len(seeds), block))
+    eta = np.empty((len(seeds), block, n_eta))
+    u = np.empty((len(seeds), block, n)) if adaptive else None
     errors = {}
     for t in range(days):
         k = t % BLOCK_DAYS
         if k == 0:
             size = min(BLOCK_DAYS, days - t)
-            zeta = np.array([z.normal(0.0, params.sigma_zeta, size=size)
-                             for z, _, _ in runs.streams]).reshape(-1, size)
-            eta = np.array([e.normal(params.mu_eta, params.sigma_eta, size=(size, n_eta))
-                            for _, e, _ in runs.streams]).reshape(-1, size, n_eta)
-            u = (np.array([s.random((size, n)) for _, _, s in runs.streams])
-                 .reshape(-1, size, n) if adaptive else None)
-        live = runs.advance(adaptive, zeta[:, k], eta[:, k],
-                            u[:, k] if adaptive else None)
-        prices[:, t + 1] = runs.p
-        profit[:, :, t] = runs.profit
-        if adaptive:
-            n_chart[:, t] = runs.is_chartist.sum(axis=1)
+            for i, (z, e, s) in enumerate(runs.streams):
+                _normal(z, 0.0, params.sigma_zeta, zeta[i, :size])
+                _normal(e, params.mu_eta, params.sigma_eta, eta[i, :size])
+                if adaptive:
+                    s.random(out=u[i, :size])
+        live = runs.advance(adaptive, zeta[:, k], eta[:, k], u[:, k] if adaptive else None)
         if not live.all():
             for i in np.flatnonzero(~live):
-                errors[int(rows[i])] = _blowup(float(runs.p[i]), t + 1)
+                errors[int(rows[i])] = _blowup(float(runs.prices[i, params.d_max + t + 1]),
+                                               t + 1)
             runs.keep(live)
-            rows, prices, n_chart, profit, zeta, eta = (
-                a[live] for a in (rows, prices, n_chart, profit, zeta, eta))
+            rows, zeta, eta = rows[live], zeta[live], eta[live]
             u = u[live] if adaptive else None
             if not len(rows):
                 break
@@ -617,12 +736,12 @@ def simulate_batch(params: ModelParameters, variant: Variant, days: int,
         outcomes[row] = SimulationOutput(
             variant=variant,
             seed=seeds[row],
-            log_prices=prices[i],
-            log_returns=np.diff(prices[i]),
-            n_chartists=n_chart[i],
-            n_fundamentalists=n - n_chart[i],
-            profit_chartists=profit[i, CHART],
-            profit_fundamentalists=profit[i, FUND],
+            log_prices=runs.prices[i, params.d_max :],
+            log_returns=runs.returns[i],
+            n_chartists=runs.n_chart[i],
+            n_fundamentalists=n - runs.n_chart[i],
+            profit_chartists=runs.profit[i, CHART],
+            profit_fundamentalists=runs.profit[i, FUND],
         )
     return outcomes
 

@@ -1,8 +1,14 @@
 """Golden fingerprints of the simulator, the statistics and the objective.
 
-Run from the repository root to (re)write ``tests/data/golden_paths.json``:
+Run from the repository root to compare this checkout with
+``tests/data/golden_paths.json``; it prints each mismatching key (a path,
+a variant's fitness values or a series' moments) and exits non-zero:
 
     PYTHONPATH=src python tests/make_golden.py
+
+``--write`` rewrites the file instead:
+
+    PYTHONPATH=src python tests/make_golden.py --write
 
 ``tests/test_golden.py`` recomputes the same fingerprints and compares them
 bit for bit. Regenerate only when a change to the simulated paths or to the
@@ -11,6 +17,7 @@ objective is intended, and record in CHANGES.md what changed and why.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import sys
@@ -127,7 +134,35 @@ def generate() -> dict:
     }
 
 
+def mismatches(expected: dict, actual: dict) -> list[str]:
+    """Keys, as ``section/name``, whose fingerprints differ or exist on one side only."""
+    keys = []
+    for section in sorted(expected.keys() | actual.keys()):
+        old, new = expected.get(section, {}), actual.get(section, {})
+        keys += [f"{section}/{name}" for name in sorted(old.keys() | new.keys())
+                 if old.get(name) != new.get(name)]
+    return keys
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        description="Compare this checkout's golden fingerprints with the golden file.")
+    parser.add_argument("--write", action="store_true",
+                        help=f"overwrite {GOLDEN_FILE.name} instead of comparing")
+    args = parser.parse_args(argv)
+    current = generate()
+    if args.write:
+        GOLDEN_FILE.parent.mkdir(parents=True, exist_ok=True)
+        GOLDEN_FILE.write_text(json.dumps(current, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {GOLDEN_FILE}", file=sys.stderr)
+        return 0
+    bad = mismatches(json.loads(GOLDEN_FILE.read_text()), current)
+    for key in bad:
+        print(f"mismatch: {key}")
+    print(f"{len(bad)} mismatching keys" if bad else "all fingerprints match",
+          file=sys.stderr)
+    return 1 if bad else 0
+
+
 if __name__ == "__main__":
-    GOLDEN_FILE.parent.mkdir(parents=True, exist_ok=True)
-    GOLDEN_FILE.write_text(json.dumps(generate(), indent=1, sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN_FILE}", file=sys.stderr)
+    sys.exit(main())

@@ -13,6 +13,7 @@ from farmerjoshi.calibration import (
     run_optimizer,
     surface_scan,
 )
+from farmerjoshi.market import BlowUpError
 from farmerjoshi.optimize import CalibrationResult, GAParams, NMTAParams
 from farmerjoshi.stats import N_MOMENTS
 from farmerjoshi.weighting import WeightMatrix
@@ -223,18 +224,33 @@ class TestReplicateCalibrations:
         def run_one(seed):
             calls["n"] += 1
             if calls["n"] % 2 == 0:
-                raise RuntimeError("sim exploded")
+                raise BlowUpError("sim exploded")
             return stub_result(theta, 1.0, seed)
 
         summary = replicate_calibrations(run_one, space, runs=6, seed=0)
         assert summary.runs_succeeded == 3
         assert summary.runs_requested == 6
 
+    def test_programming_errors_propagate(self):
+        space = ParameterSpace("adaptive")
+        theta = mid_theta(space)
+        calls = {"n": 0}
+
+        def run_one(seed):
+            calls["n"] += 1
+            if calls["n"] == 2:
+                raise TypeError("bad argument")
+            return stub_result(theta, 1.0, seed)
+
+        with pytest.raises(TypeError, match="bad argument"):
+            replicate_calibrations(run_one, space, runs=4, seed=0)
+        assert calls["n"] == 2
+
     def test_too_few_successes(self):
         space = ParameterSpace("adaptive")
 
         def run_one(seed):
-            raise RuntimeError("always fails")
+            raise BlowUpError("always fails")
 
         with pytest.raises(CalibrationError, match="succeeded"):
             replicate_calibrations(run_one, space, runs=4, seed=0)

@@ -1,0 +1,89 @@
+"""The batched day kernel's internals: its threshold machine and its memory.
+
+The golden paths cannot see a rule that differs from threshold_transition
+only on a rare tie, so the kernel's transition is checked against it at
+every boundary, in both layouts the kernel runs.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from farmerjoshi.market import (
+    DEFAULT_PARAMETERS,
+    _normal,
+    _Positions,
+    simulate,
+    threshold_transition,
+)
+
+ENTRY = (0.1, 0.3)
+#: Exit thresholds; 0.0 is the lower bound of tau_min in the calibration box.
+EXIT = (0.0, 0.02, 0.045)
+A = 1.5
+
+
+def boundary_mispricings(T: float, tau: float) -> list[float]:
+    """m at +-T and +-tau, at their nextafter neighbours, and at +-0.0."""
+    points = [0.0, -0.0]
+    for x in (T, -T, tau, -tau):
+        points += [x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf)]
+    return points
+
+
+def boundary_table():
+    """Rows (sign, m, T, tau, c) over every state and boundary mispricing."""
+    rows = []
+    for T in ENTRY:
+        for tau in EXIT:
+            c = A * (T - tau)
+            rows += [(sign, m, T, tau, c) for sign in (-1, 0, 1)
+                     for m in boundary_mispricings(T, tau)]
+    return rows
+
+
+@pytest.mark.parametrize("layout", [(2, -1), (2, 2, -1)], ids=["standard", "adaptive"])
+def test_kernel_transition_equals_threshold_transition(layout):
+    sign, m, T, tau, c = (np.array(col) for col in zip(*boundary_table()))
+    sign = sign.astype(np.int8)
+    shape = np.empty(len(m)).reshape(layout).shape
+    positions = _Positions(T.reshape(shape), tau.reshape(shape), c.reshape(shape),
+                           signs=sign.reshape(shape))
+    positions.mispricing[...] = m.reshape(shape)
+    out = np.empty(shape)
+    positions.step(out)
+
+    expected = np.array([threshold_transition(s * ci if s else 0.0, mi, Ti, taui, ci)
+                         for s, mi, Ti, taui, ci in zip(sign, m, T, tau, c)])
+    got = out.ravel()
+    assert np.array_equal(got, expected)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
+    # every flat position is +0.0, and the kept signs follow the positions
+    assert not np.signbit(got[got == 0.0]).any()
+    assert np.array_equal(positions.sides[0].ravel(), np.sign(expected).astype(np.int8))
+    assert np.array_equal(positions.sides[1], -positions.sides[0])
+
+
+@pytest.mark.parametrize("loc, scale", [(0.0, 0.01), (0.001, 0.02), (-0.3, 1.7),
+                                        (0.0, 0.0), (0.2, 0.0)])
+def test_in_place_normal_draws_equal_generator_normal(loc, scale):
+    # zero scale makes signed zeros, which the price recursion can carry
+    expected = np.random.default_rng(7).normal(loc, scale, size=(300, 50))
+    out = np.empty((300, 50))
+    _normal(np.random.default_rng(7), loc, scale, out)
+    assert np.array_equal(out, expected)
+    assert np.array_equal(np.signbit(out), np.signbit(expected))
+
+
+def test_adaptive_run_keeps_bounded_memory():
+    # The kernel keeps a window of horizon + BLOCK_DAYS shadow rows and
+    # 128-day blocks of draws; a full shadow history would be 40 MB here.
+    params = DEFAULT_PARAMETERS.with_values(n_traders=1000)
+    tracemalloc.start()
+    try:
+        simulate(params, "adaptive", 2500, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
