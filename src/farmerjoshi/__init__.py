@@ -65,6 +65,7 @@ from farmerjoshi.calibration import (
     CalibrationError,
     ObjectiveConfig,
     ParameterSpace,
+    ReplicationFailure,
     ReplicationSummary,
     estimation_error,
     fitness,

@@ -40,6 +40,13 @@ PARAMETER_NAMES = (
 
 INTEGRAL_PARAMETERS = frozenset({"n_traders", "d_min", "d_max", "horizon"})
 
+
+def model_parameters(values: dict) -> ModelParameters:
+    """ModelParameters from field values, the INTEGRAL_PARAMETERS rounded to int."""
+    return ModelParameters(**{name: int(round(v)) if name in INTEGRAL_PARAMETERS else v
+                              for name, v in values.items()})
+
+
 #: Default box constraints. The exit-threshold box sits strictly below
 #: the entry-threshold box and the lag boxes are nested so the
 #: cross-constraints hold everywhere on the grid.
@@ -149,12 +156,10 @@ class ParameterSpace:
 
     def to_model_parameters(self, theta: np.ndarray) -> ModelParameters:
         values = dict(zip(self.names, theta))
-        for name in INTEGRAL_PARAMETERS & set(values):
-            values[name] = int(round(values[name]))
         if self.variant == "standard":
             values.setdefault("gamma", 0.05)
             values.setdefault("horizon", 50)
-        return ModelParameters(**values)
+        return model_parameters(values)
 
     def from_model_parameters(self, params: ModelParameters) -> np.ndarray:
         return np.array([float(getattr(params, n)) for n in self.names])
@@ -293,6 +298,15 @@ def run_optimizer(optimizer: str, objective, space: ParameterSpace, seed: int,
 
 
 @dataclass(frozen=True)
+class ReplicationFailure:
+    """A replication run that raised one of the model's domain errors."""
+
+    seed: int
+    error: str  # the exception's type name, e.g. "BlowUpError"
+    message: str
+
+
+@dataclass(frozen=True)
 class ReplicationSummary:
     """Point estimates (best-fitness run) and 95% intervals across runs."""
 
@@ -306,6 +320,8 @@ class ReplicationSummary:
     runs_requested: int
     runs_succeeded: int
     seeds: tuple
+    #: The runs that failed, in seed order.
+    failures: tuple[ReplicationFailure, ...] = ()
 
     def rows(self):
         yield ("parameter", "point", "lower_95", "upper_95")
@@ -323,26 +339,27 @@ def percentile_interval(samples, lo: float = 2.5, hi: float = 97.5) -> tuple:
 
 
 def run_replications(run_one, runs: int, seed: int = 0
-                     ) -> tuple[list[CalibrationResult], list[int]]:
-    """Run ``run_one(seed_i)`` over distinct derived seeds, skipping failed runs.
+                     ) -> tuple[list[CalibrationResult], list[int], list[ReplicationFailure]]:
+    """Run ``run_one(seed_i)`` over distinct derived seeds.
 
-    A run fails when it raises one of the model's domain errors; any other
-    exception is a fault in the program and propagates.
+    Returns the results of the runs that succeeded, every run's seed and a
+    ReplicationFailure for each run that raised one of the model's domain
+    errors; any other exception is a fault in the program and propagates.
     """
     if runs < 2:
         raise CalibrationError("need at least 2 replication runs")
     run_seeds = [int(s) for s in np.random.SeedSequence(seed).generate_state(runs)]
-    results = []
+    results, failures = [], []
     for s in run_seeds:
         try:
             results.append(run_one(s))
-        except (CalibrationError, BlowUpError, StatisticError, ParameterError):
-            continue
-    return results, run_seeds
+        except (CalibrationError, BlowUpError, StatisticError, ParameterError) as exc:
+            failures.append(ReplicationFailure(s, type(exc).__name__, str(exc)))
+    return results, run_seeds, failures
 
 
 def summarize_replications(results: list[CalibrationResult], space: ParameterSpace,
-                           runs_requested: int, seeds) -> ReplicationSummary:
+                           runs_requested: int, seeds, failures=()) -> ReplicationSummary:
     """Point estimate from the best-fitness run, 95% intervals across runs."""
     if len(results) < 2:
         raise CalibrationError(
@@ -363,6 +380,7 @@ def summarize_replications(results: list[CalibrationResult], space: ParameterSpa
         runs_requested=runs_requested,
         runs_succeeded=len(results),
         seeds=tuple(seeds),
+        failures=tuple(failures),
     )
 
 
@@ -371,11 +389,12 @@ def replicate_calibrations(run_one, space: ParameterSpace, runs: int,
     """Repeat ``run_one(seed_i)`` with distinct derived seeds and summarize.
 
     ``run_one`` maps an integer seed to a CalibrationResult. Failing runs
-    are excluded and only counted (``runs_succeeded`` falls short of
-    ``runs_requested``); at least two must succeed.
+    are excluded from the estimates (``runs_succeeded`` falls short of
+    ``runs_requested``) and recorded in ``failures``; at least two must
+    succeed.
     """
-    results, run_seeds = run_replications(run_one, runs, seed)
-    return summarize_replications(results, space, runs, run_seeds)
+    results, run_seeds, failures = run_replications(run_one, runs, seed)
+    return summarize_replications(results, space, runs, run_seeds, failures)
 
 
 def surface_scan(objective, space: ParameterSpace, name_x: str, name_y: str,

@@ -31,12 +31,12 @@ import numpy as np
 
 from farmerjoshi import report as report_mod
 from farmerjoshi.calibration import (
-    INTEGRAL_PARAMETERS,
     PARAMETER_NAMES,
     CalibrationError,
     ObjectiveConfig,
     ParameterSpace,
     make_objective,
+    model_parameters,
     run_optimizer,
     run_replications,
     summarize_replications,
@@ -175,11 +175,9 @@ def _parse_params(resolved: dict) -> ModelParameters:
 
 
 def _model_parameters(values: dict, context: str) -> ModelParameters:
-    """ModelParameters from field values, integral fields rounded."""
-    values = {name: int(round(v)) if name in INTEGRAL_PARAMETERS else v
-              for name, v in values.items()}
+    """calibration.model_parameters, its ParameterError as a UsageError."""
     try:
-        return ModelParameters(**values)
+        return model_parameters(values)
     except ParameterError as exc:
         raise UsageError(f"{context}: {exc}") from None
 
@@ -332,18 +330,23 @@ def _cmd_calibrate(args, defaults) -> int:
     replications = resolved["replications"]
     if replications and replications >= 2:
         logger.info("running %d replicate calibrations (%s)", replications, optimizer)
-        results, run_seeds = run_replications(run_one, replications,
-                                              seed=resolved["seed"])
-        summary = summarize_replications(results, space, replications, run_seeds)
+        results, run_seeds, failures = run_replications(run_one, replications,
+                                                        seed=resolved["seed"])
+        summary = summarize_replications(results, space, replications, run_seeds, failures)
         write_csv(out / "replication_summary.csv", summary.rows(), meta)
         result = min(results, key=lambda r: r.fitness)
         logger.info("best of %d replications: fitness %.6g",
                     summary.runs_succeeded, result.fitness)
+        for failure in summary.failures:
+            logger.warning("replication with seed %d failed: %s: %s",
+                           failure.seed, failure.error, failure.message)
+        extra = {"replication_failures": [dataclasses.asdict(f) for f in summary.failures]}
     else:
         logger.info("running %s calibration (seed %d)", optimizer, resolved["seed"])
         result = run_one(resolved["seed"])
+        extra = {}
 
-    doc = _result_doc(result, space)
+    doc = {**_result_doc(result, space), **extra}
     doc["objective"] = {
         "replications": cfg.replications,
         "sim_days": cfg.sim_days,

@@ -18,13 +18,17 @@ profit difference (temperature ``gamma``); its actual position snaps to
 the active strategy's shadow position.
 
 ``simulate_batch`` runs the I common-random-number seeds of one parameter
-set through a single daily loop over an (I, N) state; ``simulate`` is its
-one-seed case and ``step_standard``/``step_adaptive`` advance a one-seed
-state a day at a time. Every row reproduces the one-seed run bit for bit.
-The kernel writes prices, returns, chartist counts and profits in place
-into the output buffers, one column a day. Across days it keeps only the
-trader state (position signs, value perceptions) and, in the adaptive
-variant, a bounded window of shadow positions for the rolling profits.
+set through one kernel over an (I, N) state, a block of BLOCK_DAYS days
+per call; ``simulate`` is its one-seed case and ``step_standard``/
+``step_adaptive`` call the same kernel with one-day blocks. Every row
+reproduces the one-seed run bit for bit. Each day the kernel does what the
+next day reads: mispricings, switching, positions, the price (written in
+place into the output buffer) and, in the adaptive variant, the return the
+rolling profits read. Once per block it reduces the day's chartist counts
+and strategy profits from block buffers, and checks the block's prices for
+blow-ups. Across blocks it keeps only the trader state (position signs,
+value perceptions) and, in the adaptive variant, a bounded window of
+shadow positions for the rolling profits.
 """
 
 from __future__ import annotations
@@ -264,9 +268,10 @@ def switch_probability(pi_c: float, pi_f: float, gamma: float) -> tuple[float, f
 # The day kernel, batched over the seeds of one parameter set
 # ---------------------------------------------------------------------------
 
-#: Days of noise drawn per generator call, and days between slides of the
-#: shadow-position window. It bounds the per-seed memory to a few MB at
-#: N = 1000 while keeping generator calls out of the daily loop.
+#: Days per kernel call (a block), of noise drawn per generator call, and
+#: between slides of the shadow-position window. It bounds the per-seed
+#: memory to a few MB at N = 1000 while keeping generator calls, output
+#: reductions and blow-up checks out of the daily loop.
 BLOCK_DAYS = 128
 
 #: Index of each strategy on the strategy axis of shadow positions and
@@ -353,14 +358,14 @@ def _blowup(p: float, day: int) -> BlowUpError:
 class _Runs:
     """Trader state and outputs of I runs that share one parameter set, one row per seed.
 
-    Trader arrays are (I, N). The kernel writes its outputs in place, one
-    column per day: log prices (``d_max`` columns of p0 in front, so
-    chartist lags are defined from day one; column ``d_max + t`` holds
-    p_t), log returns, chartist counts and strategy profits. Of the
-    shadow positions it keeps, when ``shadows`` is set, only a window of
-    the last ``horizon + 1`` days or more that slides every BLOCK_DAYS
-    days; window row j holds day ``base + j``. Positions follow the
-    variant of the first :meth:`advance`.
+    Trader arrays are (I, N). :meth:`run` moves every row through a block
+    of days in one loop and writes the outputs in place: log prices
+    (``d_max`` columns of p0 in front, so chartist lags are defined from day
+    one; column ``d_max + t`` holds p_t), log returns, chartist counts and
+    strategy profits. Of the shadow positions it keeps, when ``shadows`` is
+    set, only a window of the last ``horizon + 1`` days or more that slides
+    every BLOCK_DAYS days; window row j holds day ``base + j``. Positions
+    follow the variant of the first run.
     """
 
     _ROW_ARRAYS = ("entry", "exit", "lag", "value", "capital", "is_chartist",
@@ -399,7 +404,7 @@ class _Runs:
         self.returns = np.zeros((n_runs, days))
         self.n_chart = np.full((n_runs, days), n - params.n_fundamentalists())
         self.profit = np.zeros((n_runs, 2, days))
-        #: The variant the rows run, fixed by the first advance.
+        #: The variant the rows run, fixed by the first run.
         self.adaptive = None
         self.positions = None
 
@@ -415,10 +420,14 @@ class _Runs:
         self._flat_prices = self.prices.reshape(-1)
 
     def _start(self, adaptive: bool, signs: np.ndarray | None = None) -> None:
-        """Fix the variant; build the positions, the day's buffers and their views."""
+        """Fix the variant; build the positions, the block buffers and their views.
+
+        A block is at most BLOCK_DAYS days, and no longer than the outputs.
+        """
         self.adaptive = adaptive
         self._index()
         n_runs, n = self.pos_actual.shape
+        block = min(BLOCK_DAYS, self.returns.shape[1])
         if adaptive:
             layout = [np.repeat(x[:, None, :], 2, axis=1)
                       for x in (self.entry, self.exit, self.capital)]
@@ -426,7 +435,10 @@ class _Runs:
             fund, chart = FUND, CHART
             # the value perceptions the fundamentalist mispricing reads and eta moves
             self._value_fund = self.value
-            self._pi = np.empty((n_runs, 2, 1, n))
+            #: Each day's rolling profits and strategy draws, day-major so a
+            #: day's slab is contiguous; reduced per block.
+            self._pi = np.empty((block, n_runs, 2, 1, n))
+            self._decisions = np.empty((block, n_runs, n), bool)
             self._gap, self._odds = np.empty((2, n_runs, n))
             self._neg_gamma = -self.params.gamma
         else:
@@ -434,7 +446,11 @@ class _Runs:
             n_f = self.params.n_fundamentalists()
             fund, chart = slice(None, n_f), slice(n_f, None)
             self._value_fund = self.value[:, fund]
-            self._next_pos = np.empty((n_runs, n))
+            #: Row j + 1 holds the positions taken on the block's day j; row 0
+            #: those held before the block, which are pos_actual between blocks.
+            self._ring = np.empty((block + 1, n_runs, n))
+            self._ring[0] = self.pos_actual
+            self.pos_actual = self._ring[0]
         self._m_fund = self.positions.mispricing[:, fund]
         self._m_chart = self.positions.mispricing[:, chart]
         self._order = np.empty((n_runs, n))
@@ -458,20 +474,21 @@ class _Runs:
         if self.adaptive is not None:
             self._index()
 
-    def rolling_profits(self, out: np.ndarray | None = None) -> np.ndarray:
+    def rolling_profits(self) -> np.ndarray:
         """Per-trader strategy profits over the last ``horizon`` days, (I, 2, N).
 
         The matmul stacks one (1, h) @ (h, N) product per seed and strategy,
         each on a C-contiguous slab, which numpy hands to BLAS gemv one by
         one: the same call, so the same rounding, as a single run's
         ``dp @ slab``. One (h, 2N) product rounds differently. Before day 1
-        the products are empty, so zero.
+        the products are empty, so zero. :meth:`run` forms the same product
+        each day before it redraws the strategies.
         """
         t = self.day
         k = max(0, t - self.params.horizon)
         dp = self.returns[:, None, None, k:t]
         window = self.shadow_window[:, :, k - self.base : t - self.base]
-        return np.matmul(dp, window, out=out)[:, :, 0]
+        return np.matmul(dp, window)[:, :, 0]
 
     def _slide(self) -> None:
         """Move the last ``horizon`` days of the shadow window to the front."""
@@ -479,8 +496,23 @@ class _Runs:
         self.shadow_window[:, :, :h] = self.shadow_window[:, :, shift:]
         self.base += shift
 
-    def _switch(self, u) -> None:
-        """Re-draw every strategy from the rolling profits; record the day's profits.
+    def run(self, adaptive: bool, zeta, eta, u) -> dict[int, BlowUpError]:
+        """Move every row through a block of days; return the rows that blew up.
+
+        ``zeta`` (I, days), ``eta`` (I, days, n_eta) and, for the adaptive
+        variant, the switching uniforms ``u`` (I, days, N) are the block's
+        draws, ``days`` at most the block length. The loop does only what
+        the next day reads. The chartist counts and profit sums (and the
+        standard variant's returns) are formed once per block, each
+        (row, day) from the same contiguous sum over traders as a daily
+        reduction, so with the same value.
+
+        Rows never interact: every operation is elementwise, and every
+        reduction and gemv runs per row. So a row whose log price left the
+        range may run on, its overflows unreported, to the block's end,
+        where the range is checked. Returns the BlowUpError of each such row
+        by row index, from its first day out of range; drop them with
+        :meth:`keep`.
 
         phi_chartist is switch_probability's overflow-safe logistic: with
         e = exp(-|z|), z = (pi_f - pi_c) / gamma, it is e / (1 + e) where
@@ -488,62 +520,87 @@ class _Runs:
         the numerator is max(e, sign(pi_c - pi_f)). -|z| is computed as
         |pi_c - pi_f| / -gamma, the same float.
         """
-        t = self.day
-        pi = self.rolling_profits(out=self._pi)
-        gap, odds = self._gap, self._odds
-        np.subtract(pi[:, CHART], pi[:, FUND], out=gap)
-        np.abs(gap, out=odds)
-        np.divide(odds, self._neg_gamma, out=odds)
-        np.exp(odds, out=odds)
-        np.maximum(odds, np.sign(gap, out=gap), out=gap)
-        np.add(odds, 1.0, out=odds)
-        np.divide(gap, odds, out=gap)
-        np.less(u, gap, out=self.is_chartist)
-        np.add.reduce(self.is_chartist, axis=1, out=self.n_chart[:, t])
-        np.add.reduce(pi, axis=2, out=self.profit[:, :, t])
-
-    def advance(self, adaptive: bool, zeta, eta, u) -> np.ndarray:
-        """Move every row one day ahead; return the mask of rows still in range.
-
-        ``zeta`` (I,), ``eta`` (I, n_eta) and, for the adaptive variant, the
-        switching uniforms ``u`` (I, N) are this day's draws. The state of a
-        row that blew up is garbage; drop it with :meth:`keep`.
-        """
         if self.adaptive is None:
             self._start(adaptive)
-        params, t, prices = self.params, self.day, self.prices
-        col = params.d_max + t
-        p_now = prices[:, col]
-        p = p_now[:, None]
-        lagged = self._flat_prices[t:].take(self._lag_index, mode="clip", out=self._lagged)
-        np.subtract(p, self._value_fund, out=self._m_fund)
-        np.subtract(lagged, p, out=self._m_chart)
+        days, t0 = zeta.shape[1], self.day
+        d_max, lam = self.params.d_max, self.params.lam
+        prices, returns, flat = self.prices, self.returns, self._flat_prices
+        lag_index, lagged = self._lag_index, self._lagged
+        value_fund, m_fund, m_chart = self._value_fund, self._m_fund, self._m_chart
+        order, pos_actual, step = self._order, self.pos_actual, self.positions.step
+        subtract, add, reduce = np.subtract, np.add, np.add.reduce
+        rows, base, window = self.rows, self.base, self.shadow_window
         if adaptive:
-            self._switch(u)
-        if self.shadow_window is not None and t + 1 - self.base == self.rows:
-            self._slide()
-        if adaptive:
-            shadow = self.shadow_window[:, :, t + 1 - self.base]
-            self.positions.step(shadow)
-            new_pos = np.where(self.is_chartist, shadow[:, CHART], shadow[:, FUND])
+            h, dp = self.params.horizon, returns[:, None, None]
+            pi, decisions = self._pi, self._decisions
+            gap, odds, neg_gamma = self._gap, self._odds, self._neg_gamma
+            matmul, absolute, divide, exp = np.matmul, np.abs, np.divide, np.exp
+            maximum, sign, less, where = np.maximum, np.sign, np.less, np.where
         else:
-            new_pos = self._next_pos
-            self.positions.step(new_pos)
+            ring = self._ring
+        span = slice(t0, t0 + days)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(days):
+                t = t0 + j
+                col = d_max + t
+                p_now = prices[:, col]
+                p = p_now[:, None]
+                flat[t:].take(lag_index, mode="clip", out=lagged)
+                subtract(p, value_fund, out=m_fund)
+                subtract(lagged, p, out=m_chart)
+                if adaptive:
+                    k = max(0, t - h)
+                    pi_t = matmul(dp[..., k:t], window[:, :, k - base : t - base],
+                                  out=pi[j])[:, :, 0]
+                    subtract(pi_t[:, CHART], pi_t[:, FUND], out=gap)
+                    absolute(gap, out=odds)
+                    divide(odds, neg_gamma, out=odds)
+                    exp(odds, out=odds)
+                    maximum(odds, sign(gap, out=gap), out=gap)
+                    add(odds, 1.0, out=odds)
+                    divide(gap, odds, out=gap)
+                    is_chartist = less(u[:, j], gap, out=decisions[j])
+                if window is not None and t + 1 - base == rows:
+                    self._slide()
+                    base = self.base
+                if adaptive:
+                    shadow = window[:, :, t + 1 - base]
+                    step(shadow)
+                    new_pos = where(is_chartist, shadow[:, CHART], shadow[:, FUND])
+                else:
+                    new_pos = ring[j + 1]
+                    step(new_pos)
+                # operators on these (I,) arrays: measured faster than out= calls here
+                p_next = p_now + reduce(subtract(new_pos, pos_actual, out=order), axis=1) / lam \
+                    + zeta[:, j]
+                prices[:, col + 1] = p_next
+                if adaptive:
+                    returns[:, t] = p_next - p_now
+                add(value_fund, eta[:, j], out=value_fund)
+                pos_actual = new_pos
 
-        # operators on these (I,) arrays: measured faster than out= calls here
-        order = np.subtract(new_pos, self.pos_actual, out=self._order)
-        p_next = p_now + np.add.reduce(order, axis=1) / params.lam + zeta
-        prices[:, col + 1] = p_next
-        dp = self.returns[:, t] = p_next - p_now
-        if not adaptive:
-            n_f = params.n_fundamentalists()
-            np.multiply(np.add.reduce(new_pos[:, :n_f], axis=1), dp, out=self.profit[:, FUND, t])
-            np.multiply(np.add.reduce(new_pos[:, n_f:], axis=1), dp, out=self.profit[:, CHART, t])
-            self._next_pos = self.pos_actual
-        self._value_fund += eta
-        self.pos_actual = new_pos
-        self.day += 1
-        return np.abs(p_next) <= BLOWUP_LOG_PRICE
+            self.day = t0 + days
+            if adaptive:
+                self.is_chartist, self.pos_actual = is_chartist, pos_actual
+                reduce(decisions[:days], axis=2, out=self.n_chart[:, span].T)
+                reduce(pi[:days, :, :, 0], axis=3,
+                       out=self.profit[:, :, span].transpose(2, 0, 1))
+            else:
+                subtract(prices[:, d_max + 1 :][:, span], prices[:, d_max:][:, span],
+                         out=returns[:, span])
+                n_f = self.params.n_fundamentalists()
+                for strategy, group in ((FUND, slice(None, n_f)), (CHART, slice(n_f, None))):
+                    np.multiply(reduce(ring[1 : days + 1, :, group], axis=2).T, returns[:, span],
+                                out=self.profit[:, strategy, span])
+                ring[0] = pos_actual
+            in_range = np.abs(prices[:, d_max + 1 :][:, span]) <= BLOWUP_LOG_PRICE
+        if in_range.all():
+            return {}
+        blown = {}
+        for i in np.flatnonzero(~in_range.all(axis=1)):
+            day = t0 + 1 + int(np.argmin(in_range[i]))
+            blown[int(i)] = _blowup(float(prices[i, d_max + day]), day)
+        return blown
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +639,8 @@ class MarketState:
     last_profit_chart = _last_profit(CHART)
 
     def __init__(self, params: ModelParameters, p0: float, seed: int):
-        self._runs = _Runs(params, p0, [seed], BLOCK_DAYS, shadows=True)
+        # outputs for one day; they double when full (blocks stay one day long)
+        self._runs = _Runs(params, p0, [seed], 1, shadows=True)
         self.params_echo = params
         self.seed = seed
         self.pad = params.d_max
@@ -650,11 +708,14 @@ def init_simulation(params: ModelParameters, p0: float, seed: int) -> MarketStat
 
 
 def _step(state: MarketState, adaptive: bool, zeta, eta, u) -> MarketState:
+    """Run the kernel over a block of one day."""
     runs = state._runs
     if runs.day == runs.returns.shape[1]:
         runs.extend(runs.day)
-    if not runs.advance(adaptive, zeta, eta, u)[0]:
-        raise _blowup(state.log_price(state.day), state.day)
+    blown = runs.run(adaptive, np.reshape(zeta, (1, 1)), np.reshape(eta, (1, 1, -1)),
+                     None if u is None else np.reshape(u, (1, 1, -1)))
+    if blown:
+        raise blown[0]
     return state
 
 
@@ -711,20 +772,19 @@ def simulate_batch(params: ModelParameters, variant: Variant, days: int,
     eta = np.empty((len(seeds), block, n_eta))
     u = np.empty((len(seeds), block, n)) if adaptive else None
     errors = {}
-    for t in range(days):
-        k = t % BLOCK_DAYS
-        if k == 0:
-            size = min(BLOCK_DAYS, days - t)
-            for i, (z, e, s) in enumerate(runs.streams):
-                _normal(z, 0.0, params.sigma_zeta, zeta[i, :size])
-                _normal(e, params.mu_eta, params.sigma_eta, eta[i, :size])
-                if adaptive:
-                    s.random(out=u[i, :size])
-        live = runs.advance(adaptive, zeta[:, k], eta[:, k], u[:, k] if adaptive else None)
-        if not live.all():
-            for i in np.flatnonzero(~live):
-                errors[int(rows[i])] = _blowup(float(runs.prices[i, params.d_max + t + 1]),
-                                               t + 1)
+    for t in range(0, days, BLOCK_DAYS):
+        size = min(BLOCK_DAYS, days - t)
+        for i, (z, e, s) in enumerate(runs.streams):
+            _normal(z, 0.0, params.sigma_zeta, zeta[i, :size])
+            _normal(e, params.mu_eta, params.sigma_eta, eta[i, :size])
+            if adaptive:
+                s.random(out=u[i, :size])
+        blown = runs.run(adaptive, zeta[:, :size], eta[:, :size],
+                         u[:, :size] if adaptive else None)
+        if blown:
+            live = np.ones(len(rows), bool)
+            live[list(blown)] = False
+            errors.update({int(rows[i]): exc for i, exc in blown.items()})
             runs.keep(live)
             rows, zeta, eta = rows[live], zeta[live], eta[live]
             u = u[live] if adaptive else None

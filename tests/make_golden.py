@@ -2,7 +2,8 @@
 
 Run from the repository root to compare this checkout with
 ``tests/data/golden_paths.json``; it prints each mismatching key (a path,
-a variant's fitness values or a series' moments) and exits non-zero:
+a blow-up, a variant's fitness values or a series' moments) and exits
+non-zero:
 
     PYTHONPATH=src python tests/make_golden.py
 
@@ -27,7 +28,7 @@ import numpy as np
 
 from farmerjoshi.calibration import ObjectiveConfig, ParameterSpace, fitness
 from farmerjoshi.data_io import ReturnSeries
-from farmerjoshi.market import DEFAULT_PARAMETERS, BlowUpError, simulate
+from farmerjoshi.market import BLOCK_DAYS, DEFAULT_PARAMETERS, BlowUpError, simulate
 from farmerjoshi.stats import N_MOMENTS, moment_vector
 from farmerjoshi.weighting import WeightMatrix
 
@@ -44,6 +45,30 @@ PARAMETER_SETS = {
 VARIANTS = ("standard", "adaptive")
 OUTPUT_ARRAYS = ("log_prices", "log_returns", "n_chartists", "n_fundamentalists",
                  "profit_chartists", "profit_fundamentalists")
+
+#: Parameter sets where some seeds blow up within ``days`` and others do not.
+BLOWUP_CASES = {
+    "standard": (DEFAULT_PARAMETERS.with_values(a=35.0, lam=5.0, n_traders=60,
+                                                sigma_zeta=0.03, d_max=20, horizon=20), 400),
+    "adaptive": (DEFAULT_PARAMETERS.with_values(a=14.0, lam=5.0, n_traders=100,
+                                                sigma_zeta=0.03), 300),
+}
+BLOWUP_SEEDS = tuple(range(8))
+
+#: Quiet markets whose value perceptions drift up by mu_eta a day until the
+#: first fundamentalist enters near day 1000 * T; the low liquidity then
+#: throws the price out of range the next day. Seeds whose first blow-up
+#: falls on the last day of the first noise block or the first of the next.
+BLOCK_EDGE_PARAMETERS = DEFAULT_PARAMETERS.with_values(
+    lam=1e-3, mu_eta=1e-3, sigma_eta=1e-5, sigma_zeta=1e-4,
+    T_min=0.129, T_max=0.149, v_min=-0.005, v_max=0.005)
+BLOCK_EDGE_DAYS = 300
+BLOCK_EDGE_SEEDS = {  # (variant, seed): the day of its first blow-up
+    ("standard", 6): BLOCK_DAYS,
+    ("standard", 1): BLOCK_DAYS + 1,
+    ("adaptive", 3): BLOCK_DAYS,
+    ("adaptive", 4): BLOCK_DAYS + 1,
+}
 
 FITNESS_DAYS = 1000
 FITNESS_REPLICATIONS = 3
@@ -64,6 +89,30 @@ def path_fingerprint(variant: str, set_name: str, seed: int) -> dict:
         return {"blowup": str(exc)}
     return {name: hashlib.sha256(np.ascontiguousarray(getattr(out, name)).tobytes())
             .hexdigest() for name in OUTPUT_ARRAYS}
+
+
+def blowup_fingerprint(params, variant: str, days: int, seed: int) -> str:
+    """The BlowUpError message of one run, or ``"ok"`` if it stays in range."""
+    try:
+        simulate(params, variant, days, p0=0.0, seed=seed)
+    except BlowUpError as exc:
+        return str(exc)
+    return "ok"
+
+
+def blowup_cases() -> dict:
+    """(params, variant, days, seed) by key: ``variant/seed`` for BLOWUP_CASES,
+    ``variant/block_edge/seed`` for BLOCK_EDGE_SEEDS."""
+    cases = {f"{variant}/{seed}": (params, variant, days, seed)
+             for variant, (params, days) in BLOWUP_CASES.items() for seed in BLOWUP_SEEDS}
+    for variant, seed in BLOCK_EDGE_SEEDS:
+        cases[f"{variant}/block_edge/{seed}"] = (BLOCK_EDGE_PARAMETERS, variant,
+                                                 BLOCK_EDGE_DAYS, seed)
+    return cases
+
+
+def blowup_fingerprints() -> dict:
+    return {key: blowup_fingerprint(*case) for key, case in blowup_cases().items()}
 
 
 def empirical_returns() -> ReturnSeries:
@@ -131,6 +180,7 @@ def generate() -> dict:
                   for v in VARIANTS for s in PARAMETER_SETS for seed in PATH_SEEDS},
         "fitness": {v: fitness_fingerprints(v) for v in VARIANTS},
         "moments": moment_fingerprints(),
+        "blowups": blowup_fingerprints(),
     }
 
 

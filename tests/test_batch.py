@@ -1,5 +1,8 @@
 """simulate_batch against simulate: every row bit for bit, blow-ups per row."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,17 +17,21 @@ from farmerjoshi.market import (
     step_standard,
     strategy_profit,
 )
-from make_golden import OUTPUT_ARRAYS
+from make_golden import BLOWUP_CASES, OUTPUT_ARRAYS
 
 VARIANTS = ("standard", "adaptive")
 
-#: Parameter sets where some seeds blow up within ``days`` and others do not.
-BLOWUP_CASES = {
-    "standard": (DEFAULT_PARAMETERS.with_values(a=35.0, lam=5.0, n_traders=60,
-                                                sigma_zeta=0.03, d_max=20, horizon=20), 400),
-    "adaptive": (DEFAULT_PARAMETERS.with_values(a=14.0, lam=5.0, n_traders=100,
-                                                sigma_zeta=0.03), 300),
-}
+#: A market so illiquid (lam = 1e-300) that any trade throws the price out
+#: of range, with value perceptions drifting up by mu_eta a day, so the
+#: first trade comes near day 1000 * T. The first seed of each pair blows up
+#: on day 133, within the first five days of the second noise block, and its
+#: huge capital then overflows the profits; the second seed never trades in
+#: MID_BLOCK_DAYS days.
+MID_BLOCK_PARAMETERS = DEFAULT_PARAMETERS.with_values(
+    n_traders=2, lam=1e-300, a=1e8, mu_eta=1e-3, sigma_eta=1e-5, sigma_zeta=1e-4,
+    T_min=0.125, T_max=0.35, v_min=0.0, v_max=0.0)
+MID_BLOCK_DAYS = 260
+MID_BLOCK_SEEDS = {"standard": (22, 0), "adaptive": (28, 11)}
 
 
 def assert_same_output(a, b):
@@ -70,6 +77,23 @@ def test_blow_up_fails_its_row_alone(variant):
                 assert isinstance(row, BlowUpError) and str(row) == str(single)
             else:
                 assert_same_output(row, single)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_row_blowing_up_early_in_a_block_leaves_the_survivor_exact(variant):
+    dead, alive = MID_BLOCK_SEEDS[variant]
+    with warnings.catch_warnings():
+        # the dead row must not warn while it runs on to the end of its block
+        warnings.simplefilter("error")
+        single = simulate(MID_BLOCK_PARAMETERS, variant, MID_BLOCK_DAYS, seed=alive)
+        for seeds in ([dead, alive], [alive, dead]):
+            batch = simulate_batch(MID_BLOCK_PARAMETERS, variant, MID_BLOCK_DAYS,
+                                   seeds=seeds)
+            error = batch[seeds.index(dead)]
+            assert isinstance(error, BlowUpError)
+            day = int(re.search(r"diverged at day (\d+) ", str(error)).group(1))
+            assert BLOCK_DAYS < day <= BLOCK_DAYS + 5
+            assert_same_output(batch[seeds.index(alive)], single)
 
 
 def test_all_rows_blowing_up_returns_every_error():

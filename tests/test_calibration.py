@@ -5,9 +5,11 @@ from farmerjoshi.calibration import (
     CalibrationError,
     ObjectiveConfig,
     ParameterSpace,
+    ReplicationFailure,
     estimation_error,
     fitness,
     make_objective,
+    model_parameters,
     percentile_interval,
     replicate_calibrations,
     run_optimizer,
@@ -81,6 +83,17 @@ class TestParameterSpace:
         params = space.to_model_parameters(theta)
         back = space.from_model_parameters(params)
         assert np.allclose(back, theta)
+
+    def test_integral_fields_rounded_once_for_both_callers(self):
+        space = ParameterSpace("standard")
+        theta = mid_theta(space)
+        theta[space.index("n_traders")] = 47.6
+        theta[space.index("d_max")] = 20.4
+        params = space.to_model_parameters(theta)
+        assert (params.n_traders, params.d_max) == (48, 20)
+        assert type(params.n_traders) is int and type(params.horizon) is int
+        values = dict(zip(space.names, theta), gamma=0.05, horizon=50)
+        assert model_parameters(values) == params
 
     def test_bad_bounds_rejected(self):
         bad = dict(ParameterSpace("adaptive").bounds)
@@ -230,6 +243,23 @@ class TestReplicateCalibrations:
         summary = replicate_calibrations(run_one, space, runs=6, seed=0)
         assert summary.runs_succeeded == 3
         assert summary.runs_requested == 6
+
+    def test_failures_recorded_with_seed_and_message(self):
+        space = ParameterSpace("adaptive")
+        theta = mid_theta(space)
+        seeds = []
+
+        def run_one(seed):
+            seeds.append(seed)
+            if len(seeds) == 2:
+                raise BlowUpError(f"log price 51.5 diverged at day 7 (seed {seed})")
+            return stub_result(theta, 1.0, seed)
+
+        summary = replicate_calibrations(run_one, space, runs=3, seed=0)
+        assert summary.seeds == tuple(seeds)
+        assert summary.runs_succeeded == 2
+        assert summary.failures == (ReplicationFailure(
+            seeds[1], "BlowUpError", f"log price 51.5 diverged at day 7 (seed {seeds[1]})"),)
 
     def test_programming_errors_propagate(self):
         space = ParameterSpace("adaptive")

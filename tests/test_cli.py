@@ -5,6 +5,7 @@ import pytest
 
 from farmerjoshi.cli import main
 from farmerjoshi.data_io import load_price_series, log_returns
+from farmerjoshi.market import BlowUpError
 from farmerjoshi.weighting import cached_weight_matrix
 
 
@@ -159,6 +160,34 @@ class TestCalibrateCommand:
         assert lines[0] == "parameter,point,lower_95,upper_95"
         assert lines[-1].startswith("fitness,")
         assert len(lines) == 1 + 16 + 1
+        doc = json.loads((out / "calibration.json").read_text())
+        assert doc["replication_failures"] == []
+
+    def test_replication_failures_written(self, empirical_csv_session, calibrated,
+                                          tmp_path, monkeypatch):
+        import farmerjoshi.cli as cli
+        real, seeds = cli.run_optimizer, []
+
+        def run_optimizer(optimizer, objective, space, seed, **kwargs):
+            seeds.append(seed)
+            if len(seeds) == 1:
+                raise BlowUpError(f"log price 60.0 diverged at day 3 (stub, seed {seed})")
+            return real(optimizer, objective, space, seed, **kwargs)
+
+        monkeypatch.setattr(cli, "run_optimizer", run_optimizer)
+        out = tmp_path / "rep"
+        code = main(["calibrate", "--empirical", str(empirical_csv_session),
+                     "--variant", "standard", "--optimizer", "ga",
+                     "--cache-dir", str(calibrated / "weights-cache"),
+                     "--block-len", "50", "--bootstrap-replicates", "40",
+                     "--population", "4", "--generations", "1",
+                     "--objective-sims", "1", "--sim-days", "300",
+                     "--replications", "3", "--seed", "5", "--out", str(out)])
+        assert code == 0 and len(seeds) == 3
+        doc = json.loads((out / "calibration.json").read_text())
+        assert doc["replication_failures"] == [{
+            "seed": seeds[0], "error": "BlowUpError",
+            "message": f"log price 60.0 diverged at day 3 (stub, seed {seeds[0]})"}]
 
 
 class TestReportCommand:

@@ -4,20 +4,26 @@ The determinism tests compare one run with a second run, so a change that
 alters every path would still pass them. These compare with fingerprints
 written by ``tests/make_golden.py``: sha256 of all six SimulationOutput
 arrays, ``float.hex`` of the fitness at fixed thetas and of the nine
-moments of three fixed series, bit for bit.
+moments of three fixed series, and the message of every blow-up (its price
+and day), bit for bit.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
 
 from farmerjoshi.calibration import ParameterSpace
+from farmerjoshi.market import BlowUpError, init_simulation, step_adaptive, step_standard
 from make_golden import (
+    BLOCK_EDGE_SEEDS,
     GOLDEN_FILE,
     PARAMETER_SETS,
     PATH_SEEDS,
     VARIANTS,
+    blowup_cases,
+    blowup_fingerprints,
     fitness_fingerprints,
     moment_fingerprints,
     path_fingerprint,
@@ -52,3 +58,31 @@ def test_golden_fitness_values_are_not_penalties():
 
 def test_moments_match_golden():
     assert moment_fingerprints() == GOLDEN["moments"]
+
+
+def test_blowups_match_golden():
+    assert blowup_fingerprints() == GOLDEN["blowups"]
+
+
+def test_golden_block_edge_blowups_fall_on_their_day():
+    # A blow-up on the last day of a noise block or the first of the next
+    # is where a per-block check could misplace the first day.
+    for (variant, seed), day in BLOCK_EDGE_SEEDS.items():
+        message = GOLDEN["blowups"][f"{variant}/block_edge/{seed}"]
+        assert re.search(rf"diverged at day {day} ", message), message
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN["blowups"]))
+def test_day_steps_raise_the_golden_blowup_on_its_day(key):
+    params, variant, days, seed = blowup_cases()[key]
+    step = step_standard if variant == "standard" else step_adaptive
+    state = init_simulation(params, 0.0, seed)
+    try:
+        for _ in range(days):
+            step(state, params)
+    except BlowUpError as exc:
+        outcome = str(exc)
+        assert f"diverged at day {state.day} " in outcome
+    else:
+        outcome = "ok"
+    assert outcome == GOLDEN["blowups"][key]
