@@ -1,6 +1,15 @@
 """Simulation and moment-matching calibration workbench for the standard
 and adaptive Farmer-Joshi market models."""
 
+import os
+
+# One BLAS thread unless the user chose a count: a second OpenBLAS thread
+# makes the statistics 2-3x slower on small hosts. OpenBLAS reads these
+# variables when it is loaded, so this takes effect only if numpy and scipy
+# are first imported after this package.
+if not any(os.environ.get(name) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from farmerjoshi.data_io import (
     PriceDataError,
     PriceSeries,

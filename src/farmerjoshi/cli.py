@@ -327,27 +327,7 @@ def _cmd_calibrate(args, defaults) -> int:
         return run_optimizer(optimizer, objective, space, seed,
                              ga_params=ga_params, nmta_params=nmta_params)
 
-    replications = resolved["replications"]
-    if replications and replications >= 2:
-        logger.info("running %d replicate calibrations (%s)", replications, optimizer)
-        results, run_seeds, failures = run_replications(run_one, replications,
-                                                        seed=resolved["seed"])
-        summary = summarize_replications(results, space, replications, run_seeds, failures)
-        write_csv(out / "replication_summary.csv", summary.rows(), meta)
-        result = min(results, key=lambda r: r.fitness)
-        logger.info("best of %d replications: fitness %.6g",
-                    summary.runs_succeeded, result.fitness)
-        for failure in summary.failures:
-            logger.warning("replication with seed %d failed: %s: %s",
-                           failure.seed, failure.error, failure.message)
-        extra = {"replication_failures": [dataclasses.asdict(f) for f in summary.failures]}
-    else:
-        logger.info("running %s calibration (seed %d)", optimizer, resolved["seed"])
-        result = run_one(resolved["seed"])
-        extra = {}
-
-    doc = {**_result_doc(result, space), **extra}
-    doc["objective"] = {
+    objective_doc = {"objective": {
         "replications": cfg.replications,
         "sim_days": cfg.sim_days,
         "master_seed": cfg.master_seed,
@@ -355,7 +335,35 @@ def _cmd_calibrate(args, defaults) -> int:
         "p0": cfg.p0,
         "weight_metadata": weight.metadata,
         "empirical_moments": cfg.empirical_moments.tolist(),
-    }
+    }}
+    replications = resolved["replications"]
+    if replications and replications >= 2:
+        logger.info("running %d replicate calibrations (%s)", replications, optimizer)
+        results, run_seeds, failures = run_replications(run_one, replications,
+                                                        seed=resolved["seed"])
+        for failure in failures:
+            logger.warning("replication with seed %d failed: %s: %s",
+                           failure.seed, failure.error, failure.message)
+        extra = {"runs_succeeded": len(results),
+                 "replication_failures": [dataclasses.asdict(f) for f in failures]}
+        try:
+            summary = summarize_replications(results, space, replications, run_seeds, failures)
+        except CalibrationError:
+            # Too few runs succeeded: keep their failures, then fail the command.
+            write_json(out / "calibration.json", {"optimizer": optimizer,
+                                                  "variant": space.variant,
+                                                  **extra, **objective_doc}, meta)
+            raise
+        write_csv(out / "replication_summary.csv", summary.rows(), meta)
+        result = min(results, key=lambda r: r.fitness)
+        logger.info("best of %d replications: fitness %.6g",
+                    summary.runs_succeeded, result.fitness)
+    else:
+        logger.info("running %s calibration (seed %d)", optimizer, resolved["seed"])
+        result = run_one(resolved["seed"])
+        extra = {}
+
+    doc = {**_result_doc(result, space), **extra, **objective_doc}
     write_json(out / "calibration.json", doc, meta)
     write_csv(out / "fitness_trace.csv",
               [("step", "best_fitness")] +

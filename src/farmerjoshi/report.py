@@ -9,7 +9,7 @@ path when only one simulation is supplied.
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from farmerjoshi.market import SimulationOutput
 from farmerjoshi.stats import MOMENT_NAMES, MomentVector, acf
@@ -85,7 +85,7 @@ def qq_rows(outputs: list[SimulationOutput], emp_returns, points: int = 99):
     """
     emp = np.asarray(getattr(emp_returns, "values", emp_returns), dtype=float)
     probs = (np.arange(1, points + 1) - 0.5) / points
-    theo = norm.ppf(probs)
+    theo = ndtri(probs)
     emp_q = np.quantile(emp, probs)
     sim_q = np.median(
         np.array([np.quantile(o.log_returns, probs) for o in outputs]), axis=0)

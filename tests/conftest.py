@@ -1,3 +1,4 @@
+import farmerjoshi  # noqa: F401  (first: it sets the BLAS thread count before numpy loads)
 import numpy as np
 import pytest
 

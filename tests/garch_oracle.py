@@ -1,26 +1,32 @@
-"""The version-1 GARCH(1,1) fit, kept as the reference for ``stats.garch_persistence``.
+"""Earlier GARCH(1,1) fits, kept as references for ``stats.garch_persistence``.
 
-Three Nelder-Mead searches over (mu, omega, alpha, beta) of the Gaussian
-quasi-likelihood, from the same starts, with the same tie-break and BIC
-screen as the library fit. Slow (about 1,400 likelihood calls per series),
-so only the tests use it.
+Version 1: three Nelder-Mead searches over (mu, omega, alpha, beta) of the
+Gaussian quasi-likelihood, from the same starts, with the same tie-break
+and BIC screen as the library fit. Slow (about 1,400 likelihood calls per
+series), so only the tests use it.
+
+Version 2: the library's gradient fit with both variance recursions run by
+``scipy.signal.lfilter`` instead of BLAS ``dtbsv`` (``version2_fit``).
 
 Run as a script to repeat the equivalence study of the library fit against
-this one over a larger set of series (about two minutes on one core):
+version 1 over a larger set of series (about two minutes on one core), or
+against version 2 with ``--version 2`` (a few seconds):
 
-    PYTHONPATH=src python tests/garch_oracle.py
+    PYTHONPATH=src python tests/garch_oracle.py [--version 2] [per_kind]
 """
 
 from __future__ import annotations
 
+import argparse
 import math
-import sys
 import time
+from unittest import mock
 
 import numpy as np
 from scipy.optimize import minimize
 from scipy.signal import lfilter
 
+from farmerjoshi import stats
 from farmerjoshi.calibration import ParameterSpace
 from farmerjoshi.market import DEFAULT_PARAMETERS, BlowUpError, simulate
 from farmerjoshi.stats import (
@@ -34,10 +40,15 @@ from farmerjoshi.weighting import moving_block_bootstrap
 
 from conftest import garch_returns
 
-#: Tolerance of the library fit against this one, fixed before the rewrite:
+#: Tolerance of the library fit against version 1, fixed before the rewrite:
 #: the BIC decision agrees everywhere, and the persistence moves by more than
 #: this only where the library fit reaches a lower NLL.
 PERSISTENCE_TOL = 1e-3
+
+#: Tolerance of the library fit against version 2, fixed before the change:
+#: the BIC decision agrees everywhere, and |dp| and |dNLL| stay within these.
+VERSION2_P_TOL = 1e-6
+VERSION2_NLL_TOL = 1e-6
 
 
 def garch_nll(theta, x: np.ndarray) -> float:
@@ -90,6 +101,24 @@ def nelder_mead_fit(x: np.ndarray) -> tuple[float, float]:
         raise RuntimeError("no GARCH start converged to a finite fit")
     _, _, alpha, beta = best
     return best_nll, float(alpha + beta)
+
+
+def lfilter_tbsv(k, band, x, lower=1, trans=0, diag=1, overwrite_x=0):
+    """``dtbsv`` of a unit lower-bidiagonal band, computed the version-2 way.
+
+    ``lfilter`` runs the forward recursion x[t] + beta*out[t-1] with two
+    roundings a step, and the transposed solve over the reversed input.
+    """
+    a = [1.0, band[1, 0]]
+    if trans:
+        return lfilter([1.0], a, x[::-1])[::-1]
+    return lfilter([1.0], a, x)
+
+
+def version2_fit(x: np.ndarray) -> tuple[float, float]:
+    """(best NLL, screened persistence) of the version-2 fit of ``x``."""
+    with mock.patch.object(stats, "dtbsv", lfilter_tbsv):
+        return stats._garch_fit(x)[0], garch_persistence(x)
 
 
 def equivalence_series(per_kind: int, days: int = 2500, seed: int = 0) -> dict:
@@ -169,5 +198,31 @@ def study(per_kind: int = 44) -> None:
     print(f"outside tolerance: {failing or 'none'}")
 
 
+def version2_study(per_kind: int = 44) -> bool:
+    """Print the library fit against version 2; True if within the tolerances."""
+    rows = []
+    for x in equivalence_series(per_kind, seed=1).values():
+        nll_old, p_old = version2_fit(x)
+        p_new = garch_persistence(x)
+        rows.append((abs(p_new - p_old), abs(_garch_fit(x)[0] - nll_old),
+                     (p_new == 0.0) == (p_old == 0.0)))
+    dp, dnll, agree = (np.array(column) for column in zip(*rows))
+    print(f"series {len(rows)}  BIC decisions agree {int(agree.sum())}  "
+          f"identical persistence {int(np.sum(dp == 0.0))}")
+    print(f"|dp| max {dp.max():.3g} (tolerance {VERSION2_P_TOL:g})  "
+          f"|dNLL| max {dnll.max():.3g} (tolerance {VERSION2_NLL_TOL:g})")
+    met = bool(agree.all() and dp.max() <= VERSION2_P_TOL and dnll.max() <= VERSION2_NLL_TOL)
+    print(f"tolerance {'met' if met else 'NOT met'}")
+    return met
+
+
 if __name__ == "__main__":
-    study(int(sys.argv[1]) if len(sys.argv) > 1 else 44)
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("per_kind", nargs="?", type=int, default=44,
+                        help="series per family (default 44)")
+    parser.add_argument("--version", type=int, choices=(1, 2), default=1,
+                        help="the earlier fit to compare with (default 1)")
+    args = parser.parse_args()
+    if args.version == 2:
+        raise SystemExit(0 if version2_study(args.per_kind) else 1)
+    study(args.per_kind)

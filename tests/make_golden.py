@@ -1,15 +1,20 @@
-"""Golden fingerprints of the simulator, the statistics and the objective.
+"""Golden fingerprints of the simulator, the statistics, the objective and
+the optimizers.
 
 Run from the repository root to compare this checkout with
 ``tests/data/golden_paths.json``; it prints each mismatching key (a path,
-a blow-up, a variant's fitness values or a series' moments) and exits
-non-zero:
+a blow-up, a variant's fitness values, a series' moments, an optimizer run
+or the moments version) and exits non-zero:
 
     PYTHONPATH=src python tests/make_golden.py
 
 ``--write`` rewrites the file instead:
 
     PYTHONPATH=src python tests/make_golden.py --write
+
+It refuses when the moments differ from the file's but
+``stats.MOMENTS_VERSION`` does not: a change of statistic values must bump
+the version, which also invalidates the weight caches.
 
 ``tests/test_golden.py`` recomputes the same fingerprints and compares them
 bit for bit. Regenerate only when a change to the simulated paths or to the
@@ -26,10 +31,11 @@ from pathlib import Path
 
 import numpy as np
 
-from farmerjoshi.calibration import ObjectiveConfig, ParameterSpace, fitness
+from farmerjoshi.calibration import ObjectiveConfig, ParameterSpace, fitness, run_optimizer
 from farmerjoshi.data_io import ReturnSeries
 from farmerjoshi.market import BLOCK_DAYS, DEFAULT_PARAMETERS, BlowUpError, simulate
-from farmerjoshi.stats import N_MOMENTS, moment_vector
+from farmerjoshi.optimize import GAParams, NMTAParams
+from farmerjoshi.stats import MOMENTS_VERSION, N_MOMENTS, moment_vector
 from farmerjoshi.weighting import WeightMatrix
 
 from conftest import garch_returns
@@ -75,6 +81,14 @@ FITNESS_REPLICATIONS = 3
 FITNESS_THETA_SEED = 5
 
 MOMENT_DAYS = 2500
+
+#: Small optimizer runs over the adaptive calibration box; see box_objective.
+OPTIMIZER_RUNS = {
+    "ga": dict(optimizer="ga", ga_params=GAParams(population=8, generations=5)),
+    "nmta": dict(optimizer="nmta", nmta_params=NMTAParams(
+        max_iters=40, shift_every=5, threshold_len=4, threshold_samples=12)),
+}
+OPTIMIZER_SEED = 7
 
 
 def path_key(variant: str, set_name: str, seed: int) -> str:
@@ -174,23 +188,57 @@ def moment_fingerprints() -> dict:
             for name, x in series.items()}
 
 
+def box_objective(space: ParameterSpace):
+    """The Rosenbrock function of the box coordinates z = (theta - lower) / width.
+
+    Closed form, so the optimizer runs pinned with it change only when an
+    optimizer does, not when the simulator or the statistics do. Elementwise
+    arithmetic and a sum only: no BLAS call whose rounding could vary.
+    """
+    width = space.upper - space.lower
+
+    def objective(theta) -> float:
+        z = (np.asarray(theta, dtype=float) - space.lower) / width
+        return float(np.sum(100.0 * (z[1:] - z[:-1] ** 2) ** 2 + (1.0 - z[:-1]) ** 2))
+
+    return objective
+
+
+def optimizer_fingerprints() -> dict:
+    """``float.hex`` of the theta and the best-so-far trace of each optimizer run."""
+    space = ParameterSpace("adaptive")
+    objective = box_objective(space)
+    runs = {name: run_optimizer(objective=objective, space=space, seed=OPTIMIZER_SEED, **kw)
+            for name, kw in OPTIMIZER_RUNS.items()}
+    return {name: {"theta": [float.hex(float(x)) for x in r.theta],
+                   "trace": [float.hex(float(f)) for f in r.trace],
+                   "evaluations": r.evaluations}
+            for name, r in runs.items()}
+
+
 def generate() -> dict:
     return {
         "paths": {path_key(v, s, seed): path_fingerprint(v, s, seed)
                   for v in VARIANTS for s in PARAMETER_SETS for seed in PATH_SEEDS},
         "fitness": {v: fitness_fingerprints(v) for v in VARIANTS},
         "moments": moment_fingerprints(),
+        "moments_version": MOMENTS_VERSION,
         "blowups": blowup_fingerprints(),
+        "optimizers": optimizer_fingerprints(),
     }
 
 
 def mismatches(expected: dict, actual: dict) -> list[str]:
-    """Keys, as ``section/name``, whose fingerprints differ or exist on one side only."""
+    """Keys, as ``section/name`` (or ``section`` for a single value), whose
+    fingerprints differ or exist on one side only."""
     keys = []
     for section in sorted(expected.keys() | actual.keys()):
-        old, new = expected.get(section, {}), actual.get(section, {})
-        keys += [f"{section}/{name}" for name in sorted(old.keys() | new.keys())
-                 if old.get(name) != new.get(name)]
+        old, new = expected.get(section), actual.get(section)
+        if isinstance(old, dict) and isinstance(new, dict):
+            keys += [f"{section}/{name}" for name in sorted(old.keys() | new.keys())
+                     if old.get(name) != new.get(name)]
+        elif old != new:
+            keys.append(section)
     return keys
 
 
@@ -202,6 +250,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     current = generate()
     if args.write:
+        old = json.loads(GOLDEN_FILE.read_text()) if GOLDEN_FILE.exists() else {}
+        if (old.get("moments_version") == MOMENTS_VERSION
+                and old.get("moments") != current["moments"]):
+            print(f"refusing to write: the moments changed but MOMENTS_VERSION is still "
+                  f"{MOMENTS_VERSION}; bump it in farmerjoshi/stats.py", file=sys.stderr)
+            return 1
         GOLDEN_FILE.parent.mkdir(parents=True, exist_ok=True)
         GOLDEN_FILE.write_text(json.dumps(current, indent=1, sort_keys=True) + "\n")
         print(f"wrote {GOLDEN_FILE}", file=sys.stderr)

@@ -161,7 +161,7 @@ class TestCalibrateCommand:
         assert lines[-1].startswith("fitness,")
         assert len(lines) == 1 + 16 + 1
         doc = json.loads((out / "calibration.json").read_text())
-        assert doc["replication_failures"] == []
+        assert doc["replication_failures"] == [] and doc["runs_succeeded"] == 2
 
     def test_replication_failures_written(self, empirical_csv_session, calibrated,
                                           tmp_path, monkeypatch):
@@ -188,6 +188,33 @@ class TestCalibrateCommand:
         assert doc["replication_failures"] == [{
             "seed": seeds[0], "error": "BlowUpError",
             "message": f"log price 60.0 diverged at day 3 (stub, seed {seeds[0]})"}]
+        assert doc["runs_succeeded"] == 2
+
+    def test_replication_failures_written_when_too_few_succeed(
+            self, empirical_csv_session, calibrated, tmp_path, monkeypatch, capsys):
+        import farmerjoshi.cli as cli
+        seeds = []
+
+        def run_optimizer(optimizer, objective, space, seed, **kwargs):
+            seeds.append(seed)
+            raise BlowUpError(f"log price 60.0 diverged at day 3 (stub, seed {seed})")
+
+        monkeypatch.setattr(cli, "run_optimizer", run_optimizer)
+        out = tmp_path / "rep"
+        code = main(["calibrate", "--empirical", str(empirical_csv_session),
+                     "--variant", "standard", "--optimizer", "ga",
+                     "--cache-dir", str(calibrated / "weights-cache"),
+                     "--block-len", "50", "--bootstrap-replicates", "40",
+                     "--objective-sims", "1", "--sim-days", "300",
+                     "--replications", "3", "--seed", "5", "--out", str(out)])
+        assert code != 0 and len(seeds) == 3
+        assert "only 0/3 calibration runs succeeded" in capsys.readouterr().err
+        doc = json.loads((out / "calibration.json").read_text())
+        assert doc["runs_succeeded"] == 0
+        assert [f["seed"] for f in doc["replication_failures"]] == seeds
+        assert {f["error"] for f in doc["replication_failures"]} == {"BlowUpError"}
+        assert doc["objective"]["replications"] == 1 and "theta" not in doc
+        assert not (out / "replication_summary.csv").exists()
 
 
 class TestReportCommand:

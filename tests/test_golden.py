@@ -3,9 +3,11 @@
 The determinism tests compare one run with a second run, so a change that
 alters every path would still pass them. These compare with fingerprints
 written by ``tests/make_golden.py``: sha256 of all six SimulationOutput
-arrays, ``float.hex`` of the fitness at fixed thetas and of the nine
-moments of three fixed series, and the message of every blow-up (its price
-and day), bit for bit.
+arrays, ``float.hex`` of the fitness at fixed thetas, of the nine moments
+of three fixed series and of two small optimizer runs on a closed-form
+objective, and the message of every blow-up (its price and day), bit for
+bit. The moments are pinned together with the ``MOMENTS_VERSION`` that
+produced them.
 """
 
 import json
@@ -16,6 +18,7 @@ import pytest
 
 from farmerjoshi.calibration import ParameterSpace
 from farmerjoshi.market import BlowUpError, init_simulation, step_adaptive, step_standard
+from farmerjoshi.stats import MOMENTS_VERSION
 from make_golden import (
     BLOCK_EDGE_SEEDS,
     GOLDEN_FILE,
@@ -26,6 +29,7 @@ from make_golden import (
     blowup_fingerprints,
     fitness_fingerprints,
     moment_fingerprints,
+    optimizer_fingerprints,
     path_fingerprint,
     path_key,
 )
@@ -58,6 +62,23 @@ def test_golden_fitness_values_are_not_penalties():
 
 def test_moments_match_golden():
     assert moment_fingerprints() == GOLDEN["moments"]
+
+
+def test_golden_moments_carry_the_current_version():
+    # Statistic values that change need a version bump (make_golden.py
+    # --write refuses otherwise); a bump needs regenerated goldens.
+    assert GOLDEN["moments_version"] == MOMENTS_VERSION
+
+
+def test_optimizer_runs_match_golden():
+    assert optimizer_fingerprints() == GOLDEN["optimizers"]
+
+
+def test_golden_optimizer_runs_make_progress():
+    # A run pinned at its first point would pass however the optimizer changed.
+    for name, run in GOLDEN["optimizers"].items():
+        trace = [float.fromhex(f) for f in run["trace"]]
+        assert len(trace) >= 5 and trace[-1] < trace[0], name
 
 
 def test_blowups_match_golden():

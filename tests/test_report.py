@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from farmerjoshi.market import DEFAULT_PARAMETERS, simulate
 from farmerjoshi.report import (
@@ -70,6 +71,12 @@ class TestQqRows:
         emp = [float(r[2]) for r in rows[1:]]
         assert theo == sorted(theo)
         assert emp == sorted(emp)
+
+    @pytest.mark.parametrize("points", [7, 49, 99, 199])
+    def test_normal_quantiles_equal_scipy_stats(self, outputs, clustered_returns, points):
+        rows = list(qq_rows(outputs, clustered_returns, points=points))[1:]
+        probs = np.array([float(r[0]) for r in rows])
+        assert [float(r[1]) for r in rows] == norm.ppf(probs).tolist()
 
 
 class TestStrategySeries:

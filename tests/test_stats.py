@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.blas import dtbsv
 
 from farmerjoshi.stats import (
     MOMENT_NAMES,
@@ -21,7 +22,16 @@ from farmerjoshi.stats import (
 from farmerjoshi.stats import _garch_fit, _garch_objective
 
 from conftest import garch_returns
-from garch_oracle import compare, equivalence_series, garch_nll, within_tolerance
+from garch_oracle import (
+    VERSION2_NLL_TOL,
+    VERSION2_P_TOL,
+    compare,
+    equivalence_series,
+    garch_nll,
+    lfilter_tbsv,
+    version2_fit,
+    within_tolerance,
+)
 
 
 def brute_force_ks(x, y):
@@ -243,6 +253,10 @@ class TestGarchAgainstNelderMead:
     def standardized(x):
         return (x - x.mean()) / x.std(ddof=1)
 
+    @staticmethod
+    def objective(theta, y):
+        return _garch_objective(theta, y, np.ones((2, len(y)), order="F"))
+
     def test_equivalence_on_fixed_series(self):
         rows = {name: compare(x) for name, x in equivalence_series(6).items()}
         assert len(rows) >= 25
@@ -255,7 +269,7 @@ class TestGarchAgainstNelderMead:
     def test_objective_is_the_reference_likelihood(self, seed):
         y = self.standardized(garch_returns(1000, seed=seed))
         for mu, omega, p, s in self.feasible_points(seed):
-            nll, _ = _garch_objective(np.array([mu, omega, p, s]), y)
+            nll, _ = self.objective(np.array([mu, omega, p, s]), y)
             assert nll == pytest.approx(garch_nll((mu, omega, p * s, p * (1 - s)), y),
                                         rel=1e-12)
 
@@ -263,14 +277,14 @@ class TestGarchAgainstNelderMead:
     def test_gradient_matches_central_differences(self, seed):
         y = self.standardized(garch_returns(1000, seed=seed))
         for theta in self.feasible_points(seed + 10):
-            _, grad = _garch_objective(theta, y)
+            _, grad = self.objective(theta, y)
             fd = np.empty(4)
             for k in range(4):
                 h = 1e-6 * max(1.0, abs(theta[k]))
                 up, down = theta.copy(), theta.copy()
                 up[k] += h
                 down[k] -= h
-                fd[k] = (_garch_objective(up, y)[0] - _garch_objective(down, y)[0]) / (2 * h)
+                fd[k] = (self.objective(up, y)[0] - self.objective(down, y)[0]) / (2 * h)
             np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-6)
 
     def test_fit_reported_in_series_units(self, clustered_returns):
@@ -278,6 +292,40 @@ class TestGarchAgainstNelderMead:
         nll, mu, omega, alpha, beta = _garch_fit(x)
         assert nll == pytest.approx(garch_nll((mu, omega, alpha, beta), x), rel=1e-10)
         assert garch_persistence(x) == alpha + beta
+
+
+class TestGarchAgainstVersion2:
+    """The BLAS banded solve against the lfilter recursions of version 2."""
+
+    def test_solves_match_the_recursions(self):
+        # x[t] + beta*out[t-1] forwards, and x[t] + beta*out[t+1] transposed.
+        rng = np.random.default_rng(3)
+        band = np.ones((2, 500), order="F")
+        for beta in (0.0, 0.37, 0.9999):
+            band[1] = -beta
+            x = rng.random(500)
+            forward, backward = np.empty_like(x), np.empty_like(x)
+            prev = 0.0
+            for t in range(len(x)):
+                prev = forward[t] = x[t] + beta * prev
+            prev = 0.0
+            for t in reversed(range(len(x))):
+                prev = backward[t] = x[t] + beta * prev
+            for solve in (dtbsv, lfilter_tbsv):
+                np.testing.assert_allclose(solve(1, band, x, lower=1, diag=1),
+                                           forward, rtol=1e-13)
+                np.testing.assert_allclose(solve(1, band, x, lower=1, trans=1, diag=1),
+                                           backward, rtol=1e-13)
+
+    def test_fits_agree_within_the_fixed_tolerance(self):
+        series = [garch_returns(2500, seed=s) for s in (0, 1)]
+        series.append(0.01 * np.random.default_rng(4).standard_normal(2500))
+        for x in series:
+            nll_old, p_old = version2_fit(x)
+            p_new = garch_persistence(x)
+            assert (p_new == 0.0) == (p_old == 0.0)
+            assert abs(p_new - p_old) <= VERSION2_P_TOL
+            assert abs(_garch_fit(x)[0] - nll_old) <= VERSION2_NLL_TOL
 
 
 class TestHillTailAverage:
