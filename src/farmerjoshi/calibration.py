@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -97,6 +96,10 @@ class ParameterSpace:
         missing = [n for n in self.names if n not in self.bounds]
         if missing:
             raise CalibrationError(f"bounds missing for {missing}")
+        unknown = sorted(set(self.bounds) - set(PARAMETER_NAMES))
+        if unknown:
+            raise CalibrationError(f"bounds for unknown parameters {unknown}; "
+                                   f"valid names: {', '.join(PARAMETER_NAMES)}")
         for lo_name, hi_name in _ORDERED_PAIRS:
             if self.bounds[lo_name][0] > self.bounds[hi_name][1]:
                 raise CalibrationError(f"bounds forbid {lo_name} <= {hi_name}")
@@ -155,11 +158,7 @@ class ParameterSpace:
             raise CalibrationError("theta violates integrality or ordering constraints")
 
     def to_model_parameters(self, theta: np.ndarray) -> ModelParameters:
-        values = dict(zip(self.names, theta))
-        if self.variant == "standard":
-            values.setdefault("gamma", 0.05)
-            values.setdefault("horizon", 50)
-        return model_parameters(values)
+        return model_parameters(dict(zip(self.names, theta)))
 
     def from_model_parameters(self, params: ModelParameters) -> np.ndarray:
         return np.array([float(getattr(params, n)) for n in self.names])
@@ -167,13 +166,6 @@ class ParameterSpace:
     def bounds_json(self) -> str:
         return json.dumps({n: list(self.bounds[n]) for n in self.names},
                           sort_keys=True)
-
-    @classmethod
-    def with_bounds_file(cls, variant: str, path) -> "ParameterSpace":
-        overrides = json.loads(Path(path).read_text())
-        bounds = dict(DEFAULT_BOUNDS)
-        bounds.update({k: tuple(v) for k, v in overrides.items()})
-        return cls(variant=variant, bounds=bounds)
 
 
 @dataclass(frozen=True)
@@ -225,31 +217,18 @@ def _simulated_moments(cfg: ObjectiveConfig, theta: np.ndarray) -> list:
     return moments
 
 
-def _stub_moments(cfg: ObjectiveConfig, theta: np.ndarray, moments_fn) -> list:
-    """Moment vector per CRN seed from ``moments_fn``, None where it failed."""
-    moments = []
-    for seed in cfg.sim_seeds:
-        try:
-            moments.append(moments_fn(cfg, theta, int(seed)))
-        except (BlowUpError, StatisticError, ParameterError):
-            moments.append(None)
-    return moments
-
-
-def estimation_error(theta, cfg: ObjectiveConfig, moments_fn=None) -> np.ndarray:
+def estimation_error(theta, cfg: ObjectiveConfig) -> np.ndarray:
     """Mean deviation of simulated from empirical moments over I runs.
 
     The I common-random-number runs go through one batched simulation.
     Simulations that blow up or whose statistics degenerate are dropped;
     more than half failing raises CalibrationError (the fitness layer
-    maps that to the penalty value). ``moments_fn(cfg, theta, seed)``, if
-    given, stands in for simulation plus statistics, one seed at a time.
+    maps that to the penalty value).
     """
     theta = np.asarray(theta, dtype=float)
     cfg.space.validate(theta)
-    moments = (_simulated_moments(cfg, theta) if moments_fn is None
-               else _stub_moments(cfg, theta, moments_fn))
-    deviations = [cfg.empirical_moments - m for m in moments if m is not None]
+    deviations = [cfg.empirical_moments - m for m in _simulated_moments(cfg, theta)
+                  if m is not None]
     failures = cfg.replications - len(deviations)
     if failures > cfg.replications / 2 or not deviations:
         raise CalibrationError(
@@ -257,20 +236,20 @@ def estimation_error(theta, cfg: ObjectiveConfig, moments_fn=None) -> np.ndarray
     return np.mean(deviations, axis=0)
 
 
-def fitness(theta, cfg: ObjectiveConfig, moments_fn=None) -> float:
+def fitness(theta, cfg: ObjectiveConfig) -> float:
     """G' W G, or the penalty when the error vector is unavailable."""
     try:
-        g = estimation_error(theta, cfg, moments_fn)
+        g = estimation_error(theta, cfg)
     except CalibrationError:
         return cfg.penalty
     w = cfg.weight.entries
     return max(float(g @ w @ g), 0.0)
 
 
-def make_objective(cfg: ObjectiveConfig, moments_fn=None):
+def make_objective(cfg: ObjectiveConfig):
     """Bind the config into a theta -> fitness callable for the optimizers."""
     def objective(theta):
-        return fitness(theta, cfg, moments_fn)
+        return fitness(theta, cfg)
     return objective
 
 
@@ -286,7 +265,7 @@ def run_optimizer(optimizer: str, objective, space: ParameterSpace, seed: int,
                   nmta_params: NMTAParams | None = None) -> CalibrationResult:
     """Dispatch one optimizer run over a parameter space."""
     bounds = (space.lower, space.upper)
-    common = dict(seed=seed, integral=space.integral_mask, repair=space.repair)
+    common = dict(seed=seed, repair=space.repair)
     if optimizer == "ga":
         return ga_optimize(objective, bounds, ga_params, **common)
     if optimizer == "nmta":

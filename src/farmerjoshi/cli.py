@@ -31,6 +31,7 @@ import numpy as np
 
 from farmerjoshi import report as report_mod
 from farmerjoshi.calibration import (
+    DEFAULT_BOUNDS,
     PARAMETER_NAMES,
     CalibrationError,
     ObjectiveConfig,
@@ -47,6 +48,7 @@ from farmerjoshi.data_io import (
     ReturnSeries,
     load_price_series,
     log_returns,
+    write_atomic,
 )
 from farmerjoshi.market import (
     DEFAULT_PARAMETERS,
@@ -62,7 +64,7 @@ from farmerjoshi.weighting import (
     WeightMatrix,
     WeightingError,
     cache_path,
-    estimate_weight_matrix,
+    cached_weight_matrix,
 )
 
 logger = logging.getLogger("farmerjoshi")
@@ -78,12 +80,6 @@ class UsageError(Exception):
 # Output plumbing
 # ---------------------------------------------------------------------------
 
-def _write_atomic(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
 def write_csv(path: Path, rows, meta: dict) -> None:
     buf = io.StringIO()
     for key in sorted(meta):
@@ -91,11 +87,11 @@ def write_csv(path: Path, rows, meta: dict) -> None:
     writer = csv.writer(buf, lineterminator="\n")
     for row in rows:
         writer.writerow(row)
-    _write_atomic(path, buf.getvalue())
+    write_atomic(path, buf.getvalue())
 
 
 def write_json(path: Path, doc: dict, meta: dict) -> None:
-    _write_atomic(path, json.dumps({"meta": meta, **doc}, sort_keys=True, indent=1))
+    write_atomic(path, json.dumps({"meta": meta, **doc}, sort_keys=True, indent=1))
 
 
 def config_hash(resolved: dict) -> str:
@@ -111,6 +107,17 @@ def _meta(resolved: dict) -> dict:
 # Config resolution
 # ---------------------------------------------------------------------------
 
+def _read_json(path_str: str, what: str, parse=json.loads):
+    """``parse`` of an input file's text; a missing file or bad JSON is a UsageError."""
+    path = Path(path_str)
+    try:
+        return parse(path.read_text())
+    except FileNotFoundError:
+        raise UsageError(f"{what} not found: {path}") from None
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise UsageError(f"{what} {path} is not valid JSON: {exc}") from None
+
+
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     """Defaults, overlaid by config-file values, overlaid by explicit flags."""
     given = {k: v for k, v in vars(args).items()
@@ -118,13 +125,7 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     resolved = dict(defaults)
     config_path = given.pop("config", None)
     if config_path:
-        path = Path(config_path)
-        if not path.exists():
-            raise UsageError(f"config file not found: {path}")
-        try:
-            file_cfg = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"config file {path} is not valid JSON: {exc}") from None
+        file_cfg = _read_json(config_path, "config file")
         unknown = set(file_cfg) - set(defaults)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
@@ -155,10 +156,7 @@ def _load_empirical(path_str: str) -> tuple[np.ndarray, ReturnSeries]:
 def _parse_params(resolved: dict) -> ModelParameters:
     values = dataclasses.asdict(DEFAULT_PARAMETERS)
     if resolved.get("params"):
-        path = Path(resolved["params"])
-        if not path.exists():
-            raise UsageError(f"parameter file not found: {path}")
-        doc = json.loads(path.read_text())
+        doc = _read_json(resolved["params"], "parameter file")
         unknown = set(doc) - set(values)
         if unknown:
             raise UsageError(f"unknown parameter fields: {sorted(unknown)}")
@@ -225,37 +223,27 @@ def _cmd_simulate(args, defaults) -> int:
 
 def _weight_matrix(resolved: dict, emp_returns: ReturnSeries, out: Path) -> WeightMatrix:
     if resolved.get("weights"):
-        path = Path(resolved["weights"])
-        if not path.exists():
-            raise UsageError(f"weight matrix file not found: {path}")
-        return WeightMatrix.load(path)
-    block = resolved["block_len"]
-    reps = resolved["bootstrap_replicates"]
-    seed = resolved["bootstrap_seed"]
-    cached = cache_path(resolved.get("cache_dir") or (out / "weights-cache"),
-                        emp_returns, block, reps, seed)
-    if cached.exists():
-        logger.info("using cached weight matrix %s", cached)
-        return WeightMatrix.load(cached)
-    if not resolved.get("bootstrap"):
-        raise UsageError(
-            f"no cached weight matrix at {cached}; pass --bootstrap to build one "
-            "or --weights FILE to load one")
-    logger.info("bootstrapping weight matrix (block=%d, replicates=%d)", block, reps)
-    wm = estimate_weight_matrix(emp_returns, block, reps, seed)
-    _write_atomic(cached, wm.to_json())
-    return wm
+        return _read_json(resolved["weights"], "weight matrix file", WeightMatrix.from_json)
+    cache_dir = resolved.get("cache_dir") or (out / "weights-cache")
+    settings = (resolved["block_len"], resolved["bootstrap_replicates"],
+                resolved["bootstrap_seed"])
+    cached = cache_path(cache_dir, emp_returns, *settings)
+    if not cached.exists():
+        if not resolved.get("bootstrap"):
+            raise UsageError(
+                f"no cached weight matrix at {cached}; pass --bootstrap to build one "
+                "or --weights FILE to load one")
+        logger.info("bootstrapping weight matrix into %s", cached)
+    return cached_weight_matrix(emp_returns, cache_dir, *settings)
 
 
 def _objective_setup(resolved: dict, out: Path, include_inert: bool = False):
     emp_log_prices, emp_returns = _load_empirical(resolved.get("empirical"))
+    bounds = dict(DEFAULT_BOUNDS)
     if resolved.get("bounds"):
-        space = ParameterSpace.with_bounds_file(resolved["variant"], resolved["bounds"])
-        if include_inert:
-            space = ParameterSpace(resolved["variant"], bounds=space.bounds,
-                                   include_inert=True)
-    else:
-        space = ParameterSpace(resolved["variant"], include_inert=include_inert)
+        overrides = _read_json(resolved["bounds"], "bounds file")
+        bounds.update({name: tuple(v) for name, v in overrides.items()})
+    space = ParameterSpace(resolved["variant"], bounds=bounds, include_inert=include_inert)
     weight = _weight_matrix(resolved, emp_returns, out)
     try:
         emp_moments = moment_vector(emp_returns, emp_returns).as_array()
@@ -348,12 +336,13 @@ def _cmd_calibrate(args, defaults) -> int:
                  "replication_failures": [dataclasses.asdict(f) for f in failures]}
         try:
             summary = summarize_replications(results, space, replications, run_seeds, failures)
-        except CalibrationError:
+        except CalibrationError as exc:
             # Too few runs succeeded: keep their failures, then fail the command.
             write_json(out / "calibration.json", {"optimizer": optimizer,
                                                   "variant": space.variant,
                                                   **extra, **objective_doc}, meta)
-            raise
+            print(f"runtime failure: {exc}", file=sys.stderr)
+            return 1
         write_csv(out / "replication_summary.csv", summary.rows(), meta)
         result = min(results, key=lambda r: r.fitness)
         logger.info("best of %d replications: fitness %.6g",
@@ -380,12 +369,9 @@ def _cmd_calibrate(args, defaults) -> int:
 def _load_calibration(path_str: str) -> tuple[str, dict]:
     if not path_str:
         raise UsageError("--calibration FILE is required")
-    path = Path(path_str)
-    if not path.exists():
-        raise UsageError(f"calibration result not found: {path}")
-    doc = json.loads(path.read_text())
+    doc = _read_json(path_str, "calibration result")
     if "theta" not in doc or "variant" not in doc:
-        raise UsageError(f"{path} does not look like a calibration result")
+        raise UsageError(f"{path_str} does not look like a calibration result")
     return doc["variant"], doc["theta"]
 
 

@@ -2,12 +2,14 @@
 
 Input format: two-column CSV ``date,close`` with ISO-8601 dates and a
 header row. Missing calendar days are not imputed; the series is treated
-as consecutive trading days.
+as consecutive trading days. ``write_atomic`` is the one file write that
+every command output and the weight-matrix cache go through.
 """
 
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -75,6 +77,15 @@ class ReturnSeries:
             writer.writerow(["log_return"])
             for v in self.values:
                 writer.writerow([repr(float(v))])
+
+
+def write_atomic(path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file and a rename, so
+    readers see the old file or the whole new one, never a partial one."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text)
+    os.replace(tmp, path)
 
 
 def load_price_series(path) -> PriceSeries:

@@ -14,9 +14,9 @@ Two searchers over a box-constrained parameter space:
   all thresholds zero no shifts are proposed and the search is exactly
   plain Nelder-Mead.
 
-Integral coordinates stay continuous inside both searchers and are
-rounded at evaluation time only; reported optima are repaired to the
-feasible grid.
+Points stay continuous inside both searchers. An optional ``repair``
+hook maps each one to the feasible set (for example by rounding integral
+coordinates) at evaluation time only; reported optima are repaired points.
 """
 
 from __future__ import annotations
@@ -88,27 +88,18 @@ def reflect_into_bounds(x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> 
     return y
 
 
-def round_integrals(x: np.ndarray, integral: np.ndarray | None) -> np.ndarray:
-    if integral is None:
-        return x
-    y = x.copy()
-    y[integral] = np.rint(y[integral])
-    return y
-
-
 class _Evaluator:
-    """Counts evaluations and applies rounding/repair before each call."""
+    """Counts evaluations and applies clipping/repair before each call."""
 
-    def __init__(self, objective, lower, upper, integral, repair):
+    def __init__(self, objective, lower, upper, repair):
         self.objective = objective
         self.lower = lower
         self.upper = upper
-        self.integral = integral
         self.repair = repair
         self.count = 0
 
     def feasible(self, x: np.ndarray) -> np.ndarray:
-        y = round_integrals(np.clip(x, self.lower, self.upper), self.integral)
+        y = np.clip(x, self.lower, self.upper)
         if self.repair is not None:
             y = self.repair(y)
         return y
@@ -123,13 +114,12 @@ class _Evaluator:
 # ---------------------------------------------------------------------------
 
 def ga_optimize(objective, bounds, ga_params: GAParams | None = None,
-                seed: int = 0, integral: np.ndarray | None = None,
-                repair=None) -> CalibrationResult:
+                seed: int = 0, repair=None) -> CalibrationResult:
     """Minimize ``objective`` over a box with a real-coded GA.
 
-    ``integral`` is a boolean mask of coordinates rounded at evaluation
-    time; ``repair`` is an optional feasibility hook applied after
-    rounding (e.g. cross-constraint repair). Deterministic in ``seed``.
+    ``repair`` is an optional feasibility hook applied to each clipped
+    point at evaluation time (e.g. rounding and cross-constraint repair).
+    Deterministic in ``seed``.
     """
     p = ga_params or GAParams()
     if p.population < 4:
@@ -138,7 +128,7 @@ def ga_optimize(objective, bounds, ga_params: GAParams | None = None,
     n = len(lower)
     width = upper - lower
     rng = np.random.Generator(np.random.PCG64(seed))
-    ev = _Evaluator(objective, lower, upper, integral, repair)
+    ev = _Evaluator(objective, lower, upper, repair)
     t0 = time.perf_counter()
 
     pop = lower + rng.random((p.population, n)) * width
@@ -307,8 +297,7 @@ def _nm_run(ev: _Evaluator, x0: np.ndarray, lower, upper, params: NMTAParams,
 
 
 def nmta_optimize(objective, bounds, nmta_params: NMTAParams | None = None,
-                  seed: int = 0, integral: np.ndarray | None = None,
-                  repair=None) -> CalibrationResult:
+                  seed: int = 0, repair=None) -> CalibrationResult:
     """Minimize ``objective`` with Nelder-Mead plus threshold accepting.
 
     Deterministic in ``seed``. Shift-acceptance events are returned in
@@ -317,7 +306,7 @@ def nmta_optimize(objective, bounds, nmta_params: NMTAParams | None = None,
     p = nmta_params or NMTAParams()
     lower, upper = _as_bounds(bounds)
     rng = np.random.Generator(np.random.PCG64(seed))
-    ev = _Evaluator(objective, lower, upper, integral, repair)
+    ev = _Evaluator(objective, lower, upper, repair)
     t0 = time.perf_counter()
 
     if p.thresholds is not None:
@@ -348,11 +337,10 @@ def nmta_optimize(objective, bounds, nmta_params: NMTAParams | None = None,
 
 
 def nm_optimize(objective, bounds, nmta_params: NMTAParams | None = None,
-                seed: int = 0, integral: np.ndarray | None = None,
-                repair=None) -> CalibrationResult:
+                seed: int = 0, repair=None) -> CalibrationResult:
     """Plain Nelder-Mead: the zero-threshold special case of NMTA."""
     p = nmta_params or NMTAParams()
     zeroed = NMTAParams(**{**p.__dict__, "thresholds": (0.0,) * p.threshold_len})
-    result = nmta_optimize(objective, bounds, zeroed, seed, integral, repair)
+    result = nmta_optimize(objective, bounds, zeroed, seed, repair)
     result.details["optimizer"] = "nm"
     return result

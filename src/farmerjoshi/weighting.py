@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from farmerjoshi.data_io import ReturnSeries
+from farmerjoshi.data_io import ReturnSeries, write_atomic
 from farmerjoshi.stats import MOMENTS_VERSION, N_MOMENTS, StatisticError, moment_vector
 
 #: Condition number above which the covariance is pseudo-inverted.
@@ -69,7 +69,7 @@ class WeightMatrix:
         return cls(entries=np.array(doc["entries"]), metadata=doc["metadata"])
 
     def save(self, path) -> None:
-        Path(path).write_text(self.to_json())
+        write_atomic(path, self.to_json())
 
     @classmethod
     def load(cls, path) -> "WeightMatrix":

@@ -1,6 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from farmerjoshi import calibration
 from farmerjoshi.calibration import (
     CalibrationError,
     ObjectiveConfig,
@@ -44,6 +47,22 @@ def tiny_cfg(clustered_returns):
 
 def mid_theta(space: ParameterSpace) -> np.ndarray:
     return space.repair((space.lower + space.upper) / 2.0)
+
+
+def stub_moments(monkeypatch, moments):
+    """Each simulated run's moment vector becomes ``moments()``.
+
+    The runs are real; only the statistics of each one are replaced.
+    """
+    monkeypatch.setattr(calibration, "moment_vector",
+                        lambda sim, emp: SimpleNamespace(as_array=moments))
+
+
+def stub_blow_ups(monkeypatch):
+    """Every simulated run blows up."""
+    monkeypatch.setattr(calibration, "simulate_batch",
+                        lambda params, variant, days, p0, seeds:
+                        [BlowUpError("boom") for _ in seeds])
 
 
 class TestParameterSpace:
@@ -100,62 +119,64 @@ class TestParameterSpace:
         bad["tau_max"] = (0.02, 0.2)  # overlaps the T_min box
         with pytest.raises(CalibrationError, match="tau_max"):
             ParameterSpace("adaptive", bounds=bad)
+        typo = {**ParameterSpace("adaptive").bounds, "lamda": (1.0, 2.0)}
+        with pytest.raises(CalibrationError, match="lamda"):
+            ParameterSpace("adaptive", bounds=typo)
 
 
 class TestEstimationError:
-    def test_stub_matching_moments_gives_zero(self, tiny_cfg):
+    def test_stub_matching_moments_gives_zero(self, tiny_cfg, monkeypatch):
         theta = mid_theta(tiny_cfg.space)
-        stub = lambda cfg, th, seed: cfg.empirical_moments.copy()
-        g = estimation_error(theta, tiny_cfg, moments_fn=stub)
+        stub_moments(monkeypatch, lambda: tiny_cfg.empirical_moments.copy())
+        g = estimation_error(theta, tiny_cfg)
         assert np.array_equal(g, np.zeros(N_MOMENTS))
 
-    def test_symmetric_deviations_cancel(self, tiny_cfg):
+    def test_symmetric_deviations_cancel(self, tiny_cfg, monkeypatch):
         theta = mid_theta(tiny_cfg.space)
         delta = np.linspace(0.1, 0.9, N_MOMENTS)
         sign = {"flip": 1.0}
 
-        def stub(cfg, th, seed):
+        def stub():
             sign["flip"] *= -1.0
-            return cfg.empirical_moments + sign["flip"] * delta
+            return tiny_cfg.empirical_moments + sign["flip"] * delta
 
-        g = estimation_error(theta, tiny_cfg, moments_fn=stub)
+        stub_moments(monkeypatch, stub)
+        g = estimation_error(theta, tiny_cfg)
         assert np.allclose(g, 0.0)
 
-    def test_single_simulation_exact_deviation(self, tiny_cfg, clustered_returns):
+    def test_single_simulation_exact_deviation(self, tiny_cfg, clustered_returns,
+                                               monkeypatch):
         cfg = ObjectiveConfig(
             space=tiny_cfg.space, empirical_returns=clustered_returns,
             empirical_moments=tiny_cfg.empirical_moments, weight=identity_weight(),
             replications=1, sim_days=300, master_seed=5)
         theta = mid_theta(cfg.space)
         d = np.arange(1.0, N_MOMENTS + 1)
-        stub = lambda c, th, seed: c.empirical_moments - d
-        assert np.allclose(estimation_error(theta, cfg, moments_fn=stub), d)
+        stub_moments(monkeypatch, lambda: cfg.empirical_moments - d)
+        assert np.allclose(estimation_error(theta, cfg), d)
 
-    def test_majority_failures_raise(self, tiny_cfg):
-        from farmerjoshi.market import BlowUpError
+    def test_majority_failures_raise(self, tiny_cfg, monkeypatch):
         theta = mid_theta(tiny_cfg.space)
-
-        def stub(cfg, th, seed):
-            raise BlowUpError("boom")
-
+        stub_blow_ups(monkeypatch)
         with pytest.raises(CalibrationError, match="failed"):
-            estimation_error(theta, tiny_cfg, moments_fn=stub)
+            estimation_error(theta, tiny_cfg)
 
 
 class TestFitness:
-    def test_zero_error_zero_fitness(self, tiny_cfg):
+    def test_zero_error_zero_fitness(self, tiny_cfg, monkeypatch):
         theta = mid_theta(tiny_cfg.space)
-        stub = lambda cfg, th, seed: cfg.empirical_moments.copy()
-        assert fitness(theta, tiny_cfg, moments_fn=stub) == 0.0
+        stub_moments(monkeypatch, lambda: tiny_cfg.empirical_moments.copy())
+        assert fitness(theta, tiny_cfg) == 0.0
 
-    def test_identity_weight_sum_of_squares(self, tiny_cfg):
+    def test_identity_weight_sum_of_squares(self, tiny_cfg, monkeypatch):
         theta = mid_theta(tiny_cfg.space)
         d = np.zeros(N_MOMENTS)
         d[0], d[1] = 1.0, 2.0
-        stub = lambda cfg, th, seed: cfg.empirical_moments - d
-        assert fitness(theta, tiny_cfg, moments_fn=stub) == pytest.approx(5.0)
+        stub_moments(monkeypatch, lambda: tiny_cfg.empirical_moments - d)
+        assert fitness(theta, tiny_cfg) == pytest.approx(5.0)
 
-    def test_quadratic_form_matches_oracle(self, tiny_cfg, clustered_returns):
+    def test_quadratic_form_matches_oracle(self, tiny_cfg, clustered_returns,
+                                           monkeypatch):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((N_MOMENTS, N_MOMENTS))
         w = WeightMatrix(entries=a @ a.T / N_MOMENTS)
@@ -164,19 +185,15 @@ class TestFitness:
             empirical_moments=tiny_cfg.empirical_moments, weight=w,
             replications=1, sim_days=300, master_seed=5)
         g = rng.standard_normal(N_MOMENTS)
-        stub = lambda c, th, seed: c.empirical_moments - g
+        stub_moments(monkeypatch, lambda: cfg.empirical_moments - g)
         expected = float(g @ (w.entries @ g))
         theta = mid_theta(cfg.space)
-        assert fitness(theta, cfg, moments_fn=stub) == pytest.approx(expected, rel=1e-12)
+        assert fitness(theta, cfg) == pytest.approx(expected, rel=1e-12)
 
-    def test_blow_up_maps_to_penalty(self, tiny_cfg):
-        from farmerjoshi.market import BlowUpError
+    def test_blow_up_maps_to_penalty(self, tiny_cfg, monkeypatch):
         theta = mid_theta(tiny_cfg.space)
-
-        def stub(cfg, th, seed):
-            raise BlowUpError("boom")
-
-        assert fitness(theta, tiny_cfg, moments_fn=stub) == tiny_cfg.penalty
+        stub_blow_ups(monkeypatch)
+        assert fitness(theta, tiny_cfg) == tiny_cfg.penalty
 
     def test_real_simulation_fitness_deterministic(self, tiny_cfg):
         theta = mid_theta(tiny_cfg.space)

@@ -207,7 +207,7 @@ class TestCalibrateCommand:
                      "--block-len", "50", "--bootstrap-replicates", "40",
                      "--objective-sims", "1", "--sim-days", "300",
                      "--replications", "3", "--seed", "5", "--out", str(out)])
-        assert code != 0 and len(seeds) == 3
+        assert code == 1 and len(seeds) == 3
         assert "only 0/3 calibration runs succeeded" in capsys.readouterr().err
         doc = json.loads((out / "calibration.json").read_text())
         assert doc["runs_succeeded"] == 0
@@ -215,6 +215,27 @@ class TestCalibrateCommand:
         assert {f["error"] for f in doc["replication_failures"]} == {"BlowUpError"}
         assert doc["objective"]["replications"] == 1 and "theta" not in doc
         assert not (out / "replication_summary.csv").exists()
+
+
+@pytest.mark.parametrize("flag, content, expected", [
+    ("--config", "{not json", "input.json"),
+    ("--params", "{not json", "input.json"),
+    ("--bounds", None, "input.json"),
+    ("--bounds", "{not json", "input.json"),
+    ("--bounds", '{"lamda": [1, 2]}', "lamda"),
+    ("--weights", "{not json", "input.json"),
+    ("--calibration", "{not json", "input.json"),
+])
+def test_bad_json_input_usage_error(flag, content, expected, empirical_csv_session,
+                                    tmp_path, capsys):
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_text(content)
+    command = {"--params": "simulate", "--calibration": "report"}.get(flag, "calibrate")
+    code = run_cli(command, flag, path, "--empirical", empirical_csv_session,
+                   "--out", tmp_path / "out")
+    assert code == 2
+    assert expected in capsys.readouterr().err
 
 
 class TestReportCommand:

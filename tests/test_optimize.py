@@ -11,7 +11,6 @@ from farmerjoshi.optimize import (
     nm_optimize,
     nmta_optimize,
     reflect_into_bounds,
-    round_integrals,
 )
 
 
@@ -75,7 +74,7 @@ class TestGaOptimize:
 
         res = ga_optimize(objective, (np.zeros(2), np.full(2, 5.0)),
                           GAParams(population=8, generations=6), seed=3,
-                          integral=integral)
+                          repair=lambda x: np.where(integral, np.rint(x), x))
         assert all(v[0] == round(v[0]) for v in seen)
         assert res.theta[0] == 2.0
 

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -149,3 +151,13 @@ class TestCache:
         wm2 = cached_weight_matrix(clustered_returns, tmp_path, 50, 12, seed=4)
         assert np.array_equal(wm1.entries, wm2.entries)
         assert list(tmp_path.glob("weights-*.json")) == files
+
+    def test_failed_save_leaves_no_cache_file(self, tmp_path, monkeypatch):
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        wm = WeightMatrix(entries=np.eye(9))
+        with pytest.raises(OSError, match="disk full"):
+            wm.save(tmp_path / "weights-0123.json")
+        assert list(tmp_path.glob("weights-*.json")) == []
