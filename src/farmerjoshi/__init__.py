@@ -15,7 +15,6 @@ from farmerjoshi.data_io import (
     PriceSeries,
     ReturnSeries,
     load_price_series,
-    load_return_series,
     log_returns,
 )
 from farmerjoshi.market import (
@@ -25,7 +24,6 @@ from farmerjoshi.market import (
     ModelParameters,
     ParameterError,
     SimulationOutput,
-    TraderState,
     chartist_mispricing,
     fundamentalist_mispricing,
     init_simulation,

@@ -10,13 +10,18 @@ to a large penalty.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from farmerjoshi.data_io import ReturnSeries
-from farmerjoshi.market import BlowUpError, ModelParameters, ParameterError, simulate_batch
+from farmerjoshi.market import (
+    VARIANTS,
+    BlowUpError,
+    ModelParameters,
+    ParameterError,
+    simulate_batch,
+)
 from farmerjoshi.optimize import (
     CalibrationResult,
     GAParams,
@@ -30,12 +35,14 @@ from farmerjoshi.weighting import WeightMatrix
 
 PENALTY_FITNESS = 1e12
 
-#: Free parameters in calibration order; the last two are adaptive-only.
+#: Free parameters in calibration order, the adaptive-only ones last.
 PARAMETER_NAMES = (
     "n_traders", "lam", "a", "d_min", "d_max", "mu_eta", "sigma_eta",
     "sigma_zeta", "T_min", "T_max", "tau_min", "tau_max", "v_min", "v_max",
     "gamma", "horizon",
 )
+#: The switching parameters, which the standard variant does not read.
+ADAPTIVE_ONLY = PARAMETER_NAMES[-2:]
 
 INTEGRAL_PARAMETERS = frozenset({"n_traders", "d_min", "d_max", "horizon"})
 
@@ -91,7 +98,7 @@ class ParameterSpace:
     include_inert: bool = False
 
     def __post_init__(self):
-        if self.variant not in ("standard", "adaptive"):
+        if self.variant not in VARIANTS:
             raise CalibrationError(f"unknown variant {self.variant!r}")
         missing = [n for n in self.names if n not in self.bounds]
         if missing:
@@ -111,7 +118,7 @@ class ParameterSpace:
     def names(self) -> tuple:
         if self.variant == "adaptive" or self.include_inert:
             return PARAMETER_NAMES
-        return PARAMETER_NAMES[:-2]
+        return PARAMETER_NAMES[: -len(ADAPTIVE_ONLY)]
 
     @property
     def dim(self) -> int:
@@ -163,10 +170,6 @@ class ParameterSpace:
     def from_model_parameters(self, params: ModelParameters) -> np.ndarray:
         return np.array([float(getattr(params, n)) for n in self.names])
 
-    def bounds_json(self) -> str:
-        return json.dumps({n: list(self.bounds[n]) for n in self.names},
-                          sort_keys=True)
-
 
 @dataclass(frozen=True)
 class ObjectiveConfig:
@@ -189,6 +192,10 @@ class ObjectiveConfig:
             raise CalibrationError("sim_days must be >= 1")
         object.__setattr__(self, "empirical_moments",
                            np.asarray(self.empirical_moments, dtype=float))
+        k = len(self.empirical_moments)
+        if self.weight.entries.shape != (k, k):
+            raise CalibrationError(f"weight matrix is {self.weight.entries.shape}, "
+                                   f"but {k} empirical moments need ({k}, {k})")
 
     @property
     def sim_seeds(self) -> np.ndarray:

@@ -31,8 +31,11 @@ import numpy as np
 
 from farmerjoshi import report as report_mod
 from farmerjoshi.calibration import (
+    ADAPTIVE_ONLY,
     DEFAULT_BOUNDS,
+    OPTIMIZERS,
     PARAMETER_NAMES,
+    PENALTY_FITNESS,
     CalibrationError,
     ObjectiveConfig,
     ParameterSpace,
@@ -52,6 +55,7 @@ from farmerjoshi.data_io import (
 )
 from farmerjoshi.market import (
     DEFAULT_PARAMETERS,
+    VARIANTS,
     BlowUpError,
     ModelParameters,
     ParameterError,
@@ -61,6 +65,8 @@ from farmerjoshi.market import (
 from farmerjoshi.optimize import GAParams, NMTAParams
 from farmerjoshi.stats import StatisticError, moment_vector
 from farmerjoshi.weighting import (
+    DEFAULT_BLOCK_LEN,
+    DEFAULT_REPLICATES,
     WeightMatrix,
     WeightingError,
     cache_path,
@@ -146,36 +152,35 @@ def _out_dir(resolved: dict) -> Path:
 def _load_empirical(path_str: str) -> tuple[np.ndarray, ReturnSeries]:
     if not path_str:
         raise UsageError("an empirical price CSV is required (--empirical)")
-    path = Path(path_str)
-    if not path.exists():
-        raise UsageError(f"empirical price file not found: {path}")
-    prices = load_price_series(path)
+    prices = load_price_series(path_str)
     return np.log(prices.closes), log_returns(prices)
 
 
 def _parse_params(resolved: dict) -> ModelParameters:
-    values = dataclasses.asdict(DEFAULT_PARAMETERS)
-    if resolved.get("params"):
-        doc = _read_json(resolved["params"], "parameter file")
-        unknown = set(doc) - set(values)
-        if unknown:
-            raise UsageError(f"unknown parameter fields: {sorted(unknown)}")
-        values.update(doc)
+    values = _read_json(resolved["params"], "parameter file") if resolved.get("params") else {}
+    if not isinstance(values, dict):
+        raise UsageError(f"parameter file {resolved['params']} must hold a JSON object")
     for item in resolved.get("set") or []:
-        if "=" not in item:
+        name, eq, raw = item.partition("=")
+        if not eq:
             raise UsageError(f"--set expects name=value, got {item!r}")
-        name, _, raw = item.partition("=")
-        name = name.strip()
-        if name not in values:
-            raise UsageError(f"unknown parameter {name!r}; valid: {sorted(values)}")
-        values[name] = float(raw)
+        try:
+            values[name.strip()] = float(raw)
+        except ValueError:
+            raise UsageError(f"--set {item}: {raw!r} is not a number") from None
     return _model_parameters(values, "invalid parameters")
 
 
 def _model_parameters(values: dict, context: str) -> ModelParameters:
-    """calibration.model_parameters, its ParameterError as a UsageError."""
+    """calibration.model_parameters of the defaults updated by ``values``; an
+    unknown name or a ParameterError is a UsageError."""
+    defaults = dataclasses.asdict(DEFAULT_PARAMETERS)
+    unknown = set(values) - set(defaults)
+    if unknown:
+        raise UsageError(f"{context}: unknown parameters {sorted(unknown)}; "
+                         f"valid: {sorted(defaults)}")
     try:
-        return model_parameters(values)
+        return model_parameters({**defaults, **values})
     except ParameterError as exc:
         raise UsageError(f"{context}: {exc}") from None
 
@@ -223,7 +228,11 @@ def _cmd_simulate(args, defaults) -> int:
 
 def _weight_matrix(resolved: dict, emp_returns: ReturnSeries, out: Path) -> WeightMatrix:
     if resolved.get("weights"):
-        return _read_json(resolved["weights"], "weight matrix file", WeightMatrix.from_json)
+        try:
+            return _read_json(resolved["weights"], "weight matrix file",
+                              WeightMatrix.from_json)
+        except WeightingError as exc:
+            raise UsageError(f"weight matrix file {resolved['weights']}: {exc}") from None
     cache_dir = resolved.get("cache_dir") or (out / "weights-cache")
     settings = (resolved["block_len"], resolved["bootstrap_replicates"],
                 resolved["bootstrap_seed"])
@@ -237,7 +246,7 @@ def _weight_matrix(resolved: dict, emp_returns: ReturnSeries, out: Path) -> Weig
     return cached_weight_matrix(emp_returns, cache_dir, *settings)
 
 
-def _objective_setup(resolved: dict, out: Path, include_inert: bool = False):
+def _objective_setup(resolved: dict, out: Path, include_inert: bool = False) -> ObjectiveConfig:
     emp_log_prices, emp_returns = _load_empirical(resolved.get("empirical"))
     bounds = dict(DEFAULT_BOUNDS)
     if resolved.get("bounds"):
@@ -249,7 +258,7 @@ def _objective_setup(resolved: dict, out: Path, include_inert: bool = False):
         emp_moments = moment_vector(emp_returns, emp_returns).as_array()
     except StatisticError as exc:
         raise UsageError(f"empirical series too degenerate to calibrate: {exc}") from None
-    cfg = ObjectiveConfig(
+    return ObjectiveConfig(
         space=space,
         empirical_returns=emp_returns,
         empirical_moments=emp_moments,
@@ -260,31 +269,23 @@ def _objective_setup(resolved: dict, out: Path, include_inert: bool = False):
         master_seed=resolved["objective_seed"],
         penalty=resolved["penalty"],
     )
-    return cfg, space, weight
 
 
-def _optimizer_params(resolved: dict):
-    ga = GAParams(
-        population=resolved["population"],
-        generations=resolved["generations"],
-        crossover_rate=resolved["crossover_rate"],
-        mutation_scale=resolved["mutation_scale"],
-        elites=resolved["elites"],
-    )
-    thresholds = resolved.get("thresholds")
-    if thresholds is not None:
-        parts = [float(x) for x in str(thresholds).split(",")]
-        thresholds = tuple(parts)
-    nmta = NMTAParams(
-        restarts=resolved["restarts"],
-        max_iters=resolved["max_iters"],
-        shift_every=resolved["shift_every"],
-        shift_scale=resolved["shift_scale"],
-        threshold_samples=resolved["threshold_samples"],
-        thresholds=thresholds,
-        penalty_cutoff=resolved["penalty"],
-    )
-    return ga, nmta
+#: The NMTAParams fields that calibrate flags set; the others keep their defaults.
+_NMTA_FLAGS = ("restarts", "max_iters", "shift_every", "shift_scale",
+               "threshold_samples", "thresholds")
+
+
+def _optimizer_params(resolved: dict) -> tuple[GAParams, NMTAParams]:
+    ga = GAParams(**{f.name: resolved[f.name] for f in dataclasses.fields(GAParams)})
+    nmta = {name: resolved[name] for name in _NMTA_FLAGS}
+    if nmta["thresholds"] is not None:
+        try:
+            nmta["thresholds"] = tuple(float(x) for x in str(nmta["thresholds"]).split(","))
+        except ValueError:
+            raise UsageError("--thresholds expects comma-separated numbers, "
+                             f"got {nmta['thresholds']!r}") from None
+    return ga, NMTAParams(**nmta, penalty_cutoff=resolved["penalty"])
 
 
 def _result_doc(result, space) -> dict:
@@ -306,9 +307,10 @@ def _cmd_calibrate(args, defaults) -> int:
     resolved = _resolve(args, defaults)
     out = _out_dir(resolved)
     meta = _meta(resolved)
-    cfg, space, weight = _objective_setup(resolved, out)
-    objective = make_objective(cfg)
     ga_params, nmta_params = _optimizer_params(resolved)
+    cfg = _objective_setup(resolved, out)
+    space = cfg.space
+    objective = make_objective(cfg)
     optimizer = resolved["optimizer"]
 
     def run_one(seed: int):
@@ -321,7 +323,7 @@ def _cmd_calibrate(args, defaults) -> int:
         "master_seed": cfg.master_seed,
         "penalty": cfg.penalty,
         "p0": cfg.p0,
-        "weight_metadata": weight.metadata,
+        "weight_metadata": cfg.weight.metadata,
         "empirical_moments": cfg.empirical_moments.tolist(),
     }}
     replications = resolved["replications"]
@@ -366,24 +368,22 @@ def _cmd_calibrate(args, defaults) -> int:
 # report
 # ---------------------------------------------------------------------------
 
-def _load_calibration(path_str: str) -> tuple[str, dict]:
+def _load_calibration(path_str: str) -> tuple[str, ModelParameters]:
+    """The variant of a calibration result, and its theta over the default parameters."""
     if not path_str:
         raise UsageError("--calibration FILE is required")
     doc = _read_json(path_str, "calibration result")
     if "theta" not in doc or "variant" not in doc:
         raise UsageError(f"{path_str} does not look like a calibration result")
-    return doc["variant"], doc["theta"]
+    return doc["variant"], _model_parameters(doc["theta"], "calibration theta invalid")
 
 
 def _cmd_report(args, defaults) -> int:
     resolved = _resolve(args, defaults)
     out = _out_dir(resolved)
     meta = _meta(resolved)
-    variant, theta_by_name = _load_calibration(resolved.get("calibration"))
+    variant, params = _load_calibration(resolved.get("calibration"))
     emp_log_prices, emp_returns = _load_empirical(resolved.get("empirical"))
-
-    params = _model_parameters({**dataclasses.asdict(DEFAULT_PARAMETERS), **theta_by_name},
-                               "calibration theta invalid")
 
     sims = resolved["simulations"]
     days = resolved["days"] or len(emp_returns)
@@ -433,11 +433,10 @@ def _cmd_surface(args, defaults) -> int:
                              f"{', '.join(PARAMETER_NAMES)}")
     # switching parameters may be swept for the standard variant too;
     # they leave its output unchanged (the surface comes out flat)
-    inert = {"gamma", "horizon"}
     include_inert = (resolved["variant"] == "standard"
-                     and bool({name_x, name_y} & inert))
-    cfg, space, _ = _objective_setup(resolved, out, include_inert=include_inert)
-    objective = make_objective(cfg)
+                     and bool({name_x, name_y} & set(ADAPTIVE_ONLY)))
+    cfg = _objective_setup(resolved, out, include_inert=include_inert)
+    space = cfg.space
     grid = str(resolved["grid"]).lower().split("x")
     try:
         grid_x, grid_y = (int(grid[0]), int(grid[1])) if len(grid) == 2 \
@@ -446,17 +445,13 @@ def _cmd_surface(args, defaults) -> int:
         raise UsageError(f"bad --grid spec {resolved['grid']!r}; use e.g. 10x10") from None
 
     if resolved.get("calibration"):
-        _, theta_by_name = _load_calibration(resolved["calibration"])
-        base = np.array([float(theta_by_name.get(n, dataclasses.asdict(
-            DEFAULT_PARAMETERS)[n])) for n in space.names])
+        _, params = _load_calibration(resolved["calibration"])
+        base = space.from_model_parameters(params)
     else:
         base = (space.lower + space.upper) / 2.0
     base = space.repair(base)
 
-    try:
-        rows = surface_scan(objective, space, name_x, name_y, grid_x, grid_y, base)
-    except CalibrationError as exc:
-        raise UsageError(str(exc)) from None
+    rows = surface_scan(make_objective(cfg), space, name_x, name_y, grid_x, grid_y, base)
     header = [(name_x, name_y, "fitness")]
     body = [(repr(x), repr(y), repr(f)) for x, y, f in rows]
     write_csv(out / "surface.csv", header + body, meta)
@@ -472,9 +467,10 @@ _COMMON_DEFAULTS = {"config": None, "out": None, "seed": 0}
 
 _OBJECTIVE_DEFAULTS = {
     "empirical": None, "variant": "adaptive", "bounds": None, "weights": None,
-    "bootstrap": False, "block_len": 100, "bootstrap_replicates": 1000,
-    "bootstrap_seed": 0, "cache_dir": None, "objective_sims": 10,
-    "objective_seed": 0, "sim_days": None, "penalty": 1e12,
+    "bootstrap": False, "block_len": DEFAULT_BLOCK_LEN,
+    "bootstrap_replicates": DEFAULT_REPLICATES, "bootstrap_seed": 0, "cache_dir": None,
+    "objective_sims": ObjectiveConfig.replications,  # the dataclass field's default
+    "objective_seed": 0, "sim_days": None, "penalty": PENALTY_FITNESS,
 }
 
 SIMULATE_DEFAULTS = {**_COMMON_DEFAULTS, "variant": "adaptive", "days": 1000,
@@ -483,15 +479,13 @@ SIMULATE_DEFAULTS = {**_COMMON_DEFAULTS, "variant": "adaptive", "days": 1000,
 CALIBRATE_DEFAULTS = {
     **_COMMON_DEFAULTS, **_OBJECTIVE_DEFAULTS,
     "optimizer": "ga", "replications": None,
-    "population": 40, "generations": 100, "crossover_rate": 0.8,
-    "mutation_scale": 0.1, "elites": 1,
-    "max_iters": 250, "restarts": 1, "shift_every": 10, "shift_scale": 0.15,
-    "threshold_samples": 100, "thresholds": None,
+    **dataclasses.asdict(GAParams()),
+    **{name: getattr(NMTAParams(), name) for name in _NMTA_FLAGS},
 }
 
 REPORT_DEFAULTS = {**_COMMON_DEFAULTS, "calibration": None, "empirical": None,
                    "simulations": 20, "days": None, "max_lag": 50,
-                   "qq_points": 99}
+                   "qq_points": report_mod.QQ_POINTS}
 
 SURFACE_DEFAULTS = {**_COMMON_DEFAULTS, **_OBJECTIVE_DEFAULTS,
                     "x": None, "y": None, "grid": "10x10", "calibration": None}
@@ -506,7 +500,7 @@ def _add_common(sub):
 
 def _add_objective_flags(sub):
     sub.add_argument("--empirical", help="daily close CSV (date,close)")
-    sub.add_argument("--variant", choices=["standard", "adaptive"])
+    sub.add_argument("--variant", choices=VARIANTS)
     sub.add_argument("--bounds", help="JSON file overriding default parameter bounds")
     sub.add_argument("--weights", help="load weight matrix JSON instead of bootstrapping")
     sub.add_argument("--bootstrap", action="store_true",
@@ -535,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim = commands.add_parser("simulate", help="run one simulation",
                               argument_default=argparse.SUPPRESS)
     _add_common(sim)
-    sim.add_argument("--variant", choices=["standard", "adaptive"])
+    sim.add_argument("--variant", choices=VARIANTS)
     sim.add_argument("--days", type=int)
     sim.add_argument("--p0", type=float, help="initial log price")
     sim.add_argument("--params", help="JSON file with model parameter fields")
@@ -549,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
                               argument_default=argparse.SUPPRESS)
     _add_common(cal)
     _add_objective_flags(cal)
-    cal.add_argument("--optimizer", choices=["ga", "nmta", "nm"])
+    cal.add_argument("--optimizer", choices=OPTIMIZERS)
     cal.add_argument("--replications", type=int,
                      help="independent calibration runs for the 95%% intervals")
     cal.add_argument("--population", type=int)

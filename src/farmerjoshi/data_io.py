@@ -70,14 +70,6 @@ class ReturnSeries:
     def __len__(self) -> int:
         return len(self.values)
 
-    def to_csv(self, path) -> None:
-        """Write returns as a single-column CSV with a header row."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["log_return"])
-            for v in self.values:
-                writer.writerow([repr(float(v))])
-
 
 def write_atomic(path, text: str) -> None:
     """Write ``text`` to ``path`` through a temporary file and a rename, so
@@ -129,27 +121,6 @@ def load_price_series(path) -> PriceSeries:
     if np.any(np.diff(np.array(dates)) <= np.timedelta64(0, "D")):
         raise PriceDataError(f"{path}: non-increasing dates")
     return PriceSeries(dates=np.array(dates), closes=np.array(closes))
-
-
-def load_return_series(path) -> ReturnSeries:
-    """Load a single-column ``log_return`` CSV written by ReturnSeries.to_csv."""
-    path = Path(path)
-    if not path.exists():
-        raise PriceDataError(f"return file not found: {path}")
-    values = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[0].strip().lower() != "log_return":
-            raise PriceDataError(f"{path}: expected header 'log_return'")
-        for i, row in enumerate(reader, start=2):
-            if not row or not row[0].strip():
-                continue
-            try:
-                values.append(float(row[0]))
-            except ValueError:
-                raise PriceDataError(f"{path}: row {i}: non-numeric value {row[0]!r}") from None
-    return ReturnSeries(values=np.array(values))
 
 
 def log_returns(prices: PriceSeries) -> ReturnSeries:

@@ -34,11 +34,13 @@ shadow positions for the rolling profits.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterator, Literal
+from typing import Iterator, Literal, get_args
 
 import numpy as np
 
 Variant = Literal["standard", "adaptive"]
+#: The model variants, as ``simulate`` and the calibration take them.
+VARIANTS = get_args(Variant)
 
 #: Log-price magnitude beyond which a run is declared divergent.
 BLOWUP_LOG_PRICE = 50.0
@@ -137,21 +139,6 @@ DEFAULT_PARAMETERS = ModelParameters(
     gamma=0.03,
     horizon=50,
 )
-
-
-@dataclass
-class TraderState:
-    """Read-only snapshot of a single trader (see MarketState.trader)."""
-
-    entry_threshold: float
-    exit_threshold: float
-    capital: float
-    lag: int
-    value_perception: float
-    active_strategy: str
-    position_fund: float
-    position_chart: float
-    shadow_positions: dict
 
 
 @dataclass(frozen=True)
@@ -624,7 +611,9 @@ class MarketState:
     the day's noise from ``rng_zeta``, ``rng_eta`` and ``rng_switch``, which
     tests may replace with prescribed streams. Trader attributes are (N,)
     arrays; day-indexed prices go through :meth:`log_price`, which is
-    defined back to day ``-d_max`` (pre-seeded with p0).
+    defined back to day ``-d_max`` (pre-seeded with p0). Only the adaptive
+    kernel keeps shadow positions, so once a state has run a standard day,
+    reading them or the rolling profits raises RuntimeError.
     """
 
     entry = _first_row("entry")
@@ -663,7 +652,13 @@ class MarketState:
         if not r.base <= t <= r.day:
             raise IndexError(f"day {t} is outside the kept window "
                              f"{r.base}..{r.day}")
+        self._require_shadows()
         return r.shadow_window[0, :, t - r.base]
+
+    def _require_shadows(self) -> None:
+        if self._runs.adaptive is False:
+            raise RuntimeError("a state that ran the standard variant keeps no "
+                               "shadow positions or rolling profits")
 
     def shadow_fund(self, t: int) -> np.ndarray:
         return self._shadows(t)[FUND]
@@ -673,33 +668,9 @@ class MarketState:
 
     def rolling_profits(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-trader (chartist, fundamentalist) profits that drive the next switch."""
+        self._require_shadows()
         pi = self._runs.rolling_profits()[0]
         return pi[CHART], pi[FUND]
-
-    # -- inspection ----------------------------------------------------
-
-    def trader(self, i: int) -> TraderState:
-        r = self._runs
-        j = r.day - r.base
-        window = r.shadow_window[0, :, max(0, j - self.params_echo.horizon) : j + 1, i]
-        return TraderState(
-            entry_threshold=float(self.entry[i]),
-            exit_threshold=float(self.exit[i]),
-            capital=float(self.capital[i]),
-            lag=int(self.lag[i]),
-            value_perception=float(self.value[i]),
-            active_strategy="chartist" if self.is_chartist[i] else "fundamentalist",
-            position_fund=float(window[FUND, -1]),
-            position_chart=float(window[CHART, -1]),
-            shadow_positions={"fundamentalist": window[FUND].copy(),
-                              "chartist": window[CHART].copy()},
-        )
-
-    @property
-    def traders(self) -> list[TraderState]:
-        return [self.trader(i) for i in range(self.params_echo.n_traders)]
-
-
 
 
 def init_simulation(params: ModelParameters, p0: float, seed: int) -> MarketState:
@@ -757,7 +728,7 @@ def simulate_batch(params: ModelParameters, variant: Variant, days: int,
     """
     if days < 1:
         raise ParameterError("days must be >= 1")
-    if variant not in ("standard", "adaptive"):
+    if variant not in VARIANTS:
         raise ParameterError(f"unknown variant {variant!r}")
     seeds = [int(s) for s in seeds]
     adaptive = variant == "adaptive"

@@ -45,22 +45,28 @@ class CalibrationResult:
         object.__setattr__(self, "trace", np.asarray(self.trace, dtype=float))
 
 
+#: GA per-gene mutation probability.
+GA_MUTATION_PROB = 0.10
+#: GA BLX crossover: children are drawn from the parents' span widened by
+#: this fraction of it on each side.
+GA_BLEND_ALPHA = 0.30
+#: Nelder-Mead initial vertex offset, times bound width.
+NM_SIMPLEX_SCALE = 0.1
+
+
 @dataclass(frozen=True)
 class GAParams:
     population: int = 40
     generations: int = 100
     crossover_rate: float = 0.8
     mutation_scale: float = 0.1  # times bound width
-    mutation_prob: float = 0.10  # per gene
     elites: int = 1
-    blend_alpha: float = 0.30
 
 
 @dataclass(frozen=True)
 class NMTAParams:
     restarts: int = 1
     max_iters: int = 250
-    simplex_scale: float = 0.1  # initial vertex offset, times bound width
     shift_every: int = 10  # iterations between shift proposals
     shift_scale: float = 0.15  # shift magnitude, times bound width
     threshold_len: int = 10
@@ -152,13 +158,13 @@ def ga_optimize(objective, bounds, ga_params: GAParams | None = None,
             if rng.random() < p.crossover_rate:
                 lo = np.minimum(pa, pb)
                 hi = np.maximum(pa, pb)
-                span = (hi - lo) * p.blend_alpha
+                span = (hi - lo) * GA_BLEND_ALPHA
                 c1 = (lo - span) + rng.random(n) * (hi - lo + 2 * span)
                 c2 = (lo - span) + rng.random(n) * (hi - lo + 2 * span)
             else:
                 c1, c2 = pa.copy(), pb.copy()
             for c in (c1, c2):
-                mask = rng.random(n) < p.mutation_prob
+                mask = rng.random(n) < GA_MUTATION_PROB
                 c[mask] += rng.normal(0.0, 1.0, size=int(mask.sum())) \
                     * p.mutation_scale * width[mask]
                 children[made] = reflect_into_bounds(c, lower, upper)
@@ -226,7 +232,7 @@ def _nm_run(ev: _Evaluator, x0: np.ndarray, lower, upper, params: NMTAParams,
     width = upper - lower
     simplex = np.tile(x0, (n + 1, 1))
     for j in range(n):
-        step = params.simplex_scale * width[j]
+        step = NM_SIMPLEX_SCALE * width[j]
         if step == 0.0:
             step = max(abs(x0[j]) * 0.05, 1e-4)
         simplex[j + 1, j] = np.clip(x0[j] + step, lower[j], upper[j])
@@ -310,10 +316,7 @@ def nmta_optimize(objective, bounds, nmta_params: NMTAParams | None = None,
     t0 = time.perf_counter()
 
     if p.thresholds is not None:
-        taus = np.asarray(p.thresholds, dtype=float)
-        if taus.ndim == 0:
-            taus = np.full(p.threshold_len, float(taus))
-        taus = np.minimum.accumulate(taus)
+        taus = np.minimum.accumulate(np.asarray(p.thresholds, dtype=float))
     else:
         taus = build_thresholds(ev, lower, upper, p, rng)
 
@@ -340,7 +343,7 @@ def nm_optimize(objective, bounds, nmta_params: NMTAParams | None = None,
                 seed: int = 0, repair=None) -> CalibrationResult:
     """Plain Nelder-Mead: the zero-threshold special case of NMTA."""
     p = nmta_params or NMTAParams()
-    zeroed = NMTAParams(**{**p.__dict__, "thresholds": (0.0,) * p.threshold_len})
+    zeroed = dataclasses.replace(p, thresholds=(0.0,) * p.threshold_len)
     result = nmta_optimize(objective, bounds, zeroed, seed, repair)
     result.details["optimizer"] = "nm"
     return result

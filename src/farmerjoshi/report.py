@@ -14,6 +14,9 @@ from scipy.special import ndtri
 from farmerjoshi.market import SimulationOutput
 from farmerjoshi.stats import MOMENT_NAMES, MomentVector, acf
 
+#: Plotting positions in the normal-QQ table.
+QQ_POINTS = 99
+
 
 def _r(x) -> str:
     return repr(float(x))
@@ -77,7 +80,7 @@ def acf_rows(outputs: list[SimulationOutput], emp_returns, max_lag: int):
                _r(a_med[k]), _r(a_lo[k]), _r(a_hi[k]), _r(band))
 
 
-def qq_rows(outputs: list[SimulationOutput], emp_returns, points: int = 99):
+def qq_rows(outputs: list[SimulationOutput], emp_returns, points: int = QQ_POINTS):
     """Normal-QQ pairs for empirical and simulated returns.
 
     Quantiles are taken at evenly spaced plotting positions; the

@@ -44,8 +44,7 @@ class WeightMatrix:
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=float)
         object.__setattr__(self, "entries", entries)
-        k = entries.shape[0]
-        if entries.shape != (k, k):
+        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise WeightingError(f"weight matrix must be square, got {entries.shape}")
         if not np.all(np.isfinite(entries)):
             raise WeightingError("weight matrix entries must be finite")
@@ -66,7 +65,11 @@ class WeightMatrix:
     @classmethod
     def from_json(cls, text: str) -> "WeightMatrix":
         doc = json.loads(text)
-        return cls(entries=np.array(doc["entries"]), metadata=doc["metadata"])
+        try:
+            return cls(entries=np.array(doc["entries"]), metadata=doc["metadata"])
+        except (KeyError, TypeError, ValueError):
+            raise WeightingError("weight matrix JSON needs a numeric 'entries' matrix "
+                                 "and a 'metadata' object") from None
 
     def save(self, path) -> None:
         write_atomic(path, self.to_json())

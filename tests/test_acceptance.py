@@ -3,7 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -v`` (add ``-s`` to stream the
 per-criterion lines as they happen; they are also echoed in the terminal
 summary). Criterion 7, the stylized-fact comparison of both calibrated
-variants, is pending (ROADMAP direction 5): no test for it exists yet.
+variants, is pending (ROADMAP direction 3): no test for it exists yet.
 Criteria 6 and 8 dominate the wall time.
 """
 

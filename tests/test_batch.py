@@ -125,10 +125,14 @@ def test_day_steps_agree_with_simulate_across_window_slides(variant):
     assert profit_fund == out.profit_fundamentalists.tolist()
 
     assert state.log_price(-params.d_max) == 0.3
-    window = state.trader(3).shadow_positions["chartist"]
-    assert len(window) == params.horizon + 1
+    kept = range(days - params.horizon, days + 1)
     if variant == "adaptive":
+        window = [state.shadow_chart(t)[3] for t in kept]
+        assert len(window) == params.horizon + 1
         assert window[-1] == state.shadow_chart(days)[3]
+    else:
+        with pytest.raises(RuntimeError):
+            state.shadow_chart(days)
     with pytest.raises(IndexError):
         state.shadow_fund(days - params.horizon - BLOCK_DAYS - 1)
 

@@ -1,8 +1,10 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
+from farmerjoshi import cli
 from farmerjoshi.cli import main
 from farmerjoshi.data_io import load_price_series, log_returns
 from farmerjoshi.market import BlowUpError
@@ -165,7 +167,6 @@ class TestCalibrateCommand:
 
     def test_replication_failures_written(self, empirical_csv_session, calibrated,
                                           tmp_path, monkeypatch):
-        import farmerjoshi.cli as cli
         real, seeds = cli.run_optimizer, []
 
         def run_optimizer(optimizer, objective, space, seed, **kwargs):
@@ -192,7 +193,6 @@ class TestCalibrateCommand:
 
     def test_replication_failures_written_when_too_few_succeed(
             self, empirical_csv_session, calibrated, tmp_path, monkeypatch, capsys):
-        import farmerjoshi.cli as cli
         seeds = []
 
         def run_optimizer(optimizer, objective, space, seed, **kwargs):
@@ -236,6 +236,81 @@ def test_bad_json_input_usage_error(flag, content, expected, empirical_csv_sessi
                    "--out", tmp_path / "out")
     assert code == 2
     assert expected in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, weights, expected", [
+    (["calibrate", "--weights"], {"metadata": {}}, "w.json"),
+    (["calibrate", "--weights"], {"entries": [[1, 2], [3, 4]], "metadata": {}}, "w.json"),
+    (["calibrate", "--weights"], {"entries": [[1, 0], [0, 1]], "metadata": {}},
+     "weight matrix is (2, 2)"),
+    (["simulate", "--set", "lam=abc"], None, "--set"),
+    # no weight matrix is cached: the flag is read before the matrix is looked for
+    (["calibrate", "--thresholds", "abc"], None, "--thresholds"),
+], ids=["weights-no-entries", "weights-asymmetric", "weights-wrong-shape",
+        "set-not-a-number", "thresholds-not-numbers"])
+def test_bad_input_usage_error(argv, weights, expected, empirical_csv_session,
+                               tmp_path, capsys):
+    if weights is not None:
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(weights))
+        argv = [*argv, path]
+    code = run_cli(*argv, "--empirical", empirical_csv_session, "--out", tmp_path / "out")
+    assert code == 2
+    assert expected in capsys.readouterr().err
+
+
+COMMANDS = ("simulate", "calibrate", "report", "surface")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_flags_match_defaults(command):
+    # _resolve overlays the parsed flags on the defaults dict, key for key
+    (commands,) = [a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    sub = commands.choices[command]
+    dests = {a.dest for a in sub._actions if a.dest != "help"}
+    assert dests == set(sub.get_default("defaults"))
+
+
+#: One argv per command, its resolved config and that config's hash, which
+#: every output's ``meta`` block carries.
+RESOLVED = {
+    "simulate": (["simulate", "--days", "50", "--set", "lam=20"], {
+        "days": 50, "empirical": None, "out": None, "p0": 0.0, "params": None,
+        "seed": 0, "set": ["lam=20"], "variant": "adaptive"}, "9a49c9168efaf9b2"),
+    "calibrate": (["calibrate", "--empirical", "e.csv", "--optimizer", "nmta",
+                   "--thresholds", "0.5,0"], {
+        "block_len": 100, "bootstrap": False, "bootstrap_replicates": 1000,
+        "bootstrap_seed": 0, "bounds": None, "cache_dir": None, "crossover_rate": 0.8,
+        "elites": 1, "empirical": "e.csv", "generations": 100, "max_iters": 250,
+        "mutation_scale": 0.1, "objective_seed": 0, "objective_sims": 10,
+        "optimizer": "nmta", "out": None, "penalty": 1e12, "population": 40,
+        "replications": None, "restarts": 1, "seed": 0, "shift_every": 10,
+        "shift_scale": 0.15, "sim_days": None, "threshold_samples": 100,
+        "thresholds": "0.5,0", "variant": "adaptive", "weights": None},
+        "05d9ab80cce72998"),
+    "report": (["report", "--calibration", "c.json", "--empirical", "e.csv"], {
+        "calibration": "c.json", "days": None, "empirical": "e.csv", "max_lag": 50,
+        "out": None, "qq_points": 99, "seed": 0, "simulations": 20},
+        "e2a37e43daf1a41d"),
+    "surface": (["surface", "--empirical", "e.csv", "--x", "lam", "--y", "a",
+                 "--variant", "standard"], {
+        "block_len": 100, "bootstrap": False, "bootstrap_replicates": 1000,
+        "bootstrap_seed": 0, "bounds": None, "cache_dir": None, "calibration": None,
+        "empirical": "e.csv", "grid": "10x10", "objective_seed": 0,
+        "objective_sims": 10, "out": None, "penalty": 1e12, "seed": 0,
+        "sim_days": None, "variant": "standard", "weights": None, "x": "lam",
+        "y": "a"}, "35dac5453155c8d3"),
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_resolved_config_pinned(command):
+    argv, expected, digest = RESOLVED[command]
+    args = cli.build_parser().parse_args(argv)
+    resolved = cli._resolve(args, args.defaults)
+    assert resolved == expected
+    assert cli.config_hash(resolved) == digest
 
 
 class TestReportCommand:

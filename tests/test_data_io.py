@@ -10,7 +10,6 @@ from farmerjoshi.data_io import (
     PriceSeries,
     ReturnSeries,
     load_price_series,
-    load_return_series,
     log_returns,
 )
 
@@ -105,10 +104,3 @@ class TestLogReturns:
         r = log_returns(series).values
         rebuilt = closes[0] * np.exp(np.cumsum(r))
         assert np.allclose(rebuilt, closes[1:], rtol=1e-12)
-
-    def test_return_roundtrip(self, tmp_path):
-        r = ReturnSeries(values=np.array([0.01, -0.02, 0.003]))
-        path = tmp_path / "r.csv"
-        r.to_csv(path)
-        again = load_return_series(path)
-        assert np.array_equal(r.values, again.values)

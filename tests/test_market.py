@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from farmerjoshi.market import (
+    DEFAULT_PARAMETERS,
     BlowUpError,
     MarketState,
     ModelParameters,
@@ -88,11 +89,24 @@ class TestInitSimulation:
 
     def test_trader_view(self):
         state = init_simulation(params_with(), 0.0, seed=5)
-        t0 = state.trader(0)
-        assert t0.active_strategy == "fundamentalist"
-        assert t0.capital == pytest.approx(
-            state.params_echo.a * (t0.entry_threshold - t0.exit_threshold))
-        assert t0.position_fund == 0.0 and t0.position_chart == 0.0
+        assert not state.is_chartist[0]  # starts as a fundamentalist
+        assert state.capital[0] == pytest.approx(
+            state.params_echo.a * (state.entry[0] - state.exit[0]))
+        assert state.shadow_fund(0)[0] == 0.0 and state.shadow_chart(0)[0] == 0.0
+
+    def test_standard_state_has_no_shadow_positions(self):
+        # The standard kernel never writes the shadow window, so reading it
+        # would report flat positions that the traders do not hold.
+        p = DEFAULT_PARAMETERS.with_values(a=20.0)
+        state = init_simulation(p, 0.0, seed=3)
+        for _ in range(200):
+            step_standard(state, p)
+        assert np.any(state.pos_actual != 0.0)
+        for read in (lambda: state.shadow_fund(state.day),
+                     lambda: state.shadow_chart(state.day),
+                     state.rolling_profits):
+            with pytest.raises(RuntimeError, match="standard variant"):
+                read()
 
 
 class TestElementaryOps:
@@ -363,11 +377,12 @@ class TestAdaptiveMicroOracle:
                 np.array(chart_rows)[:, i], prices, p.horizon, state.day))
             assert pi_f[i] == pytest.approx(strategy_profit(
                 np.array(fund_rows)[:, i], prices, p.horizon, state.day))
-            # the trader view keeps the last horizon + 1 rows, all the window reads
-            window = state.trader(i).shadow_positions
-            kept = -(p.horizon + 1)
-            assert np.array_equal(window["chartist"], np.array(chart_rows)[kept:, i])
-            assert np.array_equal(window["fundamentalist"], np.array(fund_rows)[kept:, i])
+            # the state keeps the last horizon + 1 rows, all the window reads
+            kept = range(state.day - p.horizon, state.day + 1)
+            assert np.array_equal([state.shadow_chart(t)[i] for t in kept],
+                                  np.array(chart_rows)[-len(kept):, i])
+            assert np.array_equal([state.shadow_fund(t)[i] for t in kept],
+                                  np.array(fund_rows)[-len(kept):, i])
 
 
 class TestSimulate:
