@@ -11,6 +11,7 @@ to a large penalty.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -107,6 +108,11 @@ class ParameterSpace:
         if unknown:
             raise CalibrationError(f"bounds for unknown parameters {unknown}; "
                                    f"valid names: {', '.join(PARAMETER_NAMES)}")
+        for name, pair in self.bounds.items():
+            if not (isinstance(pair, (tuple, list)) and len(pair) == 2
+                    and all(isinstance(v, Real) for v in pair) and pair[0] <= pair[1]):
+                raise CalibrationError(f"bounds for {name} must be a pair of numbers "
+                                       f"low <= high, got {pair!r}")
         for lo_name, hi_name in _ORDERED_PAIRS:
             if self.bounds[lo_name][0] > self.bounds[hi_name][1]:
                 raise CalibrationError(f"bounds forbid {lo_name} <= {hi_name}")
@@ -318,10 +324,10 @@ class ReplicationSummary:
                repr(self.fitness_upper))
 
 
-def percentile_interval(samples, lo: float = 2.5, hi: float = 97.5) -> tuple:
-    """Linear-interpolation percentile interval (numpy default definition)."""
+def percentile_interval(samples) -> tuple:
+    """The 2.5th and 97.5th percentiles, by linear interpolation (numpy's default)."""
     arr = np.asarray(samples, dtype=float)
-    return (float(np.percentile(arr, lo)), float(np.percentile(arr, hi)))
+    return (float(np.percentile(arr, 2.5)), float(np.percentile(arr, 97.5)))
 
 
 def run_replications(run_one, runs: int, seed: int = 0

@@ -113,15 +113,19 @@ def _meta(resolved: dict) -> dict:
 # Config resolution
 # ---------------------------------------------------------------------------
 
-def _read_json(path_str: str, what: str, parse=json.loads):
-    """``parse`` of an input file's text; a missing file or bad JSON is a UsageError."""
+def _read_json(path_str: str, what: str) -> dict:
+    """The JSON object in an input file; a missing file, bad JSON or any
+    other JSON value is a UsageError."""
     path = Path(path_str)
     try:
-        return parse(path.read_text())
+        doc = json.loads(path.read_text())
     except FileNotFoundError:
         raise UsageError(f"{what} not found: {path}") from None
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise UsageError(f"{what} {path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise UsageError(f"{what} {path} must hold a JSON object")
+    return doc
 
 
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
@@ -158,8 +162,6 @@ def _load_empirical(path_str: str) -> tuple[np.ndarray, ReturnSeries]:
 
 def _parse_params(resolved: dict) -> ModelParameters:
     values = _read_json(resolved["params"], "parameter file") if resolved.get("params") else {}
-    if not isinstance(values, dict):
-        raise UsageError(f"parameter file {resolved['params']} must hold a JSON object")
     for item in resolved.get("set") or []:
         name, eq, raw = item.partition("=")
         if not eq:
@@ -228,9 +230,9 @@ def _cmd_simulate(args, defaults) -> int:
 
 def _weight_matrix(resolved: dict, emp_returns: ReturnSeries, out: Path) -> WeightMatrix:
     if resolved.get("weights"):
+        doc = _read_json(resolved["weights"], "weight matrix file")
         try:
-            return _read_json(resolved["weights"], "weight matrix file",
-                              WeightMatrix.from_json)
+            return WeightMatrix.from_doc(doc)
         except WeightingError as exc:
             raise UsageError(f"weight matrix file {resolved['weights']}: {exc}") from None
     cache_dir = resolved.get("cache_dir") or (out / "weights-cache")
@@ -250,8 +252,7 @@ def _objective_setup(resolved: dict, out: Path, include_inert: bool = False) -> 
     emp_log_prices, emp_returns = _load_empirical(resolved.get("empirical"))
     bounds = dict(DEFAULT_BOUNDS)
     if resolved.get("bounds"):
-        overrides = _read_json(resolved["bounds"], "bounds file")
-        bounds.update({name: tuple(v) for name, v in overrides.items()})
+        bounds.update(_read_json(resolved["bounds"], "bounds file"))
     space = ParameterSpace(resolved["variant"], bounds=bounds, include_inert=include_inert)
     weight = _weight_matrix(resolved, emp_returns, out)
     try:
@@ -373,7 +374,7 @@ def _load_calibration(path_str: str) -> tuple[str, ModelParameters]:
     if not path_str:
         raise UsageError("--calibration FILE is required")
     doc = _read_json(path_str, "calibration result")
-    if "theta" not in doc or "variant" not in doc:
+    if not isinstance(doc.get("theta"), dict) or "variant" not in doc:
         raise UsageError(f"{path_str} does not look like a calibration result")
     return doc["variant"], _model_parameters(doc["theta"], "calibration theta invalid")
 
@@ -463,60 +464,46 @@ def _cmd_surface(args, defaults) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-_COMMON_DEFAULTS = {"config": None, "out": None, "seed": 0}
-
-_OBJECTIVE_DEFAULTS = {
-    "empirical": None, "variant": "adaptive", "bounds": None, "weights": None,
-    "bootstrap": False, "block_len": DEFAULT_BLOCK_LEN,
-    "bootstrap_replicates": DEFAULT_REPLICATES, "bootstrap_seed": 0, "cache_dir": None,
-    "objective_sims": ObjectiveConfig.replications,  # the dataclass field's default
-    "objective_seed": 0, "sim_days": None, "penalty": PENALTY_FITNESS,
-}
-
-SIMULATE_DEFAULTS = {**_COMMON_DEFAULTS, "variant": "adaptive", "days": 1000,
-                     "p0": 0.0, "params": None, "set": None, "empirical": None}
-
-CALIBRATE_DEFAULTS = {
-    **_COMMON_DEFAULTS, **_OBJECTIVE_DEFAULTS,
-    "optimizer": "ga", "replications": None,
-    **dataclasses.asdict(GAParams()),
-    **{name: getattr(NMTAParams(), name) for name in _NMTA_FLAGS},
-}
-
-REPORT_DEFAULTS = {**_COMMON_DEFAULTS, "calibration": None, "empirical": None,
-                   "simulations": 20, "days": None, "max_lag": 50,
-                   "qq_points": report_mod.QQ_POINTS}
-
-SURFACE_DEFAULTS = {**_COMMON_DEFAULTS, **_OBJECTIVE_DEFAULTS,
-                    "x": None, "y": None, "grid": "10x10", "calibration": None}
-
-
 def _add_common(sub):
     sub.add_argument("--config", help="JSON config file; explicit flags win")
     sub.add_argument("--out", help=f"output directory (default ${OUTPUT_DIR_ENV} "
                      "or ./farmerjoshi-out)")
-    sub.add_argument("--seed", type=int)
+    sub.add_argument("--seed", type=int, default=0)
 
 
 def _add_objective_flags(sub):
     sub.add_argument("--empirical", help="daily close CSV (date,close)")
-    sub.add_argument("--variant", choices=VARIANTS)
+    sub.add_argument("--variant", choices=VARIANTS, default="adaptive")
     sub.add_argument("--bounds", help="JSON file overriding default parameter bounds")
     sub.add_argument("--weights", help="load weight matrix JSON instead of bootstrapping")
     sub.add_argument("--bootstrap", action="store_true",
                      help="build the weight matrix when not cached")
-    sub.add_argument("--block-len", dest="block_len", type=int)
-    sub.add_argument("--bootstrap-replicates", dest="bootstrap_replicates", type=int)
-    sub.add_argument("--bootstrap-seed", dest="bootstrap_seed", type=int)
-    sub.add_argument("--cache-dir", dest="cache_dir",
+    sub.add_argument("--block-len", type=int, default=DEFAULT_BLOCK_LEN)
+    sub.add_argument("--bootstrap-replicates", type=int, default=DEFAULT_REPLICATES)
+    sub.add_argument("--bootstrap-seed", type=int, default=0)
+    sub.add_argument("--cache-dir",
                      help="weight-matrix cache directory (default OUT/weights-cache)")
-    sub.add_argument("--objective-sims", dest="objective_sims", type=int,
+    sub.add_argument("--objective-sims", type=int,
+                     default=ObjectiveConfig.replications,  # the dataclass field's default
                      help="simulations averaged per fitness evaluation")
-    sub.add_argument("--objective-seed", dest="objective_seed", type=int,
+    sub.add_argument("--objective-seed", type=int, default=0,
                      help="master seed of the common-random-number set")
-    sub.add_argument("--sim-days", dest="sim_days", type=int,
+    sub.add_argument("--sim-days", type=int,
                      help="simulated days per run (default: empirical length)")
-    sub.add_argument("--penalty", type=float)
+    sub.add_argument("--penalty", type=float, default=PENALTY_FITNESS)
+
+
+def _set_handler(sub, handler) -> None:
+    """Give ``sub`` its handler, and move each flag's default into its ``defaults``.
+
+    Parsing then sets only the flags given, so that _resolve can overlay
+    them on a config file's values, which it overlays on the defaults.
+    """
+    defaults = {}
+    for action in sub._actions:
+        if action.dest != "help":
+            defaults[action.dest], action.default = action.default, argparse.SUPPRESS
+    sub.set_defaults(handler=handler, defaults=defaults)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -526,61 +513,57 @@ def build_parser() -> argparse.ArgumentParser:
                     "market models (standard and adaptive variants).")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    sim = commands.add_parser("simulate", help="run one simulation",
-                              argument_default=argparse.SUPPRESS)
+    sim = commands.add_parser("simulate", help="run one simulation")
     _add_common(sim)
-    sim.add_argument("--variant", choices=VARIANTS)
-    sim.add_argument("--days", type=int)
-    sim.add_argument("--p0", type=float, help="initial log price")
+    sim.add_argument("--variant", choices=VARIANTS, default="adaptive")
+    sim.add_argument("--days", type=int, default=1000)
+    sim.add_argument("--p0", type=float, default=0.0, help="initial log price")
     sim.add_argument("--params", help="JSON file with model parameter fields")
     sim.add_argument("--set", action="append", metavar="NAME=VALUE",
                      help="override one parameter (repeatable)")
     sim.add_argument("--empirical", help="optional daily close CSV for the "
                      "moment comparison")
-    sim.set_defaults(handler=_cmd_simulate, defaults=SIMULATE_DEFAULTS)
+    _set_handler(sim, _cmd_simulate)
 
-    cal = commands.add_parser("calibrate", help="fit parameters to data",
-                              argument_default=argparse.SUPPRESS)
+    cal = commands.add_parser("calibrate", help="fit parameters to data")
     _add_common(cal)
     _add_objective_flags(cal)
-    cal.add_argument("--optimizer", choices=OPTIMIZERS)
+    cal.add_argument("--optimizer", choices=OPTIMIZERS, default="ga")
     cal.add_argument("--replications", type=int,
                      help="independent calibration runs for the 95%% intervals")
-    cal.add_argument("--population", type=int)
-    cal.add_argument("--generations", type=int)
-    cal.add_argument("--crossover-rate", dest="crossover_rate", type=float)
-    cal.add_argument("--mutation-scale", dest="mutation_scale", type=float)
-    cal.add_argument("--elites", type=int)
-    cal.add_argument("--max-iters", dest="max_iters", type=int)
-    cal.add_argument("--restarts", type=int)
-    cal.add_argument("--shift-every", dest="shift_every", type=int)
-    cal.add_argument("--shift-scale", dest="shift_scale", type=float)
-    cal.add_argument("--threshold-samples", dest="threshold_samples", type=int)
+    cal.add_argument("--population", type=int, default=GAParams.population)
+    cal.add_argument("--generations", type=int, default=GAParams.generations)
+    cal.add_argument("--crossover-rate", type=float, default=GAParams.crossover_rate)
+    cal.add_argument("--mutation-scale", type=float, default=GAParams.mutation_scale)
+    cal.add_argument("--elites", type=int, default=GAParams.elites)
+    cal.add_argument("--max-iters", type=int, default=NMTAParams.max_iters)
+    cal.add_argument("--restarts", type=int, default=NMTAParams.restarts)
+    cal.add_argument("--shift-every", type=int, default=NMTAParams.shift_every)
+    cal.add_argument("--shift-scale", type=float, default=NMTAParams.shift_scale)
+    cal.add_argument("--threshold-samples", type=int, default=NMTAParams.threshold_samples)
     cal.add_argument("--thresholds",
                      help="explicit threshold sequence, e.g. '0' or '0.5,0.2,0'")
-    cal.set_defaults(handler=_cmd_calibrate, defaults=CALIBRATE_DEFAULTS)
+    _set_handler(cal, _cmd_calibrate)
 
-    rep = commands.add_parser("report", help="plot-ready tables at a fitted theta",
-                              argument_default=argparse.SUPPRESS)
+    rep = commands.add_parser("report", help="plot-ready tables at a fitted theta")
     _add_common(rep)
     rep.add_argument("--calibration", help="calibration.json from `calibrate`")
     rep.add_argument("--empirical", help="daily close CSV (date,close)")
-    rep.add_argument("--simulations", type=int)
+    rep.add_argument("--simulations", type=int, default=20)
     rep.add_argument("--days", type=int, help="default: empirical length")
-    rep.add_argument("--max-lag", dest="max_lag", type=int)
-    rep.add_argument("--qq-points", dest="qq_points", type=int)
-    rep.set_defaults(handler=_cmd_report, defaults=REPORT_DEFAULTS)
+    rep.add_argument("--max-lag", type=int, default=50)
+    rep.add_argument("--qq-points", type=int, default=report_mod.QQ_POINTS)
+    _set_handler(rep, _cmd_report)
 
-    surf = commands.add_parser("surface", help="2-parameter objective surface",
-                               argument_default=argparse.SUPPRESS)
+    surf = commands.add_parser("surface", help="2-parameter objective surface")
     _add_common(surf)
     _add_objective_flags(surf)
     surf.add_argument("--x", help="first parameter name")
     surf.add_argument("--y", help="second parameter name")
-    surf.add_argument("--grid", help="grid spec, e.g. 10x10")
+    surf.add_argument("--grid", default="10x10", help="grid spec, e.g. 10x10")
     surf.add_argument("--calibration", help="calibration.json supplying the "
                       "fixed base theta (default: bound midpoints)")
-    surf.set_defaults(handler=_cmd_surface, defaults=SURFACE_DEFAULTS)
+    _set_handler(surf, _cmd_surface)
     return parser
 
 

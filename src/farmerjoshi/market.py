@@ -303,17 +303,13 @@ class _Positions:
     day's mispricing into ``mispricing`` and calls :meth:`step`.
     """
 
-    def __init__(self, entry: np.ndarray, exit: np.ndarray, capital: np.ndarray,
-                 signs: np.ndarray | None = None):
+    def __init__(self, entry: np.ndarray, exit: np.ndarray, capital: np.ndarray):
         pair = (2, *capital.shape)
         self.capital = capital
         self._m = np.empty(pair)  # m, then -m
         self.mispricing = self._m[0]
         #: The signs s, then -s.
         self.sides = np.zeros(pair, np.int8)
-        if signs is not None:
-            self.sides[0] = signs
-            np.negative(self.sides[0], out=self.sides[1])
         self._enter = np.broadcast_to(-entry, pair).copy()
         self._hold = np.broadcast_to(np.nextafter(-exit, np.inf), pair).copy()
         self._one = np.ones(pair, np.int8)  # an array: a scalar operand is converted per call
@@ -351,13 +347,13 @@ class _Runs:
     one; column ``d_max + t`` holds p_t), log returns, chartist counts and
     strategy profits. Of the shadow positions it keeps, when ``shadows`` is
     set, only a window of the last ``horizon + 1`` days or more that slides
-    every BLOCK_DAYS days; window row j holds day ``base + j``. Positions
-    follow the variant of the first run.
-    """
+    every BLOCK_DAYS days; window row j holds day ``base + j``.
 
-    _ROW_ARRAYS = ("entry", "exit", "lag", "value", "capital", "is_chartist",
-                   "pos_actual", "shadow_window", "prices", "returns", "n_chart",
-                   "profit")
+    The rows are fixed when the runs are drawn, and the variant by
+    :meth:`_start` before the first block; nothing reshapes or restarts
+    them afterwards. A row that leaves the range runs on to the end of the
+    run.
+    """
 
     def __init__(self, params: ModelParameters, p0: float, seeds, days: int, shadows: bool):
         params.validate()
@@ -391,7 +387,7 @@ class _Runs:
         self.returns = np.zeros((n_runs, days))
         self.n_chart = np.full((n_runs, days), n - params.n_fundamentalists())
         self.profit = np.zeros((n_runs, 2, days))
-        #: The variant the rows run, fixed by the first run.
+        #: The variant the rows run, fixed by :meth:`_start`.
         self.adaptive = None
         self.positions = None
 
@@ -406,7 +402,7 @@ class _Runs:
         self._lagged = np.empty(self._lag_index.shape)
         self._flat_prices = self.prices.reshape(-1)
 
-    def _start(self, adaptive: bool, signs: np.ndarray | None = None) -> None:
+    def _start(self, adaptive: bool) -> None:
         """Fix the variant; build the positions, the block buffers and their views.
 
         A block is at most BLOCK_DAYS days, and no longer than the outputs.
@@ -418,7 +414,7 @@ class _Runs:
         if adaptive:
             layout = [np.repeat(x[:, None, :], 2, axis=1)
                       for x in (self.entry, self.exit, self.capital)]
-            self.positions = _Positions(*layout, signs)
+            self.positions = _Positions(*layout)
             fund, chart = FUND, CHART
             # the value perceptions the fundamentalist mispricing reads and eta moves
             self._value_fund = self.value
@@ -429,7 +425,7 @@ class _Runs:
             self._gap, self._odds = np.empty((2, n_runs, n))
             self._neg_gamma = -self.params.gamma
         else:
-            self.positions = _Positions(self.entry, self.exit, self.capital, signs)
+            self.positions = _Positions(self.entry, self.exit, self.capital)
             n_f = self.params.n_fundamentalists()
             fund, chart = slice(None, n_f), slice(n_f, None)
             self._value_fund = self.value[:, fund]
@@ -442,15 +438,6 @@ class _Runs:
         self._m_chart = self.positions.mispricing[:, chart]
         self._order = np.empty((n_runs, n))
 
-    def keep(self, mask: np.ndarray) -> None:
-        """Drop the rows where ``mask`` is false."""
-        for name in self._ROW_ARRAYS:
-            arr = getattr(self, name)
-            if arr is not None:
-                setattr(self, name, arr[mask])
-        self.streams = [s for s, k in zip(self.streams, mask) if k]
-        self._start(self.adaptive, self.positions.sides[0][mask])
-
     def extend(self, days: int) -> None:
         """Make room in the outputs for ``days`` more days."""
         for name in ("prices", "returns", "n_chart", "profit"):
@@ -458,8 +445,7 @@ class _Runs:
             # "edge" carries the standard variant's constant chartist count on
             setattr(self, name, np.pad(arr, [(0, 0)] * (arr.ndim - 1) + [(0, days)],
                                        mode="edge"))
-        if self.adaptive is not None:
-            self._index()
+        self._index()
 
     def rolling_profits(self) -> np.ndarray:
         """Per-trader strategy profits over the last ``horizon`` days, (I, 2, N).
@@ -483,8 +469,8 @@ class _Runs:
         self.shadow_window[:, :, :h] = self.shadow_window[:, :, shift:]
         self.base += shift
 
-    def run(self, adaptive: bool, zeta, eta, u) -> dict[int, BlowUpError]:
-        """Move every row through a block of days; return the rows that blew up.
+    def run(self, zeta, eta, u) -> dict[int, BlowUpError]:
+        """Move every row through a block of days; return the rows out of range.
 
         ``zeta`` (I, days), ``eta`` (I, days, n_eta) and, for the adaptive
         variant, the switching uniforms ``u`` (I, days, N) are the block's
@@ -496,10 +482,10 @@ class _Runs:
 
         Rows never interact: every operation is elementwise, and every
         reduction and gemv runs per row. So a row whose log price left the
-        range may run on, its overflows unreported, to the block's end,
-        where the range is checked. Returns the BlowUpError of each such row
-        by row index, from its first day out of range; drop them with
-        :meth:`keep`.
+        range runs on, its overflows unreported, to the end of the run; the
+        range is checked once per block. Returns the BlowUpError of each
+        row out of range in this block, by row index, from its first such
+        day in the block.
 
         phi_chartist is switch_probability's overflow-safe logistic: with
         e = exp(-|z|), z = (pi_f - pi_c) / gamma, it is e / (1 + e) where
@@ -507,9 +493,7 @@ class _Runs:
         the numerator is max(e, sign(pi_c - pi_f)). -|z| is computed as
         |pi_c - pi_f| / -gamma, the same float.
         """
-        if self.adaptive is None:
-            self._start(adaptive)
-        days, t0 = zeta.shape[1], self.day
+        adaptive, days, t0 = self.adaptive, zeta.shape[1], self.day
         d_max, lam = self.params.d_max, self.params.lam
         prices, returns, flat = self.prices, self.returns, self._flat_prices
         lag_index, lagged = self._lag_index, self._lagged
@@ -607,9 +591,10 @@ class MarketState:
     """One run, advanced a day at a time by step_standard / step_adaptive.
 
     A one-row batch of the simulate_batch kernel, whose outputs grow as the
-    days go by. A state runs the variant of its first step. The steps draw
-    the day's noise from ``rng_zeta``, ``rng_eta`` and ``rng_switch``, which
-    tests may replace with prescribed streams. Trader attributes are (N,)
+    days go by. A state runs the variant of its first step, and a step of
+    the other variant raises RuntimeError. The steps draw the day's noise
+    from ``rng_zeta``, ``rng_eta`` and ``rng_switch``, which tests may
+    replace with prescribed streams. Trader attributes are (N,)
     arrays; day-indexed prices go through :meth:`log_price`, which is
     defined back to day ``-d_max`` (pre-seeded with p0). Only the adaptive
     kernel keeps shadow positions, so once a state has run a standard day,
@@ -679,11 +664,16 @@ def init_simulation(params: ModelParameters, p0: float, seed: int) -> MarketStat
 
 
 def _step(state: MarketState, adaptive: bool, zeta, eta, u) -> MarketState:
-    """Run the kernel over a block of one day."""
+    """Run the kernel over a block of one day; the first step fixes the variant."""
     runs = state._runs
+    if runs.adaptive is None:
+        runs._start(adaptive)
+    elif runs.adaptive != adaptive:
+        variant = "adaptive" if runs.adaptive else "standard"
+        raise RuntimeError(f"this state runs the {variant} variant")
     if runs.day == runs.returns.shape[1]:
         runs.extend(runs.day)
-    blown = runs.run(adaptive, np.reshape(zeta, (1, 1)), np.reshape(eta, (1, 1, -1)),
+    blown = runs.run(np.reshape(zeta, (1, 1)), np.reshape(eta, (1, 1, -1)),
                      None if u is None else np.reshape(u, (1, 1, -1)))
     if blown:
         raise blown[0]
@@ -720,9 +710,10 @@ def simulate_batch(params: ModelParameters, variant: Variant, days: int,
     """Run ``days`` steps from a fresh state for each seed, in one daily loop.
 
     Returns one outcome per seed, in order: its SimulationOutput, or the
-    BlowUpError it raised on its own. A row that blows up is dropped and
-    the others go on. Each row is bit for bit the run ``simulate`` gives
-    for its seed: every seed keeps its own four streams, drawn BLOCK_DAYS
+    BlowUpError of its first day out of range. A row that blows up runs on
+    to the end, untouched by and touching no other row; the loop stops
+    early only once every row has blown up. Each row is bit for bit the run
+    ``simulate`` gives for its seed: every seed keeps its own four streams, drawn BLOCK_DAYS
     days at a time, and the reductions run per row in the single-run order.
     The output arrays are rows of the buffers the kernel writes day by day.
     """
@@ -733,10 +724,10 @@ def simulate_batch(params: ModelParameters, variant: Variant, days: int,
     seeds = [int(s) for s in seeds]
     adaptive = variant == "adaptive"
     runs = _Runs(params, p0, seeds, days, shadows=adaptive)
+    runs._start(adaptive)
     n = params.n_traders
     n_eta = n if adaptive else params.n_fundamentalists()
 
-    rows = np.arange(len(seeds))  # seed index of each live row
     # each seed's draws for the next BLOCK_DAYS days, refilled in place
     block = min(BLOCK_DAYS, days)
     zeta = np.empty((len(seeds), block))
@@ -750,31 +741,21 @@ def simulate_batch(params: ModelParameters, variant: Variant, days: int,
             _normal(e, params.mu_eta, params.sigma_eta, eta[i, :size])
             if adaptive:
                 s.random(out=u[i, :size])
-        blown = runs.run(adaptive, zeta[:, :size], eta[:, :size],
-                         u[:, :size] if adaptive else None)
-        if blown:
-            live = np.ones(len(rows), bool)
-            live[list(blown)] = False
-            errors.update({int(rows[i]): exc for i, exc in blown.items()})
-            runs.keep(live)
-            rows, zeta, eta = rows[live], zeta[live], eta[live]
-            u = u[live] if adaptive else None
-            if not len(rows):
-                break
+        blown = runs.run(zeta[:, :size], eta[:, :size], u[:, :size] if adaptive else None)
+        errors = {**blown, **errors}  # each row's first error
+        if len(errors) == len(seeds):
+            break
 
-    outcomes: list = [errors.get(i) for i in range(len(seeds))]
-    for i, row in enumerate(rows):
-        outcomes[row] = SimulationOutput(
-            variant=variant,
-            seed=seeds[row],
-            log_prices=runs.prices[i, params.d_max :],
-            log_returns=runs.returns[i],
-            n_chartists=runs.n_chart[i],
-            n_fundamentalists=n - runs.n_chart[i],
-            profit_chartists=runs.profit[i, CHART],
-            profit_fundamentalists=runs.profit[i, FUND],
-        )
-    return outcomes
+    return [errors.get(i) or SimulationOutput(
+        variant=variant,
+        seed=seed,
+        log_prices=runs.prices[i, params.d_max :],
+        log_returns=runs.returns[i],
+        n_chartists=runs.n_chart[i],
+        n_fundamentalists=n - runs.n_chart[i],
+        profit_chartists=runs.profit[i, CHART],
+        profit_fundamentalists=runs.profit[i, FUND],
+    ) for i, seed in enumerate(seeds)]
 
 
 def simulate(params: ModelParameters, variant: Variant, days: int,

@@ -64,7 +64,11 @@ class WeightMatrix:
 
     @classmethod
     def from_json(cls, text: str) -> "WeightMatrix":
-        doc = json.loads(text)
+        return cls.from_doc(json.loads(text))
+
+    @classmethod
+    def from_doc(cls, doc: dict) -> "WeightMatrix":
+        """The matrix of a parsed :meth:`to_json` document."""
         try:
             return cls(entries=np.array(doc["entries"]), metadata=doc["metadata"])
         except (KeyError, TypeError, ValueError):
@@ -98,23 +102,22 @@ def moving_block_bootstrap(r, block_len: int, seed: int) -> ReturnSeries:
     return ReturnSeries(values=values[_bootstrap_indices(n, block_len, rng)])
 
 
-def weight_from_covariance(cov: np.ndarray, cond_cutoff: float = CONDITION_CUTOFF
-                           ) -> tuple[np.ndarray, dict]:
+def weight_from_covariance(cov: np.ndarray) -> tuple[np.ndarray, dict]:
     """Invert a moment covariance, falling back to the pseudo-inverse.
 
     Returns the symmetrized inverse and a conditioning report.
     """
     cov = np.asarray(cov, dtype=float)
     cond = float(np.linalg.cond(cov))
-    if math.isfinite(cond) and cond <= cond_cutoff:
+    if math.isfinite(cond) and cond <= CONDITION_CUTOFF:
         w = np.linalg.inv(cov)
         report = {"condition_number": cond, "inversion": "inverse"}
     else:
-        w = np.linalg.pinv(cov, rcond=1.0 / cond_cutoff)
+        w = np.linalg.pinv(cov, rcond=1.0 / CONDITION_CUTOFF)
         report = {
             "condition_number": cond,
             "inversion": "pseudo-inverse",
-            "rcond_cutoff": 1.0 / cond_cutoff,
+            "rcond_cutoff": 1.0 / CONDITION_CUTOFF,
         }
     return (w + w.T) / 2.0, report
 

@@ -83,7 +83,7 @@ def test_blow_up_fails_its_row_alone(variant):
 def test_row_blowing_up_early_in_a_block_leaves_the_survivor_exact(variant):
     dead, alive = MID_BLOCK_SEEDS[variant]
     with warnings.catch_warnings():
-        # the dead row must not warn while it runs on to the end of its block
+        # the dead row must not warn while it runs on to the end of the run
         warnings.simplefilter("error")
         single = simulate(MID_BLOCK_PARAMETERS, variant, MID_BLOCK_DAYS, seed=alive)
         for seeds in ([dead, alive], [alive, dead]):

@@ -225,6 +225,14 @@ class TestCalibrateCommand:
     ("--bounds", '{"lamda": [1, 2]}', "lamda"),
     ("--weights", "{not json", "input.json"),
     ("--calibration", "{not json", "input.json"),
+    # valid JSON of the wrong shape
+    ("--config", "5", "input.json"),
+    ("--config", '["days"]', "input.json"),
+    ("--bounds", "[1, 2]", "input.json"),
+    ("--bounds", '{"lam": 5}', "bounds for lam"),
+    # rejected before the missing weight matrix is looked for
+    ("--bounds", '{"lam": [50, 5]}', "bounds for lam"),
+    ("--calibration", '{"theta": 5, "variant": "adaptive"}', "input.json"),
 ])
 def test_bad_json_input_usage_error(flag, content, expected, empirical_csv_session,
                                     tmp_path, capsys):

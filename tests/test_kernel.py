@@ -48,8 +48,8 @@ def test_kernel_transition_equals_threshold_transition(layout):
     sign, m, T, tau, c = (np.array(col) for col in zip(*boundary_table()))
     sign = sign.astype(np.int8)
     shape = np.empty(len(m)).reshape(layout).shape
-    positions = _Positions(T.reshape(shape), tau.reshape(shape), c.reshape(shape),
-                           signs=sign.reshape(shape))
+    positions = _Positions(T.reshape(shape), tau.reshape(shape), c.reshape(shape))
+    positions.sides[...] = sign.reshape(shape), -sign.reshape(shape)
     positions.mispricing[...] = m.reshape(shape)
     out = np.empty(shape)
     positions.step(out)

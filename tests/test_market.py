@@ -108,6 +108,16 @@ class TestInitSimulation:
             with pytest.raises(RuntimeError, match="standard variant"):
                 read()
 
+    @pytest.mark.parametrize("first, other", [(step_standard, step_adaptive),
+                                              (step_adaptive, step_standard)])
+    def test_step_of_the_other_variant_rejected(self, first, other):
+        state = init_simulation(DEFAULT_PARAMETERS, 0.0, seed=3)
+        first(state, DEFAULT_PARAMETERS)
+        variant = first.__name__.removeprefix("step_")
+        with pytest.raises(RuntimeError, match=f"runs the {variant} variant"):
+            other(state, DEFAULT_PARAMETERS)
+        assert state.day == 1
+
 
 class TestElementaryOps:
     def test_market_impact_zero_order(self):
