@@ -49,7 +49,11 @@ INTEGRAL_PARAMETERS = frozenset({"n_traders", "d_min", "d_max", "horizon"})
 
 
 def model_parameters(values: dict) -> ModelParameters:
-    """ModelParameters from field values, the INTEGRAL_PARAMETERS rounded to int."""
+    """ModelParameters from field values, the INTEGRAL_PARAMETERS rounded to int;
+    a value that is not a number is a ParameterError."""
+    for name, v in values.items():
+        if not isinstance(v, Real):
+            raise ParameterError(f"{name} must be a number, got {v!r}")
     return ModelParameters(**{name: int(round(v)) if name in INTEGRAL_PARAMETERS else v
                               for name, v in values.items()})
 

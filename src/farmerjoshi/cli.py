@@ -10,7 +10,8 @@ Commands:
 
 Every command is deterministic given its configuration and seeds; every
 output file carries a metadata block echoing the config hash and seeds.
-A JSON config file can supply any flag's value; explicit flags win.
+A JSON config file (``--config``) is read as the command's own flags;
+explicit flags win.
 Exit codes: 0 success, 1 runtime failure, 2 usage/validation error.
 """
 
@@ -25,6 +26,7 @@ import json
 import logging
 import os
 import sys
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -128,21 +130,36 @@ def _read_json(path_str: str, what: str) -> dict:
     return doc
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """Defaults, overlaid by config-file values, overlaid by explicit flags."""
-    given = {k: v for k, v in vars(args).items()
-             if k not in ("handler", "command", "defaults")}
-    resolved = dict(defaults)
-    config_path = given.pop("config", None)
-    if config_path:
-        file_cfg = _read_json(config_path, "config file")
-        unknown = set(file_cfg) - set(defaults)
+def _resolve(argv: list[str]) -> tuple[Callable[[dict], int], dict]:
+    """The handler of the command in ``argv`` and its settings: the flags'
+    defaults, overlaid by a ``--config`` file's values, overlaid by the flags given.
+
+    Each key of the file is a flag's name with underscores, parsed as that
+    flag: ``{"block_len": 50}`` reads as ``--block-len=50``. ``null`` and
+    ``false`` omit the flag, ``true`` gives a switch, and a list gives the flag
+    once per item; a ``--set`` on the command line replaces the file's list.
+    """
+    parser = build_parser()
+    args = vars(parser.parse_args(argv))
+    if args["config"]:
+        file_cfg = _read_json(args["config"], "config file")
+        unknown = set(file_cfg) - (set(args) - {"command", "handler"})
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        resolved.update(file_cfg)
-    resolved.update(given)
-    resolved.pop("config", None)
-    return resolved
+        tokens = []
+        for key, value in file_cfg.items():
+            if isinstance(args[key], list):
+                continue
+            flag = "--" + key.replace("_", "-")
+            for item in value if isinstance(value, list) else [value]:
+                if item is True:
+                    tokens.append(flag)
+                elif item is not False and item is not None:
+                    tokens.append(f"{flag}={item}")
+        args = vars(parser.parse_args([args["command"], *tokens, *argv[1:]]))
+    handler = args.pop("handler")
+    del args["command"], args["config"]
+    return handler, args
 
 
 def _out_dir(resolved: dict) -> Path:
@@ -191,8 +208,7 @@ def _model_parameters(values: dict, context: str) -> ModelParameters:
 # simulate
 # ---------------------------------------------------------------------------
 
-def _cmd_simulate(args, defaults) -> int:
-    resolved = _resolve(args, defaults)
+def _cmd_simulate(resolved: dict) -> int:
     if resolved["days"] < 1:
         raise UsageError("--days must be >= 1")
     out = _out_dir(resolved)
@@ -304,8 +320,7 @@ def _result_doc(result, space) -> dict:
     return doc
 
 
-def _cmd_calibrate(args, defaults) -> int:
-    resolved = _resolve(args, defaults)
+def _cmd_calibrate(resolved: dict) -> int:
     out = _out_dir(resolved)
     meta = _meta(resolved)
     ga_params, nmta_params = _optimizer_params(resolved)
@@ -379,8 +394,7 @@ def _load_calibration(path_str: str) -> tuple[str, ModelParameters]:
     return doc["variant"], _model_parameters(doc["theta"], "calibration theta invalid")
 
 
-def _cmd_report(args, defaults) -> int:
-    resolved = _resolve(args, defaults)
+def _cmd_report(resolved: dict) -> int:
     out = _out_dir(resolved)
     meta = _meta(resolved)
     variant, params = _load_calibration(resolved.get("calibration"))
@@ -421,17 +435,12 @@ def _cmd_report(args, defaults) -> int:
 # surface
 # ---------------------------------------------------------------------------
 
-def _cmd_surface(args, defaults) -> int:
-    resolved = _resolve(args, defaults)
+def _cmd_surface(resolved: dict) -> int:
     out = _out_dir(resolved)
     meta = _meta(resolved)
     name_x, name_y = resolved["x"], resolved["y"]
     if not name_x or not name_y:
         raise UsageError("--x and --y parameter names are required")
-    for name in (name_x, name_y):
-        if name not in PARAMETER_NAMES:
-            raise UsageError(f"unknown parameter {name!r}; valid names: "
-                             f"{', '.join(PARAMETER_NAMES)}")
     # switching parameters may be swept for the standard variant too;
     # they leave its output unchanged (the surface comes out flat)
     include_inert = (resolved["variant"] == "standard"
@@ -493,19 +502,6 @@ def _add_objective_flags(sub):
     sub.add_argument("--penalty", type=float, default=PENALTY_FITNESS)
 
 
-def _set_handler(sub, handler) -> None:
-    """Give ``sub`` its handler, and move each flag's default into its ``defaults``.
-
-    Parsing then sets only the flags given, so that _resolve can overlay
-    them on a config file's values, which it overlays on the defaults.
-    """
-    defaults = {}
-    for action in sub._actions:
-        if action.dest != "help":
-            defaults[action.dest], action.default = action.default, argparse.SUPPRESS
-    sub.set_defaults(handler=handler, defaults=defaults)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="farmerjoshi",
@@ -523,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="override one parameter (repeatable)")
     sim.add_argument("--empirical", help="optional daily close CSV for the "
                      "moment comparison")
-    _set_handler(sim, _cmd_simulate)
+    sim.set_defaults(handler=_cmd_simulate)
 
     cal = commands.add_parser("calibrate", help="fit parameters to data")
     _add_common(cal)
@@ -543,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     cal.add_argument("--threshold-samples", type=int, default=NMTAParams.threshold_samples)
     cal.add_argument("--thresholds",
                      help="explicit threshold sequence, e.g. '0' or '0.5,0.2,0'")
-    _set_handler(cal, _cmd_calibrate)
+    cal.set_defaults(handler=_cmd_calibrate)
 
     rep = commands.add_parser("report", help="plot-ready tables at a fitted theta")
     _add_common(rep)
@@ -553,40 +549,34 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--days", type=int, help="default: empirical length")
     rep.add_argument("--max-lag", type=int, default=50)
     rep.add_argument("--qq-points", type=int, default=report_mod.QQ_POINTS)
-    _set_handler(rep, _cmd_report)
+    rep.set_defaults(handler=_cmd_report)
 
     surf = commands.add_parser("surface", help="2-parameter objective surface")
     _add_common(surf)
     _add_objective_flags(surf)
-    surf.add_argument("--x", help="first parameter name")
-    surf.add_argument("--y", help="second parameter name")
+    surf.add_argument("--x", choices=PARAMETER_NAMES, metavar="X",
+                      help="first parameter name")
+    surf.add_argument("--y", choices=PARAMETER_NAMES, metavar="Y",
+                      help="second parameter name")
     surf.add_argument("--grid", default="10x10", help="grid spec, e.g. 10x10")
     surf.add_argument("--calibration", help="calibration.json supplying the "
                       "fixed base theta (default: bound midpoints)")
-    _set_handler(surf, _cmd_surface)
+    surf.set_defaults(handler=_cmd_surface)
     return parser
 
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s",
                         stream=sys.stderr)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        handler, resolved = _resolve(sys.argv[1:] if argv is None else list(argv))
+        return handler(resolved)
+    except SystemExit as exc:  # argparse: --help, or a bad flag or config value
         return int(exc.code or 0)
-    try:
-        return args.handler(args, args.defaults)
-    except UsageError as exc:
+    except (UsageError, PriceDataError, ParameterError, CalibrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (PriceDataError, ParameterError, CalibrationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (BlowUpError, StatisticError, WeightingError) as exc:
-        print(f"runtime failure: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (BlowUpError, StatisticError, WeightingError, OSError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 1
 

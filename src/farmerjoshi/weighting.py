@@ -56,19 +56,9 @@ class WeightMatrix:
         if eig.min() < -1e-8 * max(lam_max, 1.0):
             raise WeightingError(f"weight matrix not PSD: min eigenvalue {eig.min():.3e}")
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"entries": self.entries.tolist(), "metadata": self.metadata},
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "WeightMatrix":
-        return cls.from_doc(json.loads(text))
-
     @classmethod
     def from_doc(cls, doc: dict) -> "WeightMatrix":
-        """The matrix of a parsed :meth:`to_json` document."""
+        """The matrix of a parsed :meth:`save` document."""
         try:
             return cls(entries=np.array(doc["entries"]), metadata=doc["metadata"])
         except (KeyError, TypeError, ValueError):
@@ -76,11 +66,12 @@ class WeightMatrix:
                                  "and a 'metadata' object") from None
 
     def save(self, path) -> None:
-        write_atomic(path, self.to_json())
+        write_atomic(path, json.dumps(
+            {"entries": self.entries.tolist(), "metadata": self.metadata}, sort_keys=True))
 
     @classmethod
     def load(cls, path) -> "WeightMatrix":
-        return cls.from_json(Path(path).read_text())
+        return cls.from_doc(json.loads(Path(path).read_text()))
 
 
 def _bootstrap_indices(n: int, block_len: int, rng) -> np.ndarray:

@@ -1,4 +1,3 @@
-import argparse
 import json
 
 import numpy as np
@@ -7,7 +6,7 @@ import pytest
 from farmerjoshi import cli
 from farmerjoshi.cli import main
 from farmerjoshi.data_io import load_price_series, log_returns
-from farmerjoshi.market import BlowUpError
+from farmerjoshi.market import DEFAULT_PARAMETERS, BlowUpError
 from farmerjoshi.weighting import cached_weight_matrix
 
 
@@ -75,6 +74,25 @@ class TestSimulateCommand:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"dayz": 60}))
         assert run_cli("simulate", "--config", cfg, "--out", outdir) == 2
+
+    def test_config_value_parsed_as_the_flag(self, outdir, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"days": "50"}))
+        assert run_cli("simulate", "--config", cfg, "--out", outdir) == 0
+        doc = json.loads((outdir / "summary.json").read_text())
+        assert doc["days"] == 50
+
+    def test_command_line_set_replaces_config_set(self, outdir, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"days": 50, "set": ["n_traders=12", "lam=20"]}))
+        assert run_cli("simulate", "--config", cfg, "--out", outdir) == 0
+        doc = json.loads((outdir / "summary.json").read_text())
+        assert (doc["parameters"]["n_traders"], doc["parameters"]["lam"]) == (12, 20)
+        assert run_cli("simulate", "--config", cfg, "--set", "lam=30",
+                       "--out", outdir) == 0
+        doc = json.loads((outdir / "summary.json").read_text())
+        assert doc["parameters"]["lam"] == 30
+        assert doc["parameters"]["n_traders"] == DEFAULT_PARAMETERS.n_traders
 
 
 @pytest.fixture(scope="module")
@@ -233,6 +251,10 @@ class TestCalibrateCommand:
     # rejected before the missing weight matrix is looked for
     ("--bounds", '{"lam": [50, 5]}', "bounds for lam"),
     ("--calibration", '{"theta": 5, "variant": "adaptive"}', "input.json"),
+    # model parameters that are not numbers
+    ("--params", '{"lam": "x"}', "lam"),
+    ("--calibration", '{"theta": {"lam": "x"}, "variant": "adaptive"}', "lam"),
+    ("--calibration", '{"theta": {"n_traders": "10"}, "variant": "adaptive"}', "n_traders"),
 ])
 def test_bad_json_input_usage_error(flag, content, expected, empirical_csv_session,
                                     tmp_path, capsys):
@@ -270,16 +292,6 @@ def test_bad_input_usage_error(argv, weights, expected, empirical_csv_session,
 COMMANDS = ("simulate", "calibrate", "report", "surface")
 
 
-@pytest.mark.parametrize("command", COMMANDS)
-def test_flags_match_defaults(command):
-    # _resolve overlays the parsed flags on the defaults dict, key for key
-    (commands,) = [a for a in cli.build_parser()._actions
-                   if isinstance(a, argparse._SubParsersAction)]
-    sub = commands.choices[command]
-    dests = {a.dest for a in sub._actions if a.dest != "help"}
-    assert dests == set(sub.get_default("defaults"))
-
-
 #: One argv per command, its resolved config and that config's hash, which
 #: every output's ``meta`` block carries.
 RESOLVED = {
@@ -315,10 +327,33 @@ RESOLVED = {
 @pytest.mark.parametrize("command", COMMANDS)
 def test_resolved_config_pinned(command):
     argv, expected, digest = RESOLVED[command]
-    args = cli.build_parser().parse_args(argv)
-    resolved = cli._resolve(args, args.defaults)
+    _, resolved = cli._resolve(argv)
     assert resolved == expected
     assert cli.config_hash(resolved) == digest
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_config_file_equals_flags(command, tmp_path):
+    # a config file of the argv's non-default values resolves as the argv does
+    argv, expected, digest = RESOLVED[command]
+    _, defaults = cli._resolve([command])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({k: v for k, v in expected.items() if v != defaults[k]}))
+    _, resolved = cli._resolve([command, "--config", str(cfg)])
+    assert resolved == expected
+    assert cli.config_hash(resolved) == digest
+
+
+@pytest.mark.parametrize("command, value, expected", [
+    ("simulate", {"days": 50.7}, "--days"),
+    ("simulate", {"variant": "adaptiv"}, "--variant"),
+    ("surface", {"x": "lamda", "y": "a"}, "--x"),
+])
+def test_config_value_rejected_as_the_flag(command, value, expected, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(value))
+    assert run_cli(command, "--config", cfg, "--out", tmp_path / "out") == 2
+    assert expected in capsys.readouterr().err
 
 
 class TestReportCommand:
