@@ -255,11 +255,16 @@ def _weight_matrix(resolved: dict, emp_returns: ReturnSeries, out: Path) -> Weig
     settings = (resolved["block_len"], resolved["bootstrap_replicates"],
                 resolved["bootstrap_seed"])
     cached = cache_path(cache_dir, emp_returns, *settings)
-    if not cached.exists():
-        if not resolved.get("bootstrap"):
+    if not resolved.get("bootstrap"):
+        if not cached.exists():
             raise UsageError(
                 f"no cached weight matrix at {cached}; pass --bootstrap to build one "
                 "or --weights FILE to load one")
+        try:
+            return WeightMatrix.load(cached)
+        except WeightingError as exc:
+            raise UsageError(f"{exc}; pass --bootstrap to rebuild it") from None
+    if not cached.exists():
         logger.info("bootstrapping weight matrix into %s", cached)
     return cached_weight_matrix(emp_returns, cache_dir, *settings)
 

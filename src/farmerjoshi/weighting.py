@@ -71,7 +71,12 @@ class WeightMatrix:
 
     @classmethod
     def load(cls, path) -> "WeightMatrix":
-        return cls.from_doc(json.loads(Path(path).read_text()))
+        """The matrix :meth:`save` wrote to ``path``; a damaged file is a
+        WeightingError naming it."""
+        try:
+            return cls.from_doc(json.loads(Path(path).read_text()))
+        except (ValueError, WeightingError) as exc:  # ValueError: bad JSON or UTF-8
+            raise WeightingError(f"weight matrix file {path}: {exc}") from None
 
 
 def _bootstrap_indices(n: int, block_len: int, rng) -> np.ndarray:
@@ -173,10 +178,14 @@ def cache_path(cache_dir, r_emp, block_len: int, replicates: int, seed: int) -> 
 def cached_weight_matrix(r_emp, cache_dir, block_len: int = DEFAULT_BLOCK_LEN,
                          replicates: int = DEFAULT_REPLICATES,
                          seed: int = 0) -> WeightMatrix:
-    """Load a weight matrix from cache or estimate and cache it."""
+    """Load a weight matrix from cache or estimate and cache it; a damaged
+    cache file counts as a miss and is replaced."""
     path = cache_path(cache_dir, r_emp, block_len, replicates, seed)
     if path.exists():
-        return WeightMatrix.load(path)
+        try:
+            return WeightMatrix.load(path)
+        except WeightingError:
+            pass
     wm = estimate_weight_matrix(r_emp, block_len, replicates, seed)
     wm.save(path)
     return wm

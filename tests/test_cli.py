@@ -138,6 +138,21 @@ class TestCalibrateCommand:
                        "--out", outdir, "--optimizer", "ga")
         assert code == 2
 
+    def test_damaged_cache_exits_2_and_bootstrap_rebuilds_it(self, calibrated, tmp_path,
+                                                             empirical_csv_session, capsys):
+        (good,) = (calibrated / "weights-cache").glob("weights-*.json")
+        damaged = tmp_path / "cache" / good.name
+        damaged.parent.mkdir()
+        damaged.write_text(good.read_text()[:40])
+        args = ["calibrate", "--empirical", empirical_csv_session, "--variant", "adaptive",
+                "--cache-dir", damaged.parent, "--bootstrap-replicates", 40,
+                "--block-len", 50, "--population", 6, "--generations", 1,
+                "--objective-sims", 1, "--sim-days", 300, "--seed", 3]
+        assert run_cli(*args, "--out", tmp_path / "a") == 2
+        assert str(damaged) in capsys.readouterr().err
+        assert run_cli(*args, "--bootstrap", "--out", tmp_path / "b") == 0
+        assert damaged.read_text() == good.read_text()
+
     def test_unknown_optimizer_usage_error(self, empirical_csv_session, outdir):
         code = run_cli("calibrate", "--empirical", empirical_csv_session,
                        "--optimizer", "gradient", "--out", outdir)

@@ -52,11 +52,12 @@ def run_fresh(code: str, **env_changes) -> dict:
     return json.loads(out.splitlines()[-1])
 
 
-def test_cli_import_leaves_out_scipy_signal_and_stats():
+def test_cli_import_leaves_out_unused_scipy_subpackages():
     loaded = run_fresh("import json, sys, farmerjoshi.cli\n"
                        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))")
-    assert "scipy.optimize" in loaded  # the check sees scipy at all
-    assert [m for m in loaded if m.startswith(("scipy.signal", "scipy.stats"))] == []
+    assert "scipy.linalg" in loaded  # the check sees scipy at all
+    unused = ("scipy.optimize", "scipy.signal", "scipy.sparse", "scipy.spatial", "scipy.stats")
+    assert [m for m in loaded if m.startswith(unused)] == []
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps")

@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -151,6 +152,20 @@ class TestCache:
         wm2 = cached_weight_matrix(clustered_returns, tmp_path, 50, 12, seed=4)
         assert np.array_equal(wm1.entries, wm2.entries)
         assert list(tmp_path.glob("weights-*.json")) == files
+
+    @pytest.mark.parametrize("damage", [b'{"entries": [[0.5, ', b"\xff\xfe{}"],
+                             ids=["truncated", "not-utf8"])
+    def test_damaged_cache_file_is_named_then_rebuilt(self, clustered_returns, tmp_path,
+                                                     damage):
+        wm = cached_weight_matrix(clustered_returns, tmp_path, 50, 12, seed=4)
+        (path,) = tmp_path.glob("weights-*.json")
+        good = path.read_bytes()
+        path.write_bytes(damage)
+        with pytest.raises(WeightingError, match=re.escape(str(path))):
+            WeightMatrix.load(path)
+        rebuilt = cached_weight_matrix(clustered_returns, tmp_path, 50, 12, seed=4)
+        assert np.array_equal(rebuilt.entries, wm.entries)
+        assert path.read_bytes() == good
 
     def test_failed_save_leaves_no_cache_file(self, tmp_path, monkeypatch):
         def failing_replace(src, dst):
