@@ -35,8 +35,9 @@ which ran the three starts one after another, by the package's own bounded
 BFGS search, which runs them together: each of its iterations is one
 objective call over the live starts, stacked in one banded solve. It stops
 where L-BFGS-B's rules say, with a relative decrease of 1e-9 (L-BFGS-B's
-default is 2.2e-9), so a fitted persistence moves in its last digits, by
-more than 1e-4 on under 1% of series and only where the NLL falls.
+default is 2.2e-9) counted only after a step that reached near the line's
+minimum, so a fitted persistence moves in its last digits, by more than
+1e-4 on under 1% of series and only where the NLL falls.
 """
 
 from __future__ import annotations
@@ -302,15 +303,29 @@ _GARCH_START_POINTS = np.array([[0.0, 1.0 - a - b, a + b, a / (a + b)]
 
 # The search's stopping rules are L-BFGS-B's: the projected gradient's
 # largest entry at most _GARCH_PGTOL, or one step's decrease of the NLL at
-# most _GARCH_FTOL relative to it. A variable within min(_GARCH_ACTIVE, that
-# entry) of a bound its gradient pushes it out of is held (see _BoundedBFGS).
+# most _GARCH_FTOL relative to it. The decrease rule counts only a step at
+# whose end the NLL's slope along it is at most _CURVATURE of its slope at
+# the start: a shorter step, such as one from a Hessian approximation still
+# scaled by a first, heavily backtracked step, can make a tiny decrease far
+# from any minimum. A variable within min(_GARCH_ACTIVE, that entry) of a
+# bound its gradient pushes it out of is held (see _BoundedBFGS).
 _GARCH_PGTOL = 1e-5
 _GARCH_FTOL = 1e-9
 _GARCH_ACTIVE = 1e-3
 _GARCH_MAX_EVALS = 500
 _ARMIJO = 1e-4
+_CURVATURE = 0.1
 _MAX_BACKTRACKS = 20
 _EPS = float(np.finfo(float).eps)
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot product of each row of ``a`` with the same row of ``b``.
+
+    A stack of (1, n) @ (n, 1) products, each one BLAS dot of its own row
+    (``np.vecdot`` does the same but needs NumPy 2).
+    """
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
 def _garch_objective(theta: np.ndarray, y: np.ndarray,
@@ -358,12 +373,12 @@ def _garch_objective(theta: np.ndarray, y: np.ndarray,
     adjoint = dtbsv(1, band, lam_rhs.reshape(-1), lower=1, trans=1, diag=1,
                     overwrite_x=1).reshape(k, n)
     lam = adjoint[:, 1:]
-    g_alpha = np.vecdot(lam, e2[:, :-1])
-    g_beta = np.vecdot(lam, sigma2[:, :-1])
+    g_alpha = _row_dots(lam, e2[:, :-1])
+    g_beta = _row_dots(lam, sigma2[:, :-1])
     grad = np.empty((k, 4))
     # mu moves every e[t] and, through mean(e2), the initial variance.
-    grad[:, 0] = (-2.0 * (alpha * np.vecdot(lam, e[:, :-1]) + adjoint[:, 0] * e.sum(axis=1) / n)
-                  - np.vecdot(e, inv))
+    grad[:, 0] = (-2.0 * (alpha * _row_dots(lam, e[:, :-1]) + adjoint[:, 0] * e.sum(axis=1) / n)
+                  - _row_dots(e, inv))
     grad[:, 1] = lam.sum(axis=1)
     grad[:, 2] = s * g_alpha + (1.0 - s) * g_beta
     grad[:, 3] = p * (g_alpha - g_beta)
@@ -431,10 +446,14 @@ class _BoundedBFGS:
         slope = min(float(self.g.dot(step)), 0.0)
         if f <= self.f + _ARMIJO * slope:
             decrease = (self.f - f) / max(abs(self.f), abs(f), 1.0)
+            # A step that ends with the NLL still falling along it at more
+            # than _CURVATURE of its first slope fell short of the line's
+            # minimum, so its small decrease says nothing of convergence.
+            flattened = float(g.dot(step)) >= _CURVATURE * slope
             self._update(step, g - self.g)
             self.x, self.f, self.g = self.x_trial, f, g
-            return (decrease > _GARCH_FTOL and self.evals < _GARCH_MAX_EVALS
-                    and self._new_direction())
+            return ((decrease > _GARCH_FTOL or not flattened)
+                    and self.evals < _GARCH_MAX_EVALS and self._new_direction())
         self.backtracks += 1
         if self.evals >= _GARCH_MAX_EVALS:
             return False

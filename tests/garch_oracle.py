@@ -281,8 +281,10 @@ def gradient_fit_rows(series: dict, version: int = 3) -> dict:
 
 def gradient_fit_verdict(rows: dict) -> dict:
     """Shares of agreeing BIC decisions and of |dp| <= VERSION3_P_TOL, the
-    series with a larger |dp| whose NLL rose, median GARCH seconds, and
-    whether the criteria (including no slower median) are met."""
+    series with a larger |dp| whose NLL rose, median GARCH seconds, whether
+    the accuracy criteria are met (``met``) and whether the library's median
+    is no slower (``no_slower``). The timing is kept apart because it reads
+    the load on the host as well as the fit."""
     dp = {name: abs(r["p_new"] - r["p_old"]) for name, r in rows.items()}
     verdict = {
         "agree": float(np.mean([(r["p_new"] == 0.0) == (r["p_old"] == 0.0)
@@ -294,12 +296,14 @@ def gradient_fit_verdict(rows: dict) -> dict:
         "s_new": float(np.median([r["s_new"] for r in rows.values()])),
     }
     verdict["met"] = (verdict["agree"] >= VERSION3_SHARE and verdict["close"] >= VERSION3_SHARE
-                      and not verdict["worse"] and verdict["s_new"] <= verdict["s_old"])
+                      and not verdict["worse"])
+    verdict["no_slower"] = verdict["s_new"] <= verdict["s_old"]
     return verdict
 
 
 def gradient_fit_study(per_kind: int = 44, version: int = 3) -> bool:
-    """Print the library fit against version 3 (or 2); True if the criteria are met."""
+    """Print the library fit against version 3 (or 2); True if the accuracy
+    and timing criteria are both met."""
     rows = gradient_fit_rows(equivalence_series(per_kind, seed=1), version)
     verdict = gradient_fit_verdict(rows)
     dp = np.array([abs(r["p_new"] - r["p_old"]) for r in rows.values()])
@@ -315,8 +319,9 @@ def gradient_fit_study(per_kind: int = 44, version: int = 3) -> bool:
     print(f"median GARCH time per series: version {version} "
           f"{1e3 * verdict['s_old']:.2f} ms, library {1e3 * verdict['s_new']:.2f} ms "
           f"({verdict['s_old'] / verdict['s_new']:.2f}x)")
-    print(f"criteria {'met' if verdict['met'] else 'NOT met'}")
-    return verdict["met"]
+    print(f"accuracy criteria {'met' if verdict['met'] else 'NOT met'}, "
+          f"median time {'no slower' if verdict['no_slower'] else 'SLOWER'}")
+    return verdict["met"] and verdict["no_slower"]
 
 
 if __name__ == "__main__":

@@ -329,17 +329,24 @@ class TestGarchAgainstVersion2:
                                            backward, rtol=1e-13)
 
 
+@pytest.fixture(scope="module")
+def series_44():
+    return equivalence_series(44, seed=1)
+
+
 class TestGarchAgainstVersion3:
     """The stacked bounded BFGS of version 4 against version 3's L-BFGS-B."""
 
-    def test_fits_meet_the_fixed_criteria(self):
+    def test_fits_meet_the_fixed_criteria(self, series_44):
         """Fixed before the first run, on ``equivalence_series(44, seed=1)``
         (220 series): the BIC decisions agree on at least 99% of the series;
         |dp| <= 1e-4 on at least 99%; on every series with a larger |dp| the
         version-4 NLL is at most version 3's; and the median GARCH time per
         series, with the two fits run alternately first, is no slower than
-        version 3's."""
-        rows = gradient_fit_rows(equivalence_series(44, seed=1))
+        version 3's. Wall-clock time on a shared host also reads the other
+        processes' load, so the suite asserts the accuracy criteria and
+        ``python tests/garch_oracle.py --version 3`` reports the timing."""
+        rows = gradient_fit_rows(series_44)
         assert len(rows) == 220
         verdict = gradient_fit_verdict(rows)
         assert verdict["met"], verdict
@@ -391,6 +398,21 @@ class TestGarchSearch:
             assert x[index] == bound
             projected = np.clip(x - g, _GARCH_LOWER, _GARCH_UPPER) - x
             assert np.abs(projected).max() <= _GARCH_PGTOL
+
+    @pytest.mark.parametrize("name, start", [
+        ("standard/29", 0), ("standard/32", 2), ("garch/36", 0),
+    ])
+    def test_a_lone_start_reaches_the_optimum(self, series_44, name, start):
+        # Each of these starts, alone, once stopped on a tiny decrease after
+        # a short step, at an NLL 1.2 to 163 above the optimum that the
+        # other starts reach (at p = 0.076 on standard/29, where a plateau
+        # also stops L-BFGS-B).
+        y = self.standardized(series_44[name])
+        optimum = min(search.f for search in _garch_search(y, _GARCH_START_POINTS))
+        lone = _garch_search(y, _GARCH_START_POINTS[start:start + 1])[0]
+        projected = np.clip(lone.x - lone.g, _GARCH_LOWER, _GARCH_UPPER) - lone.x
+        assert (np.abs(projected).max() <= _GARCH_PGTOL
+                or lone.f <= optimum + 1e-6)
 
     def test_each_start_equals_its_lone_search(self):
         for x in equivalence_series(2, seed=1).values():
