@@ -10,7 +10,7 @@ to a large penalty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from numbers import Real
 
 import numpy as np
@@ -36,16 +36,14 @@ from farmerjoshi.weighting import WeightMatrix
 
 PENALTY_FITNESS = 1e12
 
-#: Free parameters in calibration order, the adaptive-only ones last.
-PARAMETER_NAMES = (
-    "n_traders", "lam", "a", "d_min", "d_max", "mu_eta", "sigma_eta",
-    "sigma_zeta", "T_min", "T_max", "tau_min", "tau_max", "v_min", "v_max",
-    "gamma", "horizon",
-)
+#: Free parameters in calibration order: ModelParameters' fields, the
+#: adaptive-only ones last.
+PARAMETER_NAMES = tuple(f.name for f in fields(ModelParameters))
 #: The switching parameters, which the standard variant does not read.
 ADAPTIVE_ONLY = PARAMETER_NAMES[-2:]
-
-INTEGRAL_PARAMETERS = frozenset({"n_traders", "d_min", "d_max", "horizon"})
+#: The fields ModelParameters declares ``int``.
+INTEGRAL_PARAMETERS = frozenset(f.name for f in fields(ModelParameters)
+                                if f.type in (int, "int"))
 
 
 def model_parameters(values: dict) -> ModelParameters:
@@ -87,6 +85,15 @@ _ORDERED_PAIRS = (("d_min", "d_max"), ("T_min", "T_max"),
 
 class CalibrationError(RuntimeError):
     """Raised when a calibration step cannot proceed."""
+
+
+class ReplicationError(CalibrationError):
+    """Fewer than two replication runs succeeded; ``failures`` holds the
+    ReplicationFailure of every run."""
+
+    def __init__(self, message: str, failures: tuple):
+        super().__init__(message)
+        self.failures = failures
 
 
 @dataclass(frozen=True)
@@ -307,10 +314,10 @@ class ReplicationSummary:
     """Point estimates (best-fitness run) and 95% intervals across runs."""
 
     names: tuple
-    point: np.ndarray
+    #: The run of least fitness, the first of them on a tie.
+    best: CalibrationResult
     lower: np.ndarray
     upper: np.ndarray
-    fitness_point: float
     fitness_lower: float
     fitness_upper: float
     runs_requested: int
@@ -318,6 +325,14 @@ class ReplicationSummary:
     seeds: tuple
     #: The runs that failed, in seed order.
     failures: tuple[ReplicationFailure, ...] = ()
+
+    @property
+    def point(self) -> np.ndarray:
+        return self.best.theta
+
+    @property
+    def fitness_point(self) -> float:
+        return float(self.best.fitness)
 
     def rows(self):
         yield ("parameter", "point", "lower_95", "upper_95")
@@ -334,63 +349,44 @@ def percentile_interval(samples) -> tuple:
     return (float(np.percentile(arr, 2.5)), float(np.percentile(arr, 97.5)))
 
 
-def run_replications(run_one, runs: int, seed: int = 0
-                     ) -> tuple[list[CalibrationResult], list[int], list[ReplicationFailure]]:
-    """Run ``run_one(seed_i)`` over distinct derived seeds.
+def replicate_calibrations(run_one, space: ParameterSpace, runs: int,
+                           seed: int = 0) -> ReplicationSummary:
+    """Repeat ``run_one(seed_i)`` with distinct derived seeds and summarize.
 
-    Returns the results of the runs that succeeded, every run's seed and a
-    ReplicationFailure for each run that raised one of the model's domain
-    errors; any other exception is a fault in the program and propagates.
+    ``run_one`` maps an integer seed to a CalibrationResult. A run that
+    raises one of the model's domain errors is excluded from the estimates
+    (``runs_succeeded`` falls short of ``runs_requested``) and recorded in
+    ``failures``; any other exception is a fault in the program and
+    propagates. Fewer than two successes raise ReplicationError.
     """
     if runs < 2:
         raise CalibrationError("need at least 2 replication runs")
-    run_seeds = [int(s) for s in np.random.SeedSequence(seed).generate_state(runs)]
+    run_seeds = tuple(int(s) for s in np.random.SeedSequence(seed).generate_state(runs))
     results, failures = [], []
     for s in run_seeds:
         try:
             results.append(run_one(s))
         except (CalibrationError, BlowUpError, StatisticError, ParameterError) as exc:
             failures.append(ReplicationFailure(s, type(exc).__name__, str(exc)))
-    return results, run_seeds, failures
-
-
-def summarize_replications(results: list[CalibrationResult], space: ParameterSpace,
-                           runs_requested: int, seeds, failures=()) -> ReplicationSummary:
-    """Point estimate from the best-fitness run, 95% intervals across runs."""
     if len(results) < 2:
-        raise CalibrationError(
-            f"only {len(results)}/{runs_requested} calibration runs succeeded")
+        raise ReplicationError(f"only {len(results)}/{runs} calibration runs succeeded",
+                               tuple(failures))
     thetas = np.array([r.theta for r in results])
     fits = np.array([r.fitness for r in results])
-    best = int(np.argmin(fits))
     lo, hi = np.percentile(thetas, [2.5, 97.5], axis=0)
     f_lo, f_hi = percentile_interval(fits)
     return ReplicationSummary(
         names=space.names,
-        point=thetas[best],
+        best=results[int(np.argmin(fits))],
         lower=lo,
         upper=hi,
-        fitness_point=float(fits[best]),
         fitness_lower=f_lo,
         fitness_upper=f_hi,
-        runs_requested=runs_requested,
+        runs_requested=runs,
         runs_succeeded=len(results),
-        seeds=tuple(seeds),
+        seeds=run_seeds,
         failures=tuple(failures),
     )
-
-
-def replicate_calibrations(run_one, space: ParameterSpace, runs: int,
-                           seed: int = 0) -> ReplicationSummary:
-    """Repeat ``run_one(seed_i)`` with distinct derived seeds and summarize.
-
-    ``run_one`` maps an integer seed to a CalibrationResult. Failing runs
-    are excluded from the estimates (``runs_succeeded`` falls short of
-    ``runs_requested``) and recorded in ``failures``; at least two must
-    succeed.
-    """
-    results, run_seeds, failures = run_replications(run_one, runs, seed)
-    return summarize_replications(results, space, runs, run_seeds, failures)
 
 
 def surface_scan(objective, space: ParameterSpace, name_x: str, name_y: str,

@@ -41,11 +41,11 @@ from farmerjoshi.calibration import (
     CalibrationError,
     ObjectiveConfig,
     ParameterSpace,
+    ReplicationError,
     make_objective,
     model_parameters,
+    replicate_calibrations,
     run_optimizer,
-    run_replications,
-    summarize_replications,
     surface_scan,
 )
 from farmerjoshi.data_io import (
@@ -193,13 +193,12 @@ def _parse_params(resolved: dict) -> ModelParameters:
 def _model_parameters(values: dict, context: str) -> ModelParameters:
     """calibration.model_parameters of the defaults updated by ``values``; an
     unknown name or a ParameterError is a UsageError."""
-    defaults = dataclasses.asdict(DEFAULT_PARAMETERS)
-    unknown = set(values) - set(defaults)
+    unknown = set(values) - set(PARAMETER_NAMES)
     if unknown:
         raise UsageError(f"{context}: unknown parameters {sorted(unknown)}; "
-                         f"valid: {sorted(defaults)}")
+                         f"valid: {sorted(PARAMETER_NAMES)}")
     try:
-        return model_parameters({**defaults, **values})
+        return model_parameters({**dataclasses.asdict(DEFAULT_PARAMETERS), **values})
     except ParameterError as exc:
         raise UsageError(f"{context}: {exc}") from None
 
@@ -254,19 +253,13 @@ def _weight_matrix(resolved: dict, emp_returns: ReturnSeries, out: Path) -> Weig
     cache_dir = resolved.get("cache_dir") or (out / "weights-cache")
     settings = (resolved["block_len"], resolved["bootstrap_replicates"],
                 resolved["bootstrap_seed"])
-    cached = cache_path(cache_dir, emp_returns, *settings)
-    if not resolved.get("bootstrap"):
-        if not cached.exists():
-            raise UsageError(
-                f"no cached weight matrix at {cached}; pass --bootstrap to build one "
-                "or --weights FILE to load one")
-        try:
-            return WeightMatrix.load(cached)
-        except WeightingError as exc:
-            raise UsageError(f"{exc}; pass --bootstrap to rebuild it") from None
-    if not cached.exists():
-        logger.info("bootstrapping weight matrix into %s", cached)
-    return cached_weight_matrix(emp_returns, cache_dir, *settings)
+    if resolved.get("bootstrap"):
+        return cached_weight_matrix(emp_returns, cache_dir, *settings)
+    try:
+        return WeightMatrix.load(cache_path(cache_dir, emp_returns, *settings))
+    except WeightingError as exc:
+        raise UsageError(f"{exc}; pass --bootstrap to build it "
+                         "or --weights FILE to load one") from None
 
 
 def _objective_setup(resolved: dict, out: Path, include_inert: bool = False) -> ObjectiveConfig:
@@ -350,24 +343,27 @@ def _cmd_calibrate(resolved: dict) -> int:
     replications = resolved["replications"]
     if replications and replications >= 2:
         logger.info("running %d replicate calibrations (%s)", replications, optimizer)
-        results, run_seeds, failures = run_replications(run_one, replications,
-                                                        seed=resolved["seed"])
+        error = None
+        try:
+            summary = replicate_calibrations(run_one, space, replications,
+                                             seed=resolved["seed"])
+            failures = summary.failures
+        except ReplicationError as exc:
+            error, failures = exc, exc.failures
         for failure in failures:
             logger.warning("replication with seed %d failed: %s: %s",
                            failure.seed, failure.error, failure.message)
-        extra = {"runs_succeeded": len(results),
+        extra = {"runs_succeeded": replications - len(failures),
                  "replication_failures": [dataclasses.asdict(f) for f in failures]}
-        try:
-            summary = summarize_replications(results, space, replications, run_seeds, failures)
-        except CalibrationError as exc:
+        if error is not None:
             # Too few runs succeeded: keep their failures, then fail the command.
             write_json(out / "calibration.json", {"optimizer": optimizer,
                                                   "variant": space.variant,
                                                   **extra, **objective_doc}, meta)
-            print(f"runtime failure: {exc}", file=sys.stderr)
+            print(f"runtime failure: {error}", file=sys.stderr)
             return 1
         write_csv(out / "replication_summary.csv", summary.rows(), meta)
-        result = min(results, key=lambda r: r.fitness)
+        result = summary.best
         logger.info("best of %d replications: fitness %.6g",
                     summary.runs_succeeded, result.fitness)
     else:

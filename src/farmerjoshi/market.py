@@ -345,9 +345,10 @@ class _Runs:
     of days in one loop and writes the outputs in place: log prices
     (``d_max`` columns of p0 in front, so chartist lags are defined from day
     one; column ``d_max + t`` holds p_t), log returns, chartist counts and
-    strategy profits. Of the shadow positions it keeps, when ``shadows`` is
-    set, only a window of the last ``horizon + 1`` days or more that slides
-    every BLOCK_DAYS days; window row j holds day ``base + j``.
+    strategy profits. Of the shadow positions, which only the adaptive
+    variant keeps, it keeps a window of the last ``horizon + 1`` days or
+    more that slides every BLOCK_DAYS days; window row j holds day
+    ``base + j``.
 
     The rows are fixed when the runs are drawn, and the variant by
     :meth:`_start` before the first block; nothing reshapes or restarts
@@ -355,7 +356,7 @@ class _Runs:
     run.
     """
 
-    def __init__(self, params: ModelParameters, p0: float, seeds, days: int, shadows: bool):
+    def __init__(self, params: ModelParameters, p0: float, seeds, days: int):
         params.validate()
         n, n_runs = params.n_traders, len(seeds)
         self.params = params
@@ -381,8 +382,8 @@ class _Runs:
         split = np.arange(n) >= params.n_fundamentalists()
         self.is_chartist = np.tile(split, (n_runs, 1))
         self.pos_actual = np.zeros((n_runs, n))
-        self.shadow_window = (np.zeros((n_runs, 2, self.rows, n)) if shadows
-                              else None)
+        #: The adaptive variant's shadow positions, built by :meth:`_start`.
+        self.shadow_window = None
         self.prices = np.full((n_runs, params.d_max + days + 1), float(p0))
         self.returns = np.zeros((n_runs, days))
         self.n_chart = np.full((n_runs, days), n - params.n_fundamentalists())
@@ -412,6 +413,7 @@ class _Runs:
         n_runs, n = self.pos_actual.shape
         block = min(BLOCK_DAYS, self.returns.shape[1])
         if adaptive:
+            self.shadow_window = np.zeros((n_runs, 2, self.rows, n))
             layout = [np.repeat(x[:, None, :], 2, axis=1)
                       for x in (self.entry, self.exit, self.capital)]
             self.positions = _Positions(*layout)
@@ -458,6 +460,8 @@ class _Runs:
         each day before it redraws the strategies.
         """
         t = self.day
+        if not t:  # the runs may not have started, so have no window yet
+            return np.zeros((len(self.returns), 2, self.params.n_traders))
         k = max(0, t - self.params.horizon)
         dp = self.returns[:, None, None, k:t]
         window = self.shadow_window[:, :, k - self.base : t - self.base]
@@ -614,7 +618,7 @@ class MarketState:
 
     def __init__(self, params: ModelParameters, p0: float, seed: int):
         # outputs for one day; they double when full (blocks stay one day long)
-        self._runs = _Runs(params, p0, [seed], 1, shadows=True)
+        self._runs = _Runs(params, p0, [seed], 1)
         self.params_echo = params
         self.seed = seed
         self.pad = params.d_max
@@ -632,12 +636,15 @@ class MarketState:
         return self._runs.prices[0, self.pad : self.pad + self.day + 1].copy()
 
     def _shadows(self, t: int) -> np.ndarray:
-        """Both strategies' shadow positions held after day t, (2, N)."""
+        """Both strategies' shadow positions held after day t, (2, N), for
+        the last ``horizon + 1`` days."""
         r = self._runs
-        if not r.base <= t <= r.day:
-            raise IndexError(f"day {t} is outside the kept window "
-                             f"{r.base}..{r.day}")
+        first = max(0, r.day - r.params.horizon)
+        if not first <= t <= r.day:
+            raise IndexError(f"day {t} is outside the kept days {first}..{r.day}")
         self._require_shadows()
+        if r.shadow_window is None:  # no step yet: every shadow position is flat
+            return np.zeros((2, r.params.n_traders))
         return r.shadow_window[0, :, t - r.base]
 
     def _require_shadows(self) -> None:
@@ -723,7 +730,7 @@ def simulate_batch(params: ModelParameters, variant: Variant, days: int,
         raise ParameterError(f"unknown variant {variant!r}")
     seeds = [int(s) for s in seeds]
     adaptive = variant == "adaptive"
-    runs = _Runs(params, p0, seeds, days, shadows=adaptive)
+    runs = _Runs(params, p0, seeds, days)
     runs._start(adaptive)
     n = params.n_traders
     n_eta = n if adaptive else params.n_fundamentalists()

@@ -12,7 +12,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from farmerjoshi.market import SimulationOutput
-from farmerjoshi.stats import MOMENT_NAMES, MomentVector, acf
+from farmerjoshi.stats import MOMENT_NAMES, MomentVector, _values, acf
 
 #: Plotting positions in the normal-QQ table.
 QQ_POINTS = 99
@@ -42,8 +42,7 @@ def return_path_rows(outputs: list[SimulationOutput], emp_returns=None):
     """Log-return paths: one sample path plus percentile bands."""
     paths = np.array([o.log_returns for o in outputs])
     lo, hi = np.percentile(paths, [2.5, 97.5], axis=0)
-    emp = None if emp_returns is None else np.asarray(
-        getattr(emp_returns, "values", emp_returns), dtype=float)
+    emp = None if emp_returns is None else _values(emp_returns)
     header = ["day", "path_0", "band_lower", "band_upper"]
     if emp is not None:
         header.append("empirical")
@@ -62,7 +61,7 @@ def acf_rows(outputs: list[SimulationOutput], emp_returns, max_lag: int):
     simulations; the band column is 1.96/sqrt(T) for the simulated
     length.
     """
-    emp = np.asarray(getattr(emp_returns, "values", emp_returns), dtype=float)
+    emp = _values(emp_returns)
     emp_r = acf(emp, max_lag)
     emp_abs = acf(np.abs(emp), max_lag)
     sim_r = np.array([acf(o.log_returns, max_lag) for o in outputs])
@@ -86,7 +85,7 @@ def qq_rows(outputs: list[SimulationOutput], emp_returns, points: int = QQ_POINT
     Quantiles are taken at evenly spaced plotting positions; the
     theoretical column is the standard-normal quantile.
     """
-    emp = np.asarray(getattr(emp_returns, "values", emp_returns), dtype=float)
+    emp = _values(emp_returns)
     probs = (np.arange(1, points + 1) - 0.5) / points
     theo = ndtri(probs)
     emp_q = np.quantile(emp, probs)

@@ -24,25 +24,11 @@ Conventions frozen here because the calibration target must be stable:
   reports the index itself (larger = thinner tail), not its reciprocal.
 
 MOMENTS_VERSION numbers these conventions; caches of anything computed from
-the moments (the bootstrap weight matrix) key on it. Version 1 fitted the
-GARCH(1,1) by three Nelder-Mead searches, which sometimes stopped short of
-the optimum; version 2 is the gradient fit above. Version 3 computes the
-fit's variance recursion as a BLAS banded triangular solve (``dtbsv``);
-a BLAS kernel may fuse each step's multiply-add into one rounding where
-version 2's ``lfilter`` rounded twice, so the last bits of a fitted
-persistence follow the BLAS kernel. Version 4 replaces scipy's L-BFGS-B,
-which ran the three starts one after another, by the package's own bounded
-BFGS search, which runs them together: each of its iterations is one
-objective call over the live starts, stacked in one banded solve. It stops
-where L-BFGS-B's rules say, with a relative decrease of 1e-9 (L-BFGS-B's
-default is 2.2e-9) counted only after a step that reached near the line's
-minimum, so a fitted persistence moves in its last digits, by more than
-1e-4 on under 1% of series and only where the NLL falls. Version 5 runs
-the same search with its 4-vectors and 4x4 matrix in Python floats, not
-NumPy calls. NumPy's 4-element ``dot`` rounds as a chain of fused
-multiply-adds, which Python cannot repeat before ``math.fma`` (3.13), so a
-fitted persistence moves in its last bits (at most 3e-9 over the 220
-series of ``tests/garch_oracle.py``, every BIC decision the same).
+the moments (the bootstrap weight matrix) key on it. Bump it when a change
+moves a statistic's value, even in its last bits; the banded BLAS solve and
+the search's Python-float arithmetic both set the last bits of a fitted
+persistence. README's "Statistic conventions and their version" section
+says what each version changed.
 """
 
 from __future__ import annotations

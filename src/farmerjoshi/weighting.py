@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from farmerjoshi.data_io import ReturnSeries, write_atomic
-from farmerjoshi.stats import MOMENTS_VERSION, N_MOMENTS, StatisticError, moment_vector
+from farmerjoshi.stats import MOMENTS_VERSION, N_MOMENTS, StatisticError, _values, moment_vector
 
 #: Condition number above which the covariance is pseudo-inverted.
 CONDITION_CUTOFF = 1e12
@@ -71,10 +71,12 @@ class WeightMatrix:
 
     @classmethod
     def load(cls, path) -> "WeightMatrix":
-        """The matrix :meth:`save` wrote to ``path``; a damaged file is a
-        WeightingError naming it."""
+        """The matrix :meth:`save` wrote to ``path``; a missing or damaged file
+        is a WeightingError naming it."""
         try:
             return cls.from_doc(json.loads(Path(path).read_text()))
+        except FileNotFoundError:
+            raise WeightingError(f"no weight matrix file at {path}") from None
         except (ValueError, WeightingError) as exc:  # ValueError: bad JSON or UTF-8
             raise WeightingError(f"weight matrix file {path}: {exc}") from None
 
@@ -88,7 +90,7 @@ def _bootstrap_indices(n: int, block_len: int, rng) -> np.ndarray:
 
 def moving_block_bootstrap(r, block_len: int, seed: int) -> ReturnSeries:
     """One bootstrap replicate of a return series."""
-    values = np.asarray(getattr(r, "values", r), dtype=float)
+    values = _values(r)
     n = len(values)
     if block_len < 2:
         raise WeightingError("block_len must be >= 2")
@@ -161,7 +163,7 @@ def cache_key(r_emp, block_len: int, replicates: int, seed: int) -> str:
     It hashes the statistic conventions' version with the inputs, so a
     matrix cached under other conventions is never reused.
     """
-    values = np.asarray(getattr(r_emp, "values", r_emp), dtype=float)
+    values = _values(r_emp)
     h = hashlib.sha256()
     h.update(values.tobytes())
     h.update(f"|{block_len}|{replicates}|{seed}|moments-v{MOMENTS_VERSION}".encode())
@@ -178,14 +180,13 @@ def cache_path(cache_dir, r_emp, block_len: int, replicates: int, seed: int) -> 
 def cached_weight_matrix(r_emp, cache_dir, block_len: int = DEFAULT_BLOCK_LEN,
                          replicates: int = DEFAULT_REPLICATES,
                          seed: int = 0) -> WeightMatrix:
-    """Load a weight matrix from cache or estimate and cache it; a damaged
-    cache file counts as a miss and is replaced."""
+    """Load a weight matrix from cache or estimate and cache it; a missing or
+    damaged cache file is a miss, and the estimate replaces it."""
     path = cache_path(cache_dir, r_emp, block_len, replicates, seed)
-    if path.exists():
-        try:
-            return WeightMatrix.load(path)
-        except WeightingError:
-            pass
+    try:
+        return WeightMatrix.load(path)
+    except WeightingError:
+        pass
     wm = estimate_weight_matrix(r_emp, block_len, replicates, seed)
     wm.save(path)
     return wm

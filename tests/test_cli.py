@@ -197,6 +197,10 @@ class TestCalibrateCommand:
         assert len(lines) == 1 + 16 + 1
         doc = json.loads((out / "calibration.json").read_text())
         assert doc["replication_failures"] == [] and doc["runs_succeeded"] == 2
+        # calibration.json holds the run the summary's point column reports
+        point = {row.split(",")[0]: float(row.split(",")[1]) for row in lines[1:]}
+        assert doc["theta"] == {name: point[name] for name in doc["theta"]}
+        assert doc["fitness"] == point["fitness"]
 
     def test_replication_failures_written(self, empirical_csv_session, calibrated,
                                           tmp_path, monkeypatch):

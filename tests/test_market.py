@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from farmerjoshi.market import (
+    BLOCK_DAYS,
     DEFAULT_PARAMETERS,
     BlowUpError,
     MarketState,
@@ -107,6 +108,19 @@ class TestInitSimulation:
                      state.rolling_profits):
             with pytest.raises(RuntimeError, match="standard variant"):
                 read()
+
+    def test_standard_state_keeps_no_shadow_window(self):
+        # enough days that an adaptive state's window would have slid once
+        state = init_simulation(DEFAULT_PARAMETERS, 0.0, seed=3)
+        for _ in range(DEFAULT_PARAMETERS.horizon + BLOCK_DAYS + 1):
+            step_standard(state, DEFAULT_PARAMETERS)
+        assert state._runs.shadow_window is None
+
+    def test_shadow_reads_before_the_first_step_are_flat(self):
+        state = init_simulation(DEFAULT_PARAMETERS, 0.0, seed=3)
+        n = DEFAULT_PARAMETERS.n_traders
+        for read in (state.shadow_fund(0), state.shadow_chart(0), *state.rolling_profits()):
+            assert np.array_equal(read, np.zeros(n))
 
     @pytest.mark.parametrize("first, other", [(step_standard, step_adaptive),
                                               (step_adaptive, step_standard)])

@@ -167,6 +167,11 @@ class TestCache:
         assert np.array_equal(rebuilt.entries, wm.entries)
         assert path.read_bytes() == good
 
+    def test_missing_file_is_named(self, tmp_path):
+        path = tmp_path / "weights-none.json"
+        with pytest.raises(WeightingError, match=re.escape(str(path))):
+            WeightMatrix.load(path)
+
     def test_failed_save_leaves_no_cache_file(self, tmp_path, monkeypatch):
         def failing_replace(src, dst):
             raise OSError("disk full")
