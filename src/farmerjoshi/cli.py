@@ -65,7 +65,7 @@ from farmerjoshi.market import (
     simulate_batch,
 )
 from farmerjoshi.optimize import GAParams, NMTAParams
-from farmerjoshi.stats import StatisticError, moment_vector
+from farmerjoshi.stats import MIN_OBSERVATIONS, StatisticError, moment_vector
 from farmerjoshi.weighting import (
     DEFAULT_BLOCK_LEN,
     DEFAULT_REPLICATES,
@@ -177,6 +177,13 @@ def _load_empirical(path_str: str) -> tuple[np.ndarray, ReturnSeries]:
     return np.log(prices.closes), log_returns(prices)
 
 
+def _require_moment_days(days: int, flag: str) -> None:
+    """Reject, before any simulation, a simulated length too short for the moments."""
+    if days < MIN_OBSERVATIONS:
+        raise UsageError(f"{days} simulated days ({flag}) are too few: the statistics "
+                         f"need at least {MIN_OBSERVATIONS}")
+
+
 def _parse_params(resolved: dict) -> ModelParameters:
     values = _read_json(resolved["params"], "parameter file") if resolved.get("params") else {}
     for item in resolved.get("set") or []:
@@ -264,6 +271,8 @@ def _weight_matrix(resolved: dict, emp_returns: ReturnSeries, out: Path) -> Weig
 
 def _objective_setup(resolved: dict, out: Path, include_inert: bool = False) -> ObjectiveConfig:
     emp_log_prices, emp_returns = _load_empirical(resolved.get("empirical"))
+    sim_days = resolved["sim_days"] or len(emp_returns)
+    _require_moment_days(sim_days, "--sim-days")
     bounds = dict(DEFAULT_BOUNDS)
     if resolved.get("bounds"):
         bounds.update(_read_json(resolved["bounds"], "bounds file"))
@@ -279,7 +288,7 @@ def _objective_setup(resolved: dict, out: Path, include_inert: bool = False) -> 
         empirical_moments=emp_moments,
         weight=weight,
         replications=resolved["objective_sims"],
-        sim_days=resolved["sim_days"] or len(emp_returns),
+        sim_days=sim_days,
         p0=float(emp_log_prices[0]),
         master_seed=resolved["objective_seed"],
         penalty=resolved["penalty"],
@@ -403,8 +412,10 @@ def _cmd_report(resolved: dict) -> int:
 
     sims = resolved["simulations"]
     days = resolved["days"] or len(emp_returns)
-    if sims < 1 or days < 1:
-        raise UsageError("--simulations and --days must be >= 1")
+    if sims < 1:
+        raise UsageError("--simulations must be >= 1")
+    _require_moment_days(days, "--days")
+    emp_moments = moment_vector(emp_returns, emp_returns)
     seeds = np.random.SeedSequence(resolved["seed"]).generate_state(sims)
     outputs = simulate_batch(params, variant, days, p0=float(emp_log_prices[0]),
                              seeds=seeds)
@@ -425,7 +436,6 @@ def _cmd_report(resolved: dict) -> int:
               report_mod.strategy_series_rows(outputs[0]), meta)
     sim_moments = [moment_vector(ReturnSeries(o.log_returns), emp_returns)
                    for o in outputs]
-    emp_moments = moment_vector(emp_returns, emp_returns)
     write_csv(out / "moments_table.csv",
               report_mod.moments_table_rows(sim_moments, emp_moments), meta)
     logger.info("wrote report tables to %s", out)

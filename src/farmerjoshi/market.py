@@ -18,17 +18,18 @@ profit difference (temperature ``gamma``); its actual position snaps to
 the active strategy's shadow position.
 
 ``simulate_batch`` runs the I common-random-number seeds of one parameter
-set through one kernel over an (I, N) state, a block of BLOCK_DAYS days
-per call; ``simulate`` is its one-seed case and ``step_standard``/
-``step_adaptive`` call the same kernel with one-day blocks. Every row
-reproduces the one-seed run bit for bit. Each day the kernel does what the
-next day reads: mispricings, switching, positions, the price (written in
-place into the output buffer) and, in the adaptive variant, the return the
-rolling profits read. Once per block it reduces the day's chartist counts
-and strategy profits from block buffers, and checks the block's prices for
-blow-ups. Across blocks it keeps only the trader state (position signs,
-value perceptions) and, in the adaptive variant, a bounded window of
-shadow positions for the rolling profits.
+set through one kernel over an (I, N) state, a block of days per call
+(fewer when a day of the batch's buffers takes more bytes); ``simulate``
+is its one-seed case and ``step_standard``/``step_adaptive`` call the same
+kernel with one-day blocks. Every row reproduces the one-seed run bit for
+bit. Each day the kernel does what the next day reads: mispricings,
+switching, positions, the price (written in place into the output buffer)
+and, in the adaptive variant, the return the rolling profits read. Once per
+block it reduces the day's chartist counts and strategy profits from block
+buffers, and checks the block's prices for blow-ups. Across blocks it
+keeps only the trader state (position signs, value perceptions) and, in
+the adaptive variant, a bounded window of shadow positions for the
+rolling profits.
 """
 
 from __future__ import annotations
@@ -255,15 +256,31 @@ def switch_probability(pi_c: float, pi_f: float, gamma: float) -> tuple[float, f
 # The day kernel, batched over the seeds of one parameter set
 # ---------------------------------------------------------------------------
 
-#: Days per kernel call (a block), of noise drawn per generator call, and
-#: between slides of the shadow-position window. It bounds the per-seed
-#: memory to a few MB at N = 1000 while keeping generator calls, output
-#: reductions and blow-up checks out of the daily loop.
+#: Most days per kernel call (a block), and so per generator call. Blocks
+#: keep generator calls, output reductions and blow-up checks out of the
+#: daily loop.
 BLOCK_DAYS = 128
+
+#: Bytes that a batch's block buffers may take: the block's draws and, in
+#: the adaptive variant, its rolling profits and strategy draws, or in the
+#: standard variant its positions.
+BLOCK_BYTES = 1 << 20
 
 #: Index of each strategy on the strategy axis of shadow positions and
 #: rolling profits.
 FUND, CHART = 0, 1
+
+
+def _block_days(params: ModelParameters, adaptive: bool, n_runs: int, days: int) -> int:
+    """Days per block of ``n_runs`` rows with outputs for ``days`` days: as
+    many as fit in BLOCK_BYTES, but at most BLOCK_DAYS and at least 16 (every
+    block costs each row a few generator calls), and no more than ``days``."""
+    n = params.n_traders
+    # bytes per row and day: a float64 zeta and, per trader, float64 eta and
+    # u, two float64 profits and a bool decision (adaptive), or a float64 eta
+    # per fundamentalist and a float64 position per trader (standard)
+    row_day = 8 + 33 * n if adaptive else 8 + 8 * (params.n_fundamentalists() + n)
+    return min(days, max(16, min(BLOCK_DAYS, BLOCK_BYTES // (n_runs * row_day))))
 
 
 def _seed_streams(seed: int) -> list[np.random.Generator]:
@@ -346,9 +363,9 @@ class _Runs:
     (``d_max`` columns of p0 in front, so chartist lags are defined from day
     one; column ``d_max + t`` holds p_t), log returns, chartist counts and
     strategy profits. Of the shadow positions, which only the adaptive
-    variant keeps, it keeps a window of the last ``horizon + 1`` days or
-    more that slides every BLOCK_DAYS days; window row j holds day
-    ``base + j``.
+    variant keeps, it keeps a window of ``2 * horizon + 1`` days that
+    slides by ``horizon + 1`` days when full, so a slide never copies a day
+    onto one it still has to copy; window row j holds day ``base + j``.
 
     The rows are fixed when the runs are drawn, and the variant by
     :meth:`_start` before the first block; nothing reshapes or restarts
@@ -362,7 +379,7 @@ class _Runs:
         self.params = params
         self.day = 0
         self.base = 0
-        self.rows = params.horizon + BLOCK_DAYS
+        self.rows = 2 * params.horizon + 1
 
         streams = [_seed_streams(seed) for seed in seeds]
         draws = []
@@ -404,14 +421,11 @@ class _Runs:
         self._flat_prices = self.prices.reshape(-1)
 
     def _start(self, adaptive: bool) -> None:
-        """Fix the variant; build the positions, the block buffers and their views.
-
-        A block is at most BLOCK_DAYS days, and no longer than the outputs.
-        """
+        """Fix the variant; build the positions, the block buffers and their views."""
         self.adaptive = adaptive
         self._index()
         n_runs, n = self.pos_actual.shape
-        block = min(BLOCK_DAYS, self.returns.shape[1])
+        self.block = block = _block_days(self.params, adaptive, n_runs, self.returns.shape[1])
         if adaptive:
             self.shadow_window = np.zeros((n_runs, 2, self.rows, n))
             layout = [np.repeat(x[:, None, :], 2, axis=1)
@@ -468,10 +482,13 @@ class _Runs:
         return np.matmul(dp, window)[:, :, 0]
 
     def _slide(self) -> None:
-        """Move the last ``horizon`` days of the shadow window to the front."""
-        h, shift = self.params.horizon, self.rows - self.params.horizon
-        self.shadow_window[:, :, :h] = self.shadow_window[:, :, shift:]
-        self.base += shift
+        """Move the last ``horizon`` days of the shadow window to the front,
+        slab by slab: numpy copies a whole-window slide through a temporary,
+        since the slabs interleave the source and destination in memory."""
+        h = self.params.horizon
+        for slab in self.shadow_window.reshape(-1, self.rows, self.params.n_traders):
+            slab[:h] = slab[h + 1 :]
+        self.base += h + 1
 
     def run(self, zeta, eta, u) -> dict[int, BlowUpError]:
         """Move every row through a block of days; return the rows out of range.
@@ -720,8 +737,9 @@ def simulate_batch(params: ModelParameters, variant: Variant, days: int,
     BlowUpError of its first day out of range. A row that blows up runs on
     to the end, untouched by and touching no other row; the loop stops
     early only once every row has blown up. Each row is bit for bit the run
-    ``simulate`` gives for its seed: every seed keeps its own four streams, drawn BLOCK_DAYS
-    days at a time, and the reductions run per row in the single-run order.
+    ``simulate`` gives for its seed: every seed keeps its own four streams,
+    drawn a block at a time, so in the same order whatever the block length,
+    and the reductions run per (row, day) in the single-run order.
     The output arrays are rows of the buffers the kernel writes day by day.
     """
     if days < 1:
@@ -735,14 +753,14 @@ def simulate_batch(params: ModelParameters, variant: Variant, days: int,
     n = params.n_traders
     n_eta = n if adaptive else params.n_fundamentalists()
 
-    # each seed's draws for the next BLOCK_DAYS days, refilled in place
-    block = min(BLOCK_DAYS, days)
+    # each seed's draws for the next block, refilled in place
+    block = runs.block
     zeta = np.empty((len(seeds), block))
     eta = np.empty((len(seeds), block, n_eta))
     u = np.empty((len(seeds), block, n)) if adaptive else None
     errors = {}
-    for t in range(0, days, BLOCK_DAYS):
-        size = min(BLOCK_DAYS, days - t)
+    for t in range(0, days, block):
+        size = min(block, days - t)
         for i, (z, e, s) in enumerate(runs.streams):
             _normal(z, 0.0, params.sigma_zeta, zeta[i, :size])
             _normal(e, params.mu_eta, params.sigma_eta, eta[i, :size])

@@ -58,6 +58,10 @@ N_MOMENTS = len(MOMENT_NAMES)
 #: Version of the statistic conventions above; bump it when a value changes.
 MOMENTS_VERSION = 5
 
+#: Fewest returns the full moment vector is defined on: the log-periodogram
+#: regression and the GARCH fit need this many, the other statistics fewer.
+MIN_OBSERVATIONS = 256
+
 
 class StatisticError(ValueError):
     """A statistic is undefined or could not be computed for this input."""
@@ -215,8 +219,8 @@ def gph_estimator(r) -> float:
     """
     x = np.abs(_values(r))
     n = len(x)
-    if n < 256:
-        raise StatisticError("need at least 256 observations", component="gph")
+    if n < MIN_OBSERVATIONS:
+        raise StatisticError(f"need at least {MIN_OBSERVATIONS} observations", component="gph")
     if _effectively_constant(x):
         raise StatisticError("degenerate periodogram: |r| is constant",
                              component="gph")
@@ -561,8 +565,8 @@ def garch_persistence(r) -> float:
     """
     x = _values(r)
     n = len(x)
-    if n < 256:
-        raise StatisticError("need at least 256 observations",
+    if n < MIN_OBSERVATIONS:
+        raise StatisticError(f"need at least {MIN_OBSERVATIONS} observations",
                              component="garch_persistence")
     if _effectively_constant(x):
         raise StatisticError("zero variance: GARCH undefined",

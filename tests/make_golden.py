@@ -33,7 +33,13 @@ import numpy as np
 
 from farmerjoshi.calibration import ObjectiveConfig, ParameterSpace, fitness, run_optimizer
 from farmerjoshi.data_io import ReturnSeries
-from farmerjoshi.market import BLOCK_DAYS, DEFAULT_PARAMETERS, BlowUpError, simulate
+from farmerjoshi.market import (
+    BLOCK_DAYS,
+    DEFAULT_PARAMETERS,
+    BlowUpError,
+    _block_days,
+    simulate,
+)
 from farmerjoshi.optimize import GAParams, NMTAParams
 from farmerjoshi.stats import MOMENTS_VERSION, N_MOMENTS, moment_vector
 from farmerjoshi.weighting import WeightMatrix
@@ -120,6 +126,9 @@ def blowup_cases() -> dict:
     cases = {f"{variant}/{seed}": (params, variant, days, seed)
              for variant, (params, days) in BLOWUP_CASES.items() for seed in BLOWUP_SEEDS}
     for variant, seed in BLOCK_EDGE_SEEDS:
+        # the expected days straddle the edge of a BLOCK_DAYS-day first block
+        assert _block_days(BLOCK_EDGE_PARAMETERS, variant == "adaptive", 1,
+                           BLOCK_EDGE_DAYS) == BLOCK_DAYS
         cases[f"{variant}/block_edge/{seed}"] = (BLOCK_EDGE_PARAMETERS, variant,
                                                  BLOCK_EDGE_DAYS, seed)
     return cases

@@ -10,6 +10,7 @@ from farmerjoshi.market import (
     BLOCK_DAYS,
     DEFAULT_PARAMETERS,
     BlowUpError,
+    _block_days,
     init_simulation,
     simulate,
     simulate_batch,
@@ -51,13 +52,25 @@ def single_outcome(params, variant, days, p0, seed):
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("n_seeds", [1, 2, 10])
 def test_batch_rows_equal_single_runs(variant, n_seeds):
-    # 400 days cross the history windows' slides at horizon + BLOCK_DAYS
+    # 400 days cross many slides of the shadow window (every horizon + 1 days)
     params = DEFAULT_PARAMETERS.with_values(n_traders=23, horizon=9, d_max=12)
     seeds = [1000 + 7 * k for k in range(n_seeds)]
     batch = simulate_batch(params, variant, 400, p0=1.5, seeds=seeds)
     assert len(batch) == n_seeds
     for seed, row in zip(seeds, batch):
         assert_same_output(row, simulate(params, variant, 400, p0=1.5, seed=seed))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_batch_rows_equal_single_runs_on_shorter_blocks(variant):
+    # At N = 1000 the byte budget gives three seeds shorter blocks than one,
+    # so the batch draws, reduces and checks over other spans of days.
+    params = DEFAULT_PARAMETERS.with_values(n_traders=1000)
+    seeds, days = [5, 6, 7], 300
+    adaptive = variant == "adaptive"
+    assert _block_days(params, adaptive, len(seeds), days) < _block_days(params, adaptive, 1, days)
+    for seed, row in zip(seeds, simulate_batch(params, variant, days, seeds=seeds)):
+        assert_same_output(row, simulate(params, variant, days, seed=seed))
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -82,6 +95,9 @@ def test_blow_up_fails_its_row_alone(variant):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_row_blowing_up_early_in_a_block_leaves_the_survivor_exact(variant):
     dead, alive = MID_BLOCK_SEEDS[variant]
+    for n_runs in (1, 2):  # the days below are relative to the first block's edge
+        assert _block_days(MID_BLOCK_PARAMETERS, variant == "adaptive", n_runs,
+                           MID_BLOCK_DAYS) == BLOCK_DAYS
     with warnings.catch_warnings():
         # the dead row must not warn while it runs on to the end of the run
         warnings.simplefilter("error")
@@ -140,7 +156,7 @@ def test_day_steps_agree_with_simulate_across_window_slides(variant):
 @pytest.mark.parametrize("horizon", [7, BLOCK_DAYS + 1])
 def test_rolling_profits_match_oracle_across_window_slides(horizon):
     # Checked every day: only the day after a slide reads the window's first
-    # row. horizon > BLOCK_DAYS makes a slide copy overlapping rows.
+    # row. Both horizons run through at least three slides.
     params = DEFAULT_PARAMETERS.with_values(n_traders=6, horizon=horizon, gamma=0.2)
     state = init_simulation(params, 0.0, seed=13)
     chart_rows, fund_rows = [state.shadow_chart(0).copy()], [state.shadow_fund(0).copy()]

@@ -7,6 +7,7 @@ from farmerjoshi import cli
 from farmerjoshi.cli import main
 from farmerjoshi.data_io import load_price_series, log_returns
 from farmerjoshi.market import DEFAULT_PARAMETERS, BlowUpError
+from farmerjoshi.stats import MIN_OBSERVATIONS
 from farmerjoshi.weighting import cached_weight_matrix
 
 
@@ -137,6 +138,8 @@ class TestCalibrateCommand:
         code = run_cli("calibrate", "--empirical", empirical_csv_session,
                        "--out", outdir, "--optimizer", "ga")
         assert code == 2
+        # only a bootstrap that writes a matrix creates the cache directory
+        assert not (outdir / "weights-cache").exists()
 
     def test_damaged_cache_exits_2_and_bootstrap_rebuilds_it(self, calibrated, tmp_path,
                                                              empirical_csv_session, capsys):
@@ -403,6 +406,15 @@ class TestReportCommand:
             _, lo, med, hi, p0, _ = ln.split(",")
             assert lo == med == hi == p0
 
+    def test_too_few_days_rejected_before_any_table(self, calibrated, empirical_csv_session,
+                                                    outdir, capsys):
+        code = run_cli("report", "--calibration", calibrated / "calibration.json",
+                       "--empirical", empirical_csv_session, "--simulations", 2,
+                       "--days", MIN_OBSERVATIONS - 1, "--out", outdir)
+        assert code == 2
+        assert f"at least {MIN_OBSERVATIONS}" in capsys.readouterr().err
+        assert list(outdir.iterdir()) == []
+
     def test_missing_calibration_usage_error(self, empirical_csv_session, outdir):
         assert run_cli("report", "--calibration", "/none.json",
                        "--empirical", empirical_csv_session, "--out", outdir) == 2
@@ -449,6 +461,22 @@ class TestSurfaceCommand:
                      "--x", "a", "--y", "lam", "--grid", "tenxten",
                      "--out", str(tmp_path / "s3")])
         assert code == 2
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("calibrate", ["--population", 6, "--generations", 1]),
+    ("surface", ["--x", "a", "--y", "lam", "--grid", "2x2"]),
+], ids=["calibrate", "surface"])
+def test_too_few_sim_days_rejected_before_any_simulation(command, flags, calibrated,
+                                                         empirical_csv_session, outdir,
+                                                         capsys):
+    code = run_cli(command, "--empirical", empirical_csv_session,
+                   "--cache-dir", calibrated / "weights-cache",
+                   "--block-len", 50, "--bootstrap-replicates", 40, "--objective-sims", 1,
+                   "--sim-days", MIN_OBSERVATIONS - 1, *flags, "--out", outdir)
+    assert code == 2
+    assert f"at least {MIN_OBSERVATIONS}" in capsys.readouterr().err
+    assert list(outdir.iterdir()) == []
 
 
 class TestOutputDirEnv:

@@ -17,9 +17,18 @@ import numpy as np
 import pytest
 
 from farmerjoshi.calibration import ParameterSpace
-from farmerjoshi.market import BlowUpError, init_simulation, step_adaptive, step_standard
+from farmerjoshi.market import (
+    BLOCK_DAYS,
+    BlowUpError,
+    _block_days,
+    init_simulation,
+    step_adaptive,
+    step_standard,
+)
 from farmerjoshi.stats import MOMENTS_VERSION
 from make_golden import (
+    BLOCK_EDGE_DAYS,
+    BLOCK_EDGE_PARAMETERS,
     BLOCK_EDGE_SEEDS,
     GOLDEN_FILE,
     PARAMETER_SETS,
@@ -89,6 +98,8 @@ def test_golden_block_edge_blowups_fall_on_their_day():
     # A blow-up on the last day of a noise block or the first of the next
     # is where a per-block check could misplace the first day.
     for (variant, seed), day in BLOCK_EDGE_SEEDS.items():
+        assert _block_days(BLOCK_EDGE_PARAMETERS, variant == "adaptive", 1,
+                           BLOCK_EDGE_DAYS) == BLOCK_DAYS
         message = GOLDEN["blowups"][f"{variant}/block_edge/{seed}"]
         assert re.search(rf"diverged at day {day} ", message), message
 

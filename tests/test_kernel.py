@@ -15,6 +15,7 @@ from farmerjoshi.market import (
     _normal,
     _Positions,
     simulate,
+    simulate_batch,
     threshold_transition,
 )
 
@@ -76,14 +77,27 @@ def test_in_place_normal_draws_equal_generator_normal(loc, scale):
     assert np.array_equal(np.signbit(out), np.signbit(expected))
 
 
-def test_adaptive_run_keeps_bounded_memory():
-    # The kernel keeps a window of horizon + BLOCK_DAYS shadow rows and
-    # 128-day blocks of draws; a full shadow history would be 40 MB here.
-    params = DEFAULT_PARAMETERS.with_values(n_traders=1000)
+def traced_peak(run) -> int:
+    """Peak bytes allocated, as tracemalloc counts them, while ``run()`` runs."""
     tracemalloc.start()
     try:
-        simulate(params, "adaptive", 2500, seed=3)
-        _, peak = tracemalloc.get_traced_memory()
+        run()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12e6
+
+
+def test_adaptive_run_keeps_bounded_memory():
+    # The kernel keeps a window of 2 * horizon + 1 shadow rows and block
+    # buffers within BLOCK_BYTES; a full shadow history would be 40 MB here.
+    params = DEFAULT_PARAMETERS.with_values(n_traders=1000)
+    assert traced_peak(lambda: simulate(params, "adaptive", 2500, seed=3)) < 12e6
+
+
+def test_adaptive_batch_keeps_bounded_memory():
+    # Twenty seeds, as `report` runs by default. The shadow window is 32 MB
+    # here; 128-day block buffers would add 84 MB, and a slide copied
+    # through a temporary another 16 MB.
+    params = DEFAULT_PARAMETERS.with_values(n_traders=1000)
+    peak = traced_peak(lambda: simulate_batch(params, "adaptive", 2500, seeds=range(20)))
+    assert peak < 80e6
