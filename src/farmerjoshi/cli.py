@@ -415,6 +415,13 @@ def _cmd_report(resolved: dict) -> int:
     if sims < 1:
         raise UsageError("--simulations must be >= 1")
     _require_moment_days(days, "--days")
+    max_lag = resolved["max_lag"]
+    n_returns = min(days, len(emp_returns))  # the ACF table reads both series
+    if not 1 <= max_lag < n_returns:
+        raise UsageError(f"--max-lag must be at least 1 and below {n_returns}, "
+                         "the length of the shorter return series")
+    if resolved["qq_points"] < 1:
+        raise UsageError("--qq-points must be >= 1")
     emp_moments = moment_vector(emp_returns, emp_returns)
     seeds = np.random.SeedSequence(resolved["seed"]).generate_state(sims)
     outputs = simulate_batch(params, variant, days, p0=float(emp_log_prices[0]),
@@ -423,7 +430,6 @@ def _cmd_report(resolved: dict) -> int:
         if isinstance(outcome, BlowUpError):
             raise outcome
 
-    max_lag = resolved["max_lag"]
     write_csv(out / "price_paths.csv",
               report_mod.price_band_rows(outputs, emp_log_prices), meta)
     write_csv(out / "return_paths.csv",

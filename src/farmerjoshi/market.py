@@ -289,17 +289,6 @@ def _seed_streams(seed: int) -> list[np.random.Generator]:
             for s in np.random.SeedSequence(seed).spawn(4)]
 
 
-def _normal(rng: np.random.Generator, loc: float, scale: float, out: np.ndarray) -> None:
-    """Fill ``out`` with ``rng.normal(loc, scale, out.shape)``, without allocating.
-
-    numpy draws a normal as loc + scale * z from the standard normal z, in
-    two roundings; the same operations in place give the same floats.
-    """
-    rng.standard_normal(out=out)
-    np.multiply(out, scale, out=out)
-    np.add(out, loc, out=out)
-
-
 class _Positions:
     """threshold_transition over a whole array of positions, in place.
 
@@ -753,7 +742,9 @@ def simulate_batch(params: ModelParameters, variant: Variant, days: int,
     n = params.n_traders
     n_eta = n if adaptive else params.n_fundamentalists()
 
-    # each seed's draws for the next block, refilled in place
+    # each seed's draws for the next block, refilled in place. numpy draws a
+    # normal as loc + scale * z from the standard normal z, in two roundings;
+    # the same two operations over all rows at once give the same floats.
     block = runs.block
     zeta = np.empty((len(seeds), block))
     eta = np.empty((len(seeds), block, n_eta))
@@ -761,12 +752,17 @@ def simulate_batch(params: ModelParameters, variant: Variant, days: int,
     errors = {}
     for t in range(0, days, block):
         size = min(block, days - t)
+        z_block, e_block = zeta[:, :size], eta[:, :size]
         for i, (z, e, s) in enumerate(runs.streams):
-            _normal(z, 0.0, params.sigma_zeta, zeta[i, :size])
-            _normal(e, params.mu_eta, params.sigma_eta, eta[i, :size])
+            z.standard_normal(out=z_block[i])
+            e.standard_normal(out=e_block[i])
             if adaptive:
                 s.random(out=u[i, :size])
-        blown = runs.run(zeta[:, :size], eta[:, :size], u[:, :size] if adaptive else None)
+        np.multiply(z_block, params.sigma_zeta, out=z_block)
+        np.add(z_block, 0.0, out=z_block)
+        np.multiply(e_block, params.sigma_eta, out=e_block)
+        np.add(e_block, params.mu_eta, out=e_block)
+        blown = runs.run(z_block, e_block, u[:, :size] if adaptive else None)
         errors = {**blown, **errors}  # each row's first error
         if len(errors) == len(seeds):
             break

@@ -29,6 +29,10 @@ moves a statistic's value, even in its last bits; the banded BLAS solve and
 the search's Python-float arithmetic both set the last bits of a fitted
 persistence. README's "Statistic conventions and their version" section
 says what each version changed.
+
+Of scipy this module uses only ``scipy.linalg.blas.dtbsv``, imported at the
+first GARCH fit, so importing it or computing any other statistic loads
+numpy alone.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dtbsv
 
 MOMENT_NAMES = (
     "mean",
@@ -325,6 +328,14 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
+@functools.cache
+def _dtbsv():
+    """BLAS ``dtbsv``, imported at the first GARCH fit: loading ``scipy.linalg``
+    takes about 28 MB and 0.17 s, which a process that fits no GARCH never pays."""
+    from scipy.linalg.blas import dtbsv
+    return dtbsv
+
+
 def _garch_objective(theta: np.ndarray, y: np.ndarray,
                      band: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gaussian GARCH(1,1) NLL and gradient at each row (mu, omega, p, s) of ``theta``.
@@ -354,6 +365,7 @@ def _garch_objective(theta: np.ndarray, y: np.ndarray,
     forcing[:, 1:] += omega[:, None]
     band = band[:, :k * n]
     band[1].reshape(k, n)[:, :-1] = -beta[:, None]
+    dtbsv = _dtbsv()
     sigma2 = dtbsv(1, band, forcing.reshape(-1), lower=1, diag=1,
                    overwrite_x=1).reshape(k, n)
     inv = 1.0 / sigma2

@@ -415,6 +415,23 @@ class TestReportCommand:
         assert f"at least {MIN_OBSERVATIONS}" in capsys.readouterr().err
         assert list(outdir.iterdir()) == []
 
+    @pytest.mark.parametrize("flags, expected", [
+        (("--max-lag", 0), "--max-lag must be at least 1 and below 599"),
+        (("--max-lag", 599), "--max-lag must be at least 1 and below 599"),
+        (("--max-lag", 700), "--max-lag must be at least 1 and below 599"),
+        (("--days", 300, "--max-lag", 300), "--max-lag must be at least 1 and below 300"),
+        (("--qq-points", 0), "--qq-points must be >= 1"),
+        (("--qq-points", -3), "--qq-points must be >= 1"),
+    ])
+    def test_bad_table_sizes_rejected_before_any_table(self, flags, expected, calibrated,
+                                                       empirical_csv_session, outdir, capsys):
+        code = run_cli("report", "--calibration", calibrated / "calibration.json",
+                       "--empirical", empirical_csv_session, "--simulations", 2,
+                       *flags, "--out", outdir)
+        assert code == 2
+        assert expected in capsys.readouterr().err
+        assert list(outdir.iterdir()) == []
+
     def test_missing_calibration_usage_error(self, empirical_csv_session, outdir):
         assert run_cli("report", "--calibration", "/none.json",
                        "--empirical", empirical_csv_session, "--out", outdir) == 2

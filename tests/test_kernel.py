@@ -12,8 +12,9 @@ import pytest
 
 from farmerjoshi.market import (
     DEFAULT_PARAMETERS,
-    _normal,
     _Positions,
+    _Runs,
+    _seed_streams,
     simulate,
     simulate_batch,
     threshold_transition,
@@ -68,13 +69,31 @@ def test_kernel_transition_equals_threshold_transition(layout):
 
 @pytest.mark.parametrize("loc, scale", [(0.0, 0.01), (0.001, 0.02), (-0.3, 1.7),
                                         (0.0, 0.0), (0.2, 0.0)])
-def test_in_place_normal_draws_equal_generator_normal(loc, scale):
+def test_in_place_normal_draws_equal_generator_normal(loc, scale, monkeypatch):
+    # simulate_batch scales and shifts all rows' standard normals at once;
+    # each row must still hold its own streams' Generator.normal draws, and
     # zero scale makes signed zeros, which the price recursion can carry
-    expected = np.random.default_rng(7).normal(loc, scale, size=(300, 50))
-    out = np.empty((300, 50))
-    _normal(np.random.default_rng(7), loc, scale, out)
-    assert np.array_equal(out, expected)
-    assert np.array_equal(np.signbit(out), np.signbit(expected))
+    params = DEFAULT_PARAMETERS.with_values(n_traders=30, mu_eta=loc, sigma_eta=scale,
+                                            sigma_zeta=scale)
+    seeds = (3, 4, 5)
+    run = _Runs.run
+    for variant in ("standard", "adaptive"):
+        blocks = []
+
+        def record(self, zeta, eta, u):
+            blocks.append((zeta.copy(), eta.copy()))
+            return run(self, zeta, eta, u)
+
+        monkeypatch.setattr(_Runs, "run", record)
+        simulate_batch(params, variant, 300, seeds=seeds)
+        zeta = np.concatenate([z for z, _ in blocks], axis=1)
+        eta = np.concatenate([e for _, e in blocks], axis=1)
+        for i, seed in enumerate(seeds):
+            _, z, e, _ = _seed_streams(seed)
+            for got, expected in ((zeta[i], z.normal(0.0, scale, size=zeta.shape[1])),
+                                  (eta[i], e.normal(loc, scale, size=eta.shape[1:]))):
+                assert np.array_equal(got, expected)
+                assert np.array_equal(np.signbit(got), np.signbit(expected))
 
 
 def traced_peak(run) -> int:

@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.special import ndtri
 from scipy.stats import norm
 
 from farmerjoshi.market import DEFAULT_PARAMETERS, simulate
 from farmerjoshi.report import (
+    _ndtri,
     acf_rows,
     moments_table_rows,
     price_band_rows,
@@ -77,6 +81,20 @@ class TestQqRows:
         rows = list(qq_rows(outputs, clustered_returns, points=points))[1:]
         probs = np.array([float(r[0]) for r in rows])
         assert [float(r[1]) for r in rows] == norm.ppf(probs).tolist()
+
+
+def test_ndtri_port_equals_scipy_special():
+    rng = np.random.default_rng(20)
+    edge = math.exp(-2.0)  # where the central approximation hands over to the tails
+    probs = np.concatenate([
+        rng.random(100_000),
+        10.0 ** -rng.uniform(0.0, 300.0, 20_000),  # deep lower tail, down to 1e-300
+        1.0 - rng.random(20_000) * 1e-16,  # within 1e-16 of 1
+        [0.0, 0.5, 1.0, edge, 1.0 - edge],
+        np.nextafter(edge, [0.0, 1.0]),
+        np.nextafter(1.0 - edge, [0.0, 1.0]),
+    ])
+    assert [_ndtri(p) for p in probs.tolist()] == ndtri(probs).tolist()
 
 
 class TestStrategySeries:

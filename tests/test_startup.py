@@ -20,9 +20,13 @@ BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 # The thread counts of every OpenBLAS library in the process (numpy and
 # scipy each bring their own), read through its own getter.
+# scipy's OpenBLAS loads only at the first GARCH fit, so the probe runs one.
 OPENBLAS_THREADS = textwrap.dedent("""
     import ctypes, json, os
     import farmerjoshi.cli
+    import numpy as np
+    from farmerjoshi.stats import garch_persistence
+    garch_persistence(np.random.default_rng(0).standard_normal(300))
     threads = {}
     with open("/proc/self/maps") as fh:
         libs = sorted({line.split()[-1] for line in fh
@@ -52,11 +56,31 @@ def run_fresh(code: str, **env_changes) -> dict:
     return json.loads(out.splitlines()[-1])
 
 
+SCIPY_MODULES = "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))"
+
+
 def test_cli_import_leaves_out_unused_scipy_subpackages():
-    loaded = run_fresh("import json, sys, farmerjoshi.cli\n"
-                       "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))")
-    assert "scipy.linalg" in loaded  # the check sees scipy at all
-    unused = ("scipy.optimize", "scipy.signal", "scipy.sparse", "scipy.spatial", "scipy.stats")
+    # importing the CLI, simulating and building a QQ table use no scipy at all
+    loaded = run_fresh(textwrap.dedent("""
+        import json, sys
+        import farmerjoshi.cli
+        from farmerjoshi import market, report
+        out = market.simulate(market.DEFAULT_PARAMETERS, "adaptive", 300, seed=1)
+        list(report.qq_rows([out], out.log_returns))
+    """) + SCIPY_MODULES)
+    assert loaded == []
+
+
+def test_garch_fit_loads_scipy_linalg_alone():
+    loaded = run_fresh(textwrap.dedent("""
+        import json, sys
+        import numpy as np
+        from farmerjoshi.stats import garch_persistence
+        garch_persistence(np.random.default_rng(0).standard_normal(300))
+    """) + SCIPY_MODULES)
+    assert "scipy.linalg" in loaded
+    unused = ("scipy.special", "scipy.optimize", "scipy.signal", "scipy.sparse",
+              "scipy.spatial", "scipy.stats")
     assert [m for m in loaded if m.startswith(unused)] == []
 
 
