@@ -271,9 +271,20 @@ def fitness(theta, cfg: ObjectiveConfig) -> float:
 
 
 def make_objective(cfg: ObjectiveConfig):
-    """Bind the config into a theta -> fitness callable for the optimizers."""
+    """Bind the config into a theta -> fitness callable for the optimizers.
+
+    With common random numbers the fitness is a deterministic function of
+    theta, so each distinct theta is simulated once: a repeat, such as a GA
+    parent copied without crossover or mutation, is answered from a dict
+    keyed on the theta's bytes.
+    """
+    known = {}
+
     def objective(theta):
-        return fitness(theta, cfg)
+        key = np.asarray(theta, dtype=float).tobytes()
+        if key not in known:
+            known[key] = fitness(theta, cfg)
+        return known[key]
     return objective
 
 

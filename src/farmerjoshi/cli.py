@@ -429,6 +429,9 @@ def _cmd_report(resolved: dict) -> int:
     for outcome in outputs:
         if isinstance(outcome, BlowUpError):
             raise outcome
+    # Every path's moments come first, so a failing statistic writes no table.
+    sim_moments = [moment_vector(ReturnSeries(o.log_returns), emp_returns)
+                   for o in outputs]
 
     write_csv(out / "price_paths.csv",
               report_mod.price_band_rows(outputs, emp_log_prices), meta)
@@ -440,8 +443,6 @@ def _cmd_report(resolved: dict) -> int:
               report_mod.qq_rows(outputs, emp_returns, resolved["qq_points"]), meta)
     write_csv(out / "strategy_series.csv",
               report_mod.strategy_series_rows(outputs[0]), meta)
-    sim_moments = [moment_vector(ReturnSeries(o.log_returns), emp_returns)
-                   for o in outputs]
     write_csv(out / "moments_table.csv",
               report_mod.moments_table_rows(sim_moments, emp_moments), meta)
     logger.info("wrote report tables to %s", out)

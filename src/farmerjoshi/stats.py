@@ -30,15 +30,20 @@ the search's Python-float arithmetic both set the last bits of a fitted
 persistence. README's "Statistic conventions and their version" section
 says what each version changed.
 
-Of scipy this module uses only ``scipy.linalg.blas.dtbsv``, imported at the
-first GARCH fit, so importing it or computing any other statistic loads
-numpy alone.
+Of scipy this module uses only BLAS ``dtbsv``, taken at the first GARCH fit
+from the compiled extension ``scipy.linalg._fblas`` without importing the
+``scipy.linalg`` package (about 4 MB and 0.015 s, against 28 MB and 0.3 s),
+so importing it or computing any other statistic loads numpy alone.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -330,10 +335,22 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _dtbsv():
-    """BLAS ``dtbsv``, imported at the first GARCH fit: loading ``scipy.linalg``
-    takes about 28 MB and 0.17 s, which a process that fits no GARCH never pays."""
-    from scipy.linalg.blas import dtbsv
-    return dtbsv
+    """BLAS ``dtbsv`` from scipy's compiled ``scipy.linalg._fblas``, loaded at
+    the first GARCH fit (about 4 MB and 0.015 s) without running
+    ``scipy/linalg/__init__.py`` (about 28 MB and 0.3 s). The module is
+    registered under its name, so a later ``import scipy.linalg`` reuses it."""
+    import scipy
+    name = "scipy.linalg._fblas"
+    module = sys.modules.get(name)
+    if module is None:
+        path = [os.path.join(os.path.dirname(scipy.__file__), "linalg")]
+        spec = importlib.machinery.PathFinder.find_spec(name, path)
+        if spec is None:
+            raise ImportError(f"{name} not found in {path[0]}", name=name)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return module.dtbsv
 
 
 def _garch_objective(theta: np.ndarray, y: np.ndarray,
@@ -403,13 +420,19 @@ def _dot(a: list, b: list) -> float:
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]
 
 
-def _search_direction(h: list, g: list, held: list) -> list[float]:
+def _search_direction(h: list, g: list, held: list) -> list[float] | None:
     """-B_FF^-1 g_F for the free variables and -H_ii g_i for the ``held`` ones,
     where H = B^-1 and B_FF^-1 = H_FF - H_FH H_HH^-1 H_HF is the Schur complement
-    that eliminating the held variables from H one at a time leaves in the free block."""
+    that eliminating the held variables from H one at a time leaves in the free block.
+
+    None when a pivot of that elimination is not positive: H_HH is then
+    singular or indefinite in floating point, and has no usable inverse."""
     schur, g_free = h, list(g)
     for k in held:
-        schur = [[sij - row[k] / schur[k][k] * skj for sij, skj in zip(row, schur[k])]
+        pivot = schur[k][k]
+        if not pivot > 0.0:
+            return None
+        schur = [[sij - row[k] / pivot * skj for sij, skj in zip(row, schur[k])]
                  for row in schur]
         g_free[k] = 0.0
     g0, g1, g2, g3 = g_free
@@ -430,12 +453,13 @@ class _BoundedBFGS:
     keeps B's inverse H, so d = -H g while every variable is free, and
     B_FF^-1 = H_FF - H_FH H_HH^-1 H_HF (the Schur complement of the held
     block) otherwise; H_FF alone would ignore how the held variables pull
-    on the free ones. The line search follows the projected path
+    on the free ones. H is reset to the identity when H_HH has a pivot that
+    is not positive. The line search follows the projected path
     P(x + t*d) from t = 1: a trial passes the Armijo test or the step
     shrinks by quadratic interpolation, to within [0.1, 0.5] of itself (0.1
     for a non-finite NLL). The first step, and the first after a line
-    search fails and H is reset to the identity, has length at most 1, as
-    in L-BFGS-B. A search stops at a stopping rule, when a line search from
+    search fails or a pivot resets H to the identity, has length at most
+    1, as in L-BFGS-B. A search stops at a stopping rule, when a line search from
     the identity fails, or after _GARCH_MAX_EVALS values.
     """
 
@@ -462,6 +486,11 @@ class _BoundedBFGS:
         eps = min(_GARCH_ACTIVE, width)
         held = [i for i, r in enumerate(room) if r <= eps]
         self.d = _search_direction(self._h, g, held)
+        if self.d is None:
+            # As after a failed line search: restart from the identity,
+            # whose pivots are all 1.
+            self._h, self.scaled = _IDENTITY, False
+            self.d = _search_direction(_IDENTITY, g, held)
         self.t = 1.0 if self.scaled else min(1.0, 1.0 / math.sqrt(_dot(self.d, self.d)))
         self.backtracks = 0
         return True

@@ -352,6 +352,29 @@ class TestSurfaceScan:
             surface_scan(lambda th: 0.0, tiny_cfg.space, "a", "lam", 1, 2, theta)
 
 
+class TestMakeObjective:
+    def test_ga_run_unchanged_and_each_theta_evaluated_once(self, tiny_cfg, monkeypatch):
+        space, params = tiny_cfg.space, GAParams(population=8, generations=3)
+        plain = run_optimizer("ga", lambda theta: fitness(theta, tiny_cfg), space,
+                              seed=1, ga_params=params)
+        evaluated, requested = [], []
+        monkeypatch.setattr(calibration, "fitness",
+                            lambda theta, cfg: evaluated.append(theta) or fitness(theta, cfg))
+        memo = make_objective(tiny_cfg)
+
+        def objective(theta):
+            requested.append(theta.tobytes())
+            return memo(theta)
+
+        res = run_optimizer("ga", objective, space, seed=1, ga_params=params)
+        assert res.theta.tobytes() == plain.theta.tobytes()
+        assert res.fitness == plain.fitness
+        assert res.trace.tobytes() == plain.trace.tobytes()
+        assert res.evaluations == plain.evaluations == len(requested)
+        # with seed 1, three of the 29 requests repeat an earlier theta
+        assert len(evaluated) == len(set(requested)) < len(requested)
+
+
 class TestRunOptimizer:
     def test_unknown_tag(self):
         space = ParameterSpace("adaptive")

@@ -7,7 +7,7 @@ from farmerjoshi import cli
 from farmerjoshi.cli import main
 from farmerjoshi.data_io import load_price_series, log_returns
 from farmerjoshi.market import DEFAULT_PARAMETERS, BlowUpError
-from farmerjoshi.stats import MIN_OBSERVATIONS
+from farmerjoshi.stats import MIN_OBSERVATIONS, StatisticError
 from farmerjoshi.weighting import cached_weight_matrix
 
 
@@ -430,6 +430,27 @@ class TestReportCommand:
                        *flags, "--out", outdir)
         assert code == 2
         assert expected in capsys.readouterr().err
+        assert list(outdir.iterdir()) == []
+
+    def test_failing_path_statistic_writes_no_table(self, calibrated, empirical_csv_session,
+                                                    outdir, monkeypatch, capsys):
+        simulated = []
+
+        def moment_vector(r_sim, r_emp):
+            if r_sim is not r_emp:
+                simulated.append(r_sim)
+                if len(simulated) == 2:
+                    raise StatisticError("zero variance", component="adf")
+            return real_moment_vector(r_sim, r_emp)
+
+        real_moment_vector = cli.moment_vector
+        monkeypatch.setattr(cli, "moment_vector", moment_vector)
+        code = run_cli("report", "--calibration", calibrated / "calibration.json",
+                       "--empirical", empirical_csv_session, "--simulations", 3,
+                       "--days", 300, "--out", outdir)
+        assert code == 1
+        assert "zero variance" in capsys.readouterr().err
+        assert len(simulated) == 2
         assert list(outdir.iterdir()) == []
 
     def test_missing_calibration_usage_error(self, empirical_csv_session, outdir):

@@ -71,17 +71,41 @@ def test_cli_import_leaves_out_unused_scipy_subpackages():
     assert loaded == []
 
 
-def test_garch_fit_loads_scipy_linalg_alone():
-    loaded = run_fresh(textwrap.dedent("""
-        import json, sys
-        import numpy as np
-        from farmerjoshi.stats import garch_persistence
-        garch_persistence(np.random.default_rng(0).standard_normal(300))
-    """) + SCIPY_MODULES)
-    assert "scipy.linalg" in loaded
+GARCH_FIT = textwrap.dedent("""
+    import json, resource, sys
+    import numpy as np
+    from farmerjoshi import stats
+    x = np.random.default_rng(0).standard_normal(300)
+    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    stats.garch_persistence(x)
+""")
+
+
+def test_garch_fit_loads_only_the_fblas_extension():
+    loaded = run_fresh(GARCH_FIT + SCIPY_MODULES)
+    assert [m for m in loaded if m.startswith("scipy.linalg")] == ["scipy.linalg._fblas"]
     unused = ("scipy.special", "scipy.optimize", "scipy.signal", "scipy.sparse",
               "scipy.spatial", "scipy.stats")
     assert [m for m in loaded if m.startswith(unused)] == []
+
+
+def test_a_later_scipy_linalg_import_reuses_the_fblas_extension():
+    found = run_fresh(GARCH_FIT + textwrap.dedent("""
+        import scipy.linalg.blas
+        solved = scipy.linalg.solve(np.diag([2.0, 4.0]), np.ones(2))
+        print(json.dumps({"same": scipy.linalg.blas.dtbsv is stats._dtbsv(),
+                          "solved": solved.tolist()}))
+    """))
+    assert found == {"same": True, "solved": [0.5, 0.25]}
+
+
+def test_first_garch_fit_adds_little_peak_memory():
+    # Importing scipy.linalg for dtbsv raised the peak by about 21 MB.
+    found = run_fresh(GARCH_FIT + textwrap.dedent("""
+        grown_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - peak_kb
+        print(json.dumps({"grown_mb": grown_kb / 1024}))
+    """))
+    assert found["grown_mb"] < 10
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps")
@@ -89,6 +113,9 @@ def test_import_leaves_openblas_at_one_thread():
     found = run_fresh(OPENBLAS_THREADS)
     if not found["threads"]:
         pytest.skip("no OpenBLAS with a thread-count getter is loaded")
+    # numpy's library and scipy's, which runs the GARCH fit's dtbsv
+    owners = sorted(Path(path).parent.name.split(".")[0] for path in found["threads"])
+    assert owners == ["numpy", "scipy"]
     assert set(found["threads"].values()) == {1}
     assert found["env"]["OPENBLAS_NUM_THREADS"] == "1"
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -250,6 +252,15 @@ class TestGarchPersistence:
         shuffled = np.random.default_rng(2).permutation(x)
         assert garch_persistence(x) != garch_persistence(shuffled)
 
+    def test_singular_held_block_restarts_the_search(self):
+        # On the 17th of these t(5) series a search holds p, s and omega
+        # with an exactly singular H_HH; its Schur pivot was 0.0 and the fit
+        # raised ZeroDivisionError. H now restarts from the identity.
+        rng = np.random.default_rng(4)
+        for _ in range(17):
+            x = rng.standard_t(5, 2500) * 0.01
+        assert garch_persistence(x) == 0.0
+
 
 class TestGarchAgainstNelderMead:
     """The gradient fit against the version-1 Nelder-Mead fit it replaced."""
@@ -394,6 +405,13 @@ class TestSearchBookkeeping:
                 expected[free] = h[free][:, hold].dot(pull) - h[free][:, free].dot(g[free])
             d = _search_direction(h.tolist(), g.tolist(), list(held))
             np.testing.assert_allclose(d, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("pivot", [0.0, -0.5, math.nan])
+    def test_no_direction_when_a_pivot_is_not_positive(self, pivot):
+        # Eliminating variable 1 leaves (1 + pivot) - 1 * 1 = pivot at (2, 2).
+        h = [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0],
+             [0.0, 1.0, 1.0 + pivot, 0.0], [0.0, 0.0, 0.0, 1.0]]
+        assert _search_direction(h, [1.0, -1.0, 1.0, -1.0], [1, 2]) is None
 
     def test_bfgs_update_is_the_outer_product_form(self):
         rng = np.random.default_rng(7)
