@@ -31,7 +31,7 @@ from farmerjoshi.optimize import (
     nm_optimize,
     nmta_optimize,
 )
-from farmerjoshi.stats import StatisticError, moment_vector
+from farmerjoshi.stats import N_MOMENTS, StatisticError, moment_vector
 from farmerjoshi.weighting import WeightMatrix
 
 PENALTY_FITNESS = 1e12
@@ -199,7 +199,7 @@ class ObjectiveConfig:
     replications: int = 10  # I simulations per evaluation
     sim_days: int = 1000
     p0: float = 0.0
-    master_seed: int = 0
+    master_seed: int = 0  # of the common-random-number seed set
     penalty: float = PENALTY_FITNESS
 
     def __post_init__(self):
@@ -214,60 +214,70 @@ class ObjectiveConfig:
             raise CalibrationError(f"weight matrix is {self.weight.entries.shape}, "
                                    f"but {k} empirical moments need ({k}, {k})")
 
-    @property
-    def sim_seeds(self) -> np.ndarray:
-        """The common-random-number seed set shared by every theta."""
-        return np.random.SeedSequence(self.master_seed).generate_state(
-            self.replications)
 
+def simulated_moments(params: ModelParameters, variant: str, days: int, p0: float,
+                      seeds, empirical_returns: ReturnSeries) -> tuple:
+    """Simulate every seed in one batch and take each run's moment vector.
 
-def _simulated_moments(cfg: ObjectiveConfig, theta: np.ndarray) -> list:
-    """Moment vector per CRN seed, None where the run failed.
-
-    All I seeds go through one batched simulation.
+    Returns the batch's outcomes, an (I, k) array of moments with a NaN row
+    for each failed run, and one (run index, exception) pair per failed
+    run, in seed order: the run's BlowUpError or its StatisticError.
     """
-    try:
-        params = cfg.space.to_model_parameters(theta)
-    except ParameterError:
-        return [None] * cfg.replications
-    moments = []
-    for out in simulate_batch(params, cfg.space.variant, cfg.sim_days, p0=cfg.p0,
-                              seeds=cfg.sim_seeds):
+    outputs = simulate_batch(params, variant, days, p0=p0, seeds=seeds)
+    moments = np.full((len(outputs), N_MOMENTS), np.nan)
+    failures = []
+    for i, out in enumerate(outputs):
         try:
-            moments.append(None if isinstance(out, BlowUpError) else moment_vector(
-                ReturnSeries(out.log_returns), cfg.empirical_returns).as_array())
-        except StatisticError:
-            moments.append(None)
-    return moments
+            if isinstance(out, BlowUpError):
+                raise out
+            moments[i] = moment_vector(ReturnSeries(out.log_returns), empirical_returns).as_array()
+        except (BlowUpError, StatisticError) as exc:
+            failures.append((i, exc))
+    return outputs, moments, tuple(failures)
 
 
-def estimation_error(theta, cfg: ObjectiveConfig) -> np.ndarray:
-    """Mean deviation of simulated from empirical moments over I runs.
+@dataclass(frozen=True)
+class Evaluation:
+    """One fitness evaluation over the I common-random-number runs."""
 
-    The I common-random-number runs go through one batched simulation.
-    Simulations that blow up or whose statistics degenerate are dropped;
-    more than half failing raises CalibrationError (the fitness layer
-    maps that to the penalty value).
+    #: (I, k) moment vectors, a NaN row for each failed run.
+    moments: np.ndarray
+    #: (run index, exception) per failed run, in seed order.
+    failures: tuple
+    #: The mean deviation G of the kept runs; None when penalised.
+    error: np.ndarray | None
+    #: G' W G, or the penalty.
+    fitness: float
+
+
+def evaluate(theta, cfg: ObjectiveConfig) -> Evaluation:
+    """Simulate theta's I runs and score them.
+
+    Runs that blow up or whose statistics degenerate are dropped from G;
+    more than half failing, a theta outside the space or a ParameterError
+    (which fails every run) gives the penalty.
     """
     theta = np.asarray(theta, dtype=float)
-    cfg.space.validate(theta)
-    deviations = [cfg.empirical_moments - m for m in _simulated_moments(cfg, theta)
-                  if m is not None]
-    failures = cfg.replications - len(deviations)
-    if failures > cfg.replications / 2 or not deviations:
-        raise CalibrationError(
-            f"{failures}/{cfg.replications} simulations failed at theta={theta}")
-    return np.mean(deviations, axis=0)
+    try:
+        cfg.space.validate(theta)
+        params = cfg.space.to_model_parameters(theta)
+    except (CalibrationError, ParameterError) as exc:  # every run fails alike
+        moments = np.full((cfg.replications, N_MOMENTS), np.nan)
+        failures = tuple((i, exc) for i in range(cfg.replications))
+    else:  # the common-random-number seed set, the same for every theta
+        seeds = np.random.SeedSequence(cfg.master_seed).generate_state(cfg.replications)
+        _, moments, failures = simulated_moments(params, cfg.space.variant, cfg.sim_days,
+                                                 cfg.p0, seeds, cfg.empirical_returns)
+    if len(failures) > cfg.replications / 2:
+        return Evaluation(moments, failures, None, cfg.penalty)
+    ok = ~np.isnan(moments).any(axis=1)
+    g = np.mean(cfg.empirical_moments - moments[ok], axis=0)
+    return Evaluation(moments, failures, g, max(float(g @ cfg.weight.entries @ g), 0.0))
 
 
 def fitness(theta, cfg: ObjectiveConfig) -> float:
-    """G' W G, or the penalty when the error vector is unavailable."""
-    try:
-        g = estimation_error(theta, cfg)
-    except CalibrationError:
-        return cfg.penalty
-    w = cfg.weight.entries
-    return max(float(g @ w @ g), 0.0)
+    """G' W G, or the penalty: the fitness of ``evaluate``."""
+    return evaluate(theta, cfg).fitness
 
 
 def make_objective(cfg: ObjectiveConfig):

@@ -25,6 +25,7 @@ import io
 import json
 import logging
 import os
+import re
 import sys
 from collections.abc import Callable
 from pathlib import Path
@@ -46,6 +47,7 @@ from farmerjoshi.calibration import (
     model_parameters,
     replicate_calibrations,
     run_optimizer,
+    simulated_moments,
     surface_scan,
 )
 from farmerjoshi.data_io import (
@@ -62,7 +64,6 @@ from farmerjoshi.market import (
     ModelParameters,
     ParameterError,
     simulate,
-    simulate_batch,
 )
 from farmerjoshi.optimize import GAParams, NMTAParams
 from farmerjoshi.stats import MIN_OBSERVATIONS, StatisticError, moment_vector
@@ -301,7 +302,10 @@ _NMTA_FLAGS = ("restarts", "max_iters", "shift_every", "shift_scale",
 
 
 def _optimizer_params(resolved: dict) -> tuple[GAParams, NMTAParams]:
-    ga = GAParams(**{f.name: resolved[f.name] for f in dataclasses.fields(GAParams)})
+    try:
+        ga = GAParams(**{f.name: resolved[f.name] for f in dataclasses.fields(GAParams)})
+    except ValueError as exc:
+        raise UsageError(f"GA settings: {exc}") from None
     nmta = {name: resolved[name] for name in _NMTA_FLAGS}
     if nmta["thresholds"] is not None:
         try:
@@ -422,16 +426,13 @@ def _cmd_report(resolved: dict) -> int:
                          "the length of the shorter return series")
     if resolved["qq_points"] < 1:
         raise UsageError("--qq-points must be >= 1")
-    emp_moments = moment_vector(emp_returns, emp_returns)
+    emp_moments = moment_vector(emp_returns, emp_returns).as_array()
     seeds = np.random.SeedSequence(resolved["seed"]).generate_state(sims)
-    outputs = simulate_batch(params, variant, days, p0=float(emp_log_prices[0]),
-                             seeds=seeds)
-    for outcome in outputs:
-        if isinstance(outcome, BlowUpError):
-            raise outcome
-    # Every path's moments come first, so a failing statistic writes no table.
-    sim_moments = [moment_vector(ReturnSeries(o.log_returns), emp_returns)
-                   for o in outputs]
+    outputs, sim_moments, failures = simulated_moments(
+        params, variant, days, float(emp_log_prices[0]), seeds, emp_returns)
+    # Every path is classified first, so a failed run writes no table.
+    if failures:
+        raise failures[0][1]
 
     write_csv(out / "price_paths.csv",
               report_mod.price_band_rows(outputs, emp_log_prices), meta)
@@ -463,14 +464,12 @@ def _cmd_surface(resolved: dict) -> int:
     # they leave its output unchanged (the surface comes out flat)
     include_inert = (resolved["variant"] == "standard"
                      and bool({name_x, name_y} & set(ADAPTIVE_ONLY)))
+    grid = re.fullmatch(r"(\d+)(?:x(\d+))?", str(resolved["grid"]).lower())
+    if grid is None:
+        raise UsageError(f"bad --grid spec {resolved['grid']!r}; use N or NxM, e.g. 10x10")
+    grid_x, grid_y = int(grid[1]), int(grid[2] or grid[1])
     cfg = _objective_setup(resolved, out, include_inert=include_inert)
     space = cfg.space
-    grid = str(resolved["grid"]).lower().split("x")
-    try:
-        grid_x, grid_y = (int(grid[0]), int(grid[1])) if len(grid) == 2 \
-            else (int(grid[0]), int(grid[0]))
-    except ValueError:
-        raise UsageError(f"bad --grid spec {resolved['grid']!r}; use e.g. 10x10") from None
 
     if resolved.get("calibration"):
         _, params = _load_calibration(resolved["calibration"])
@@ -576,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="first parameter name")
     surf.add_argument("--y", choices=PARAMETER_NAMES, metavar="Y",
                       help="second parameter name")
-    surf.add_argument("--grid", default="10x10", help="grid spec, e.g. 10x10")
+    surf.add_argument("--grid", default="10x10", help="grid spec N or NxM, e.g. 10x10")
     surf.add_argument("--calibration", help="calibration.json supplying the "
                       "fixed base theta (default: bound midpoints)")
     surf.set_defaults(handler=_cmd_surface)

@@ -62,6 +62,13 @@ class GAParams:
     mutation_scale: float = 0.1  # times bound width
     elites: int = 1
 
+    def __post_init__(self):
+        if self.population < 4:
+            raise ValueError("population must be >= 4")
+        if not 0 <= self.elites < self.population:
+            raise ValueError(f"elites must be at least 0 and below the population "
+                             f"({self.population}), got {self.elites}")
+
 
 @dataclass(frozen=True)
 class NMTAParams:
@@ -128,8 +135,6 @@ def ga_optimize(objective, bounds, ga_params: GAParams | None = None,
     Deterministic in ``seed``.
     """
     p = ga_params or GAParams()
-    if p.population < 4:
-        raise ValueError("population must be >= 4")
     lower, upper = _as_bounds(bounds)
     n = len(lower)
     width = upper - lower

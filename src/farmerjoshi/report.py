@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from farmerjoshi.market import SimulationOutput
-from farmerjoshi.stats import MOMENT_NAMES, MomentVector, _values, acf
+from farmerjoshi.stats import MOMENT_NAMES, _values, acf
 
 #: Plotting positions in the normal-QQ table.
 QQ_POINTS = 99
@@ -166,12 +166,11 @@ def strategy_series_rows(output: SimulationOutput):
                _r(output.profit_chartists[t]), _r(output.profit_fundamentalists[t]))
 
 
-def moments_table_rows(sim_moments: list[MomentVector], emp_moments: MomentVector):
-    """Per-moment simulated mean and 95% interval next to the empirical value."""
-    sims = np.array([m.as_array() for m in sim_moments])
+def moments_table_rows(sims: np.ndarray, emp: np.ndarray):
+    """Per-moment simulated mean and 95% interval next to the empirical value,
+    from an (I, k) array of simulated moment vectors and the empirical one."""
     lo, hi = np.percentile(sims, [2.5, 97.5], axis=0)
     mean = sims.mean(axis=0)
-    emp = emp_moments.as_array()
     yield ("moment", "sim_mean", "ci_lower", "ci_upper", "empirical")
     for i, name in enumerate(MOMENT_NAMES):
         yield (name, _r(mean[i]), _r(lo[i]), _r(hi[i]), _r(emp[i]))

@@ -9,7 +9,7 @@ from farmerjoshi.calibration import (
     ObjectiveConfig,
     ParameterSpace,
     ReplicationFailure,
-    estimation_error,
+    evaluate,
     fitness,
     make_objective,
     model_parameters,
@@ -20,7 +20,7 @@ from farmerjoshi.calibration import (
 )
 from farmerjoshi.market import BlowUpError
 from farmerjoshi.optimize import CalibrationResult, GAParams, NMTAParams
-from farmerjoshi.stats import N_MOMENTS
+from farmerjoshi.stats import N_MOMENTS, StatisticError
 from farmerjoshi.weighting import WeightMatrix
 
 
@@ -124,12 +124,13 @@ class TestParameterSpace:
             ParameterSpace("adaptive", bounds=typo)
 
 
-class TestEstimationError:
+class TestEvaluate:
     def test_stub_matching_moments_gives_zero(self, tiny_cfg, monkeypatch):
         theta = mid_theta(tiny_cfg.space)
         stub_moments(monkeypatch, lambda: tiny_cfg.empirical_moments.copy())
-        g = estimation_error(theta, tiny_cfg)
-        assert np.array_equal(g, np.zeros(N_MOMENTS))
+        ev = evaluate(theta, tiny_cfg)
+        assert np.array_equal(ev.error, np.zeros(N_MOMENTS))
+        assert ev.fitness == 0.0 and ev.failures == ()
 
     def test_symmetric_deviations_cancel(self, tiny_cfg, monkeypatch):
         theta = mid_theta(tiny_cfg.space)
@@ -141,8 +142,9 @@ class TestEstimationError:
             return tiny_cfg.empirical_moments + sign["flip"] * delta
 
         stub_moments(monkeypatch, stub)
-        g = estimation_error(theta, tiny_cfg)
-        assert np.allclose(g, 0.0)
+        ev = evaluate(theta, tiny_cfg)
+        assert np.allclose(ev.error, 0.0)
+        assert ev.fitness == pytest.approx(0.0, abs=1e-20)
 
     def test_single_simulation_exact_deviation(self, tiny_cfg, clustered_returns,
                                                monkeypatch):
@@ -153,13 +155,76 @@ class TestEstimationError:
         theta = mid_theta(cfg.space)
         d = np.arange(1.0, N_MOMENTS + 1)
         stub_moments(monkeypatch, lambda: cfg.empirical_moments - d)
-        assert np.allclose(estimation_error(theta, cfg), d)
+        ev = evaluate(theta, cfg)
+        assert np.allclose(ev.error, d)
+        assert ev.fitness == pytest.approx(float(d @ d))
 
-    def test_majority_failures_raise(self, tiny_cfg, monkeypatch):
+    def test_majority_failures_penalised(self, tiny_cfg, monkeypatch):
         theta = mid_theta(tiny_cfg.space)
         stub_blow_ups(monkeypatch)
-        with pytest.raises(CalibrationError, match="failed"):
-            estimation_error(theta, tiny_cfg)
+        ev = evaluate(theta, tiny_cfg)
+        assert ev.error is None and ev.fitness == tiny_cfg.penalty
+        assert [i for i, _ in ev.failures] == [0, 1]
+        assert all(isinstance(exc, BlowUpError) for _, exc in ev.failures)
+        assert np.isnan(ev.moments).all()
+
+    @pytest.mark.parametrize("replications", [3, 4])
+    def test_failed_runs_recorded_and_dropped(self, replications, tiny_cfg,
+                                              clustered_returns, monkeypatch):
+        """Run 0 blows up and run 2's statistics fail. Of three runs that is
+        more than half, so the evaluation is penalised; a fourth run with
+        run 1's moments makes G run 1's deviation."""
+        rng = np.random.default_rng(11)
+        a = rng.standard_normal((N_MOMENTS, N_MOMENTS))
+        w = WeightMatrix(entries=a @ a.T / N_MOMENTS)
+        cfg = ObjectiveConfig(
+            space=tiny_cfg.space, empirical_returns=clustered_returns,
+            empirical_moments=tiny_cfg.empirical_moments, weight=w,
+            replications=replications, sim_days=300, master_seed=5)
+        real_batch = calibration.simulate_batch
+
+        def simulate_batch(params, variant, days, p0, seeds):
+            outputs = real_batch(params, variant, days, p0=p0, seeds=seeds)
+            return [BlowUpError("stub blow-up"), *outputs[1:]]
+
+        run1 = cfg.empirical_moments - rng.standard_normal(N_MOMENTS)
+        calls = []
+
+        def moment_vector(sim, emp):
+            calls.append(sim)
+            if len(calls) == 2:
+                raise StatisticError("zero variance", component="adf")
+            return SimpleNamespace(as_array=lambda: run1)
+
+        monkeypatch.setattr(calibration, "simulate_batch", simulate_batch)
+        monkeypatch.setattr(calibration, "moment_vector", moment_vector)
+        theta = mid_theta(cfg.space)
+        ev = evaluate(theta, cfg)
+        assert len(calls) == replications - 1
+        assert np.isnan(ev.moments[[0, 2]]).all()
+        assert np.array_equal(ev.moments[1::2], [run1] * (replications // 2))
+        assert [(i, type(exc)) for i, exc in ev.failures] == [(0, BlowUpError),
+                                                             (2, StatisticError)]
+        assert ev.failures[1][1].component == "adf"
+        if replications == 3:
+            assert ev.error is None and ev.fitness == cfg.penalty
+        else:
+            g = cfg.empirical_moments - run1
+            assert np.array_equal(ev.error, g)
+            assert ev.fitness == float(g @ w.entries @ g) > 0.0
+        calls.clear()
+        assert fitness(theta, cfg) == ev.fitness
+
+    def test_out_of_box_theta_penalised(self, tiny_cfg, monkeypatch):
+        monkeypatch.setattr(calibration, "simulate_batch", None)  # never reached
+        theta = mid_theta(tiny_cfg.space)
+        theta[tiny_cfg.space.index("lam")] = 1e9
+        ev = evaluate(theta, tiny_cfg)
+        assert ev.fitness == tiny_cfg.penalty and ev.error is None
+        assert [i for i, _ in ev.failures] == [0, 1]
+        assert all(isinstance(exc, CalibrationError) for _, exc in ev.failures)
+        assert np.isnan(ev.moments).all()
+        assert fitness(theta, tiny_cfg) == tiny_cfg.penalty
 
 
 class TestFitness:

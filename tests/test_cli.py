@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from farmerjoshi import cli
+from farmerjoshi import calibration, cli
 from farmerjoshi.cli import main
 from farmerjoshi.data_io import load_price_series, log_returns
 from farmerjoshi.market import DEFAULT_PARAMETERS, BlowUpError
@@ -155,6 +155,19 @@ class TestCalibrateCommand:
         assert str(damaged) in capsys.readouterr().err
         assert run_cli(*args, "--bootstrap", "--out", tmp_path / "b") == 0
         assert damaged.read_text() == good.read_text()
+
+    @pytest.mark.parametrize("flags", [("--population", 3),
+                                       ("--population", 4, "--elites", 5),
+                                       ("--elites", -1)],
+                             ids=["population-3", "elites-above-population", "elites-negative"])
+    def test_bad_ga_settings_exit_2_before_any_work(self, flags, empirical_csv_session,
+                                                    outdir, capsys):
+        code = run_cli("calibrate", "--empirical", empirical_csv_session, "--bootstrap",
+                       "--bootstrap-replicates", 40, "--block-len", 50,
+                       "--generations", 1, *flags, "--out", outdir)
+        assert code == 2
+        assert "GA settings" in capsys.readouterr().err
+        assert not (outdir / "weights-cache").exists()
 
     def test_unknown_optimizer_usage_error(self, empirical_csv_session, outdir):
         code = run_cli("calibrate", "--empirical", empirical_csv_session,
@@ -443,14 +456,15 @@ class TestReportCommand:
                     raise StatisticError("zero variance", component="adf")
             return real_moment_vector(r_sim, r_emp)
 
-        real_moment_vector = cli.moment_vector
-        monkeypatch.setattr(cli, "moment_vector", moment_vector)
+        real_moment_vector = calibration.moment_vector
+        monkeypatch.setattr(calibration, "moment_vector", moment_vector)
         code = run_cli("report", "--calibration", calibrated / "calibration.json",
                        "--empirical", empirical_csv_session, "--simulations", 3,
                        "--days", 300, "--out", outdir)
         assert code == 1
         assert "zero variance" in capsys.readouterr().err
-        assert len(simulated) == 2
+        # every path is classified before the first failure is raised
+        assert len(simulated) == 3
         assert list(outdir.iterdir()) == []
 
     def test_missing_calibration_usage_error(self, empirical_csv_session, outdir):
@@ -491,12 +505,13 @@ class TestSurfaceCommand:
         err = capsys.readouterr().err
         assert "lam" in err and "n_traders" in err
 
-    def test_bad_grid_spec(self, calibrated, empirical_csv_session, tmp_path):
+    @pytest.mark.parametrize("spec", ["tenxten", "3x3x7"])
+    def test_bad_grid_spec(self, spec, calibrated, empirical_csv_session, tmp_path):
         code = main(["surface", "--empirical", str(empirical_csv_session),
                      "--cache-dir", str(calibrated / "weights-cache"),
                      "--block-len", "50", "--bootstrap-replicates", "40",
                      "--objective-sims", "1", "--sim-days", "300",
-                     "--x", "a", "--y", "lam", "--grid", "tenxten",
+                     "--x", "a", "--y", "lam", "--grid", spec,
                      "--out", str(tmp_path / "s3")])
         assert code == 2
 
