@@ -188,6 +188,17 @@ class ParameterSpace:
         return np.array([float(getattr(params, n)) for n in self.names])
 
 
+def check_objective_settings(replications: int, sim_days: int, penalty: float) -> None:
+    """Reject ObjectiveConfig's scalar settings before any costly setup: a
+    penalty that is not finite and positive would let failed thetas win."""
+    if replications < 1:
+        raise CalibrationError("replications must be >= 1")
+    if sim_days < 1:
+        raise CalibrationError("sim_days must be >= 1")
+    if not 0 < penalty < np.inf:  # NaN fails both comparisons
+        raise CalibrationError(f"penalty must be finite and > 0, got {penalty!r}")
+
+
 @dataclass(frozen=True)
 class ObjectiveConfig:
     """Everything a fitness evaluation needs besides theta."""
@@ -203,10 +214,7 @@ class ObjectiveConfig:
     penalty: float = PENALTY_FITNESS
 
     def __post_init__(self):
-        if self.replications < 1:
-            raise CalibrationError("replications must be >= 1")
-        if self.sim_days < 1:
-            raise CalibrationError("sim_days must be >= 1")
+        check_objective_settings(self.replications, self.sim_days, self.penalty)
         object.__setattr__(self, "empirical_moments",
                            np.asarray(self.empirical_moments, dtype=float))
         k = len(self.empirical_moments)

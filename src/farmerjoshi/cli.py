@@ -43,6 +43,7 @@ from farmerjoshi.calibration import (
     ObjectiveConfig,
     ParameterSpace,
     ReplicationError,
+    check_objective_settings,
     make_objective,
     model_parameters,
     replicate_calibrations,
@@ -74,6 +75,7 @@ from farmerjoshi.weighting import (
     WeightingError,
     cache_path,
     cached_weight_matrix,
+    check_bootstrap,
 )
 
 logger = logging.getLogger("farmerjoshi")
@@ -252,22 +254,25 @@ def _cmd_simulate(resolved: dict) -> int:
 # ---------------------------------------------------------------------------
 
 def _weight_matrix(resolved: dict, emp_returns: ReturnSeries, out: Path) -> WeightMatrix:
-    if resolved.get("weights"):
-        doc = _read_json(resolved["weights"], "weight matrix file")
+    """The --weights file, or the bootstrap matrix: built under --bootstrap when
+    not cached, else read from the cache. Bad settings or files are UsageErrors."""
+    path, hint = resolved.get("weights"), ""
+    if not path:
+        settings = (resolved["block_len"], resolved["bootstrap_replicates"],
+                    resolved["bootstrap_seed"])
         try:
-            return WeightMatrix.from_doc(doc)
+            check_bootstrap(len(emp_returns), *settings[:2])
         except WeightingError as exc:
-            raise UsageError(f"weight matrix file {resolved['weights']}: {exc}") from None
-    cache_dir = resolved.get("cache_dir") or (out / "weights-cache")
-    settings = (resolved["block_len"], resolved["bootstrap_replicates"],
-                resolved["bootstrap_seed"])
-    if resolved.get("bootstrap"):
-        return cached_weight_matrix(emp_returns, cache_dir, *settings)
+            raise UsageError(f"bootstrap settings: {exc}") from None
+        cache_dir = resolved.get("cache_dir") or (out / "weights-cache")
+        if resolved.get("bootstrap"):
+            return cached_weight_matrix(emp_returns, cache_dir, *settings)
+        path = cache_path(cache_dir, emp_returns, *settings)
+        hint = "; pass --bootstrap to build it or --weights FILE to load one"
     try:
-        return WeightMatrix.load(cache_path(cache_dir, emp_returns, *settings))
+        return WeightMatrix.load(path)
     except WeightingError as exc:
-        raise UsageError(f"{exc}; pass --bootstrap to build it "
-                         "or --weights FILE to load one") from None
+        raise UsageError(f"{exc}{hint}") from None
 
 
 def _objective_setup(resolved: dict, out: Path, include_inert: bool = False) -> ObjectiveConfig:
@@ -278,6 +283,7 @@ def _objective_setup(resolved: dict, out: Path, include_inert: bool = False) -> 
     if resolved.get("bounds"):
         bounds.update(_read_json(resolved["bounds"], "bounds file"))
     space = ParameterSpace(resolved["variant"], bounds=bounds, include_inert=include_inert)
+    check_objective_settings(resolved["objective_sims"], sim_days, resolved["penalty"])
     weight = _weight_matrix(resolved, emp_returns, out)
     try:
         emp_moments = moment_vector(emp_returns, emp_returns).as_array()

@@ -35,7 +35,7 @@ class PriceSeries:
         if dates.ndim != 1 or closes.ndim != 1 or len(dates) != len(closes):
             raise PriceDataError("dates and closes must be 1-d and equal length")
         if len(closes) < 2:
-            raise PriceDataError("price series needs at least 2 rows")
+            raise PriceDataError("fewer than 2 valid rows")
         if not np.all(np.isfinite(closes)) or np.any(closes <= 0):
             raise PriceDataError("closes must be finite and strictly positive")
         if np.any(np.diff(dates) <= np.timedelta64(0, "D")):
@@ -116,11 +116,10 @@ def load_price_series(path) -> PriceSeries:
                 raise PriceDataError(f"{path}: row {i}: non-positive close {row[1]!r}")
             dates.append(date)
             closes.append(close)
-    if len(closes) < 2:
-        raise PriceDataError(f"{path}: fewer than 2 valid rows")
-    if np.any(np.diff(np.array(dates)) <= np.timedelta64(0, "D")):
-        raise PriceDataError(f"{path}: non-increasing dates")
-    return PriceSeries(dates=np.array(dates), closes=np.array(closes))
+    try:
+        return PriceSeries(dates=np.array(dates), closes=np.array(closes))
+    except PriceDataError as exc:
+        raise PriceDataError(f"{path}: {exc}") from None
 
 
 def log_returns(prices: PriceSeries) -> ReturnSeries:

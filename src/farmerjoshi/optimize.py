@@ -101,25 +101,40 @@ def reflect_into_bounds(x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> 
     return y
 
 
-class _Evaluator:
-    """Counts evaluations and applies clipping/repair before each call."""
+class _Search:
+    """One optimizer run: its box, random stream, clock and evaluation count, the
+    best point (the first of least value, clipped and repaired) and the trace."""
 
-    def __init__(self, objective, lower, upper, repair):
+    def __init__(self, objective, bounds, repair, seed: int):
         self.objective = objective
-        self.lower = lower
-        self.upper = upper
+        self.lower, self.upper = _as_bounds(bounds)
         self.repair = repair
+        self.seed = seed
+        self.rng = np.random.Generator(np.random.PCG64(seed))
+        self.t0 = time.perf_counter()
         self.count = 0
-
-    def feasible(self, x: np.ndarray) -> np.ndarray:
-        y = np.clip(x, self.lower, self.upper)
-        if self.repair is not None:
-            y = self.repair(y)
-        return y
+        self.best_x, self.best_f = None, np.inf
+        self.trace: list[float] = []
 
     def __call__(self, x: np.ndarray) -> float:
         self.count += 1
-        return float(self.objective(self.feasible(x)))
+        y = np.clip(x, self.lower, self.upper)
+        if self.repair is not None:
+            y = self.repair(y)
+        f = float(self.objective(y))
+        if self.best_x is None or f < self.best_f:
+            self.best_x, self.best_f = y, f
+        return f
+
+    def step(self) -> None:
+        """Close one GA generation or NM iteration: record the best value so far."""
+        self.trace.append(self.best_f)
+
+    def result(self, **details) -> CalibrationResult:
+        return CalibrationResult(
+            theta=self.best_x, fitness=self.best_f, trace=np.array(self.trace),
+            evaluations=self.count, wall_time=time.perf_counter() - self.t0,
+            seed=self.seed, details=details)
 
 
 # ---------------------------------------------------------------------------
@@ -135,18 +150,14 @@ def ga_optimize(objective, bounds, ga_params: GAParams | None = None,
     Deterministic in ``seed``.
     """
     p = ga_params or GAParams()
-    lower, upper = _as_bounds(bounds)
+    ev = _Search(objective, bounds, repair, seed)
+    lower, upper, rng = ev.lower, ev.upper, ev.rng
     n = len(lower)
     width = upper - lower
-    rng = np.random.Generator(np.random.PCG64(seed))
-    ev = _Evaluator(objective, lower, upper, repair)
-    t0 = time.perf_counter()
 
     pop = lower + rng.random((p.population, n)) * width
     fit = np.array([ev(x) for x in pop])
-    best_i = int(np.argmin(fit))
-    best_x, best_f = ev.feasible(pop[best_i]), float(fit[best_i])
-    trace = [best_f]
+    ev.step()
 
     n_children = p.population - p.elites
     for _ in range(p.generations):
@@ -179,17 +190,9 @@ def ga_optimize(objective, bounds, ga_params: GAParams | None = None,
         child_fit = np.array([ev(x) for x in children])
         pop = np.vstack([elite_pool, children])
         fit = np.concatenate([fit[order[: p.elites]], child_fit])
-        gen_best = int(np.argmin(fit))
-        if fit[gen_best] < best_f:
-            best_f = float(fit[gen_best])
-            best_x = ev.feasible(pop[gen_best])
-        trace.append(best_f)
+        ev.step()
 
-    return CalibrationResult(
-        theta=best_x, fitness=best_f, trace=np.array(trace),
-        evaluations=ev.count, wall_time=time.perf_counter() - t0, seed=seed,
-        details={"optimizer": "ga", "params": dataclasses.asdict(p)},
-    )
+    return ev.result(optimizer="ga", params=dataclasses.asdict(p))
 
 
 # ---------------------------------------------------------------------------
@@ -229,10 +232,10 @@ def build_thresholds(objective_eval, lower, upper, params: NMTAParams, rng) -> n
     return np.minimum.accumulate(taus)
 
 
-def _nm_run(ev: _Evaluator, x0: np.ndarray, lower, upper, params: NMTAParams,
-            thresholds: np.ndarray, rng, trace: list, events: list,
-            best: dict, simplex_trace: list) -> None:
+def _nm_run(ev: _Search, x0: np.ndarray, params: NMTAParams, thresholds: np.ndarray,
+            events: list, simplex_trace: list) -> None:
     """One Nelder-Mead run with periodic threshold-accepted simplex shifts."""
+    lower, upper, rng = ev.lower, ev.upper, ev.rng
     n = len(lower)
     width = upper - lower
     simplex = np.tile(x0, (n + 1, 1))
@@ -246,12 +249,8 @@ def _nm_run(ev: _Evaluator, x0: np.ndarray, lower, upper, params: NMTAParams,
     fvals = np.array([ev(v) for v in simplex])
 
     def note_best():
-        i = int(np.argmin(fvals))
-        if fvals[i] < best["f"]:
-            best["f"] = float(fvals[i])
-            best["x"] = ev.feasible(simplex[i])
-        trace.append(best["f"])
-        simplex_trace.append(float(fvals[i]))
+        ev.step()
+        simplex_trace.append(float(fvals.min()))
 
     note_best()
     n_stages = len(thresholds)
@@ -315,33 +314,24 @@ def nmta_optimize(objective, bounds, nmta_params: NMTAParams | None = None,
     ``details['events']``; the thresholds used in ``details['thresholds']``.
     """
     p = nmta_params or NMTAParams()
-    lower, upper = _as_bounds(bounds)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    ev = _Evaluator(objective, lower, upper, repair)
-    t0 = time.perf_counter()
+    ev = _Search(objective, bounds, repair, seed)
+    lower, upper = ev.lower, ev.upper
 
     if p.thresholds is not None:
         taus = np.minimum.accumulate(np.asarray(p.thresholds, dtype=float))
     else:
-        taus = build_thresholds(ev, lower, upper, p, rng)
+        taus = build_thresholds(ev, lower, upper, p, ev.rng)
+        ev.best_x, ev.best_f = None, np.inf  # a threshold sample is never the optimum
 
-    trace: list[float] = []
     events: list[dict] = []
     simplex_traces: list[list[float]] = []
-    best = {"x": None, "f": np.inf}
     for _ in range(max(1, p.restarts)):
-        x0 = lower + rng.random(len(lower)) * (upper - lower)
-        simplex_trace: list[float] = []
-        _nm_run(ev, x0, lower, upper, p, taus, rng, trace, events, best,
-                simplex_trace)
-        simplex_traces.append(simplex_trace)
+        x0 = lower + ev.rng.random(len(lower)) * (upper - lower)
+        simplex_traces.append([])
+        _nm_run(ev, x0, p, taus, events, simplex_traces[-1])
 
-    return CalibrationResult(
-        theta=best["x"], fitness=float(best["f"]), trace=np.array(trace),
-        evaluations=ev.count, wall_time=time.perf_counter() - t0, seed=seed,
-        details={"optimizer": "nmta", "thresholds": taus.tolist(),
-                 "events": events, "simplex_best_traces": simplex_traces},
-    )
+    return ev.result(optimizer="nmta", thresholds=taus.tolist(), events=events,
+                     simplex_best_traces=simplex_traces)
 
 
 def nm_optimize(objective, bounds, nmta_params: NMTAParams | None = None,

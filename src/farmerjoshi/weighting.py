@@ -56,15 +56,6 @@ class WeightMatrix:
         if eig.min() < -1e-8 * max(lam_max, 1.0):
             raise WeightingError(f"weight matrix not PSD: min eigenvalue {eig.min():.3e}")
 
-    @classmethod
-    def from_doc(cls, doc: dict) -> "WeightMatrix":
-        """The matrix of a parsed :meth:`save` document."""
-        try:
-            return cls(entries=np.array(doc["entries"]), metadata=doc["metadata"])
-        except (KeyError, TypeError, ValueError):
-            raise WeightingError("weight matrix JSON needs a numeric 'entries' matrix "
-                                 "and a 'metadata' object") from None
-
     def save(self, path) -> None:
         write_atomic(path, json.dumps(
             {"entries": self.entries.tolist(), "metadata": self.metadata}, sort_keys=True))
@@ -74,10 +65,14 @@ class WeightMatrix:
         """The matrix :meth:`save` wrote to ``path``; a missing or damaged file
         is a WeightingError naming it."""
         try:
-            return cls.from_doc(json.loads(Path(path).read_text()))
+            doc = json.loads(Path(path).read_text())
+            return cls(entries=np.array(doc["entries"]), metadata=doc["metadata"])
         except FileNotFoundError:
             raise WeightingError(f"no weight matrix file at {path}") from None
-        except (ValueError, WeightingError) as exc:  # ValueError: bad JSON or UTF-8
+        except (KeyError, TypeError):  # a document of another shape
+            raise WeightingError(f"weight matrix file {path} needs a numeric 'entries' "
+                                 "matrix and a 'metadata' object") from None
+        except (ValueError, WeightingError) as exc:  # ValueError: bad JSON, UTF-8 or entries
             raise WeightingError(f"weight matrix file {path}: {exc}") from None
 
 
@@ -88,14 +83,22 @@ def _bootstrap_indices(n: int, block_len: int, rng) -> np.ndarray:
     return idx[:n]
 
 
-def moving_block_bootstrap(r, block_len: int, seed: int) -> ReturnSeries:
-    """One bootstrap replicate of a return series."""
-    values = _values(r)
-    n = len(values)
+def check_bootstrap(n: int, block_len: int, replicates: int | None = None) -> None:
+    """Reject bootstrap settings before any replicate is drawn: blocks of 2 to n
+    returns and, when a count is given, enough replicates for the covariance."""
     if block_len < 2:
         raise WeightingError("block_len must be >= 2")
     if block_len > n:
         raise WeightingError(f"block_len {block_len} exceeds series length {n}")
+    if replicates is not None and replicates < N_MOMENTS + 1:
+        raise WeightingError(f"need at least {N_MOMENTS + 1} replicates")
+
+
+def moving_block_bootstrap(r, block_len: int, seed: int) -> ReturnSeries:
+    """One bootstrap replicate of a return series."""
+    values = _values(r)
+    n = len(values)
+    check_bootstrap(n, block_len)
     rng = np.random.Generator(np.random.PCG64(seed))
     return ReturnSeries(values=values[_bootstrap_indices(n, block_len, rng)])
 
@@ -128,8 +131,7 @@ def estimate_weight_matrix(r_emp, block_len: int = DEFAULT_BLOCK_LEN,
     Replicates whose moment computation fails are dropped and counted;
     more than 20% failures aborts.
     """
-    if replicates < N_MOMENTS + 1:
-        raise WeightingError(f"need at least {N_MOMENTS + 1} replicates")
+    check_bootstrap(len(_values(r_emp)), block_len, replicates)
     rep_seeds = np.random.SeedSequence(seed).generate_state(replicates)
     draws = []
     failures = 0

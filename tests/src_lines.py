@@ -1,10 +1,18 @@
 """Count each src/farmerjoshi module's lines as code, docstring, comment or blank.
 
 A line is code if a code token covers it, docstring if a string standing alone as a
-statement does; the total equals ``wc -l``. Usage: python tests/src_lines.py [SRC_DIR]
+statement does; the total equals ``wc -l``. Usage:
+
+    python tests/src_lines.py [SRC_DIR]                 # the counts of SRC_DIR
+    python tests/src_lines.py [SRC_DIR] --against REV   # their change since git REV
+
+With ``--against`` each column is the working tree's count minus the count of the
+same module at REV (read with ``git show``); a module on one side only counts 0 on
+the other.
 """
 
-import sys
+import argparse
+import subprocess
 import tokenize
 from pathlib import Path
 
@@ -31,10 +39,35 @@ def counts(text: str) -> dict:
     return out
 
 
-if __name__ == "__main__":
-    src = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).parents[1] / "src/farmerjoshi"
-    rows = [(p.name, counts(p.read_text())) for p in sorted(src.glob("*.py"))]
-    rows.append(("total", {k: sum(c[k] for _, c in rows) for k in KINDS}))
-    print(f"{'module':<16}" + "".join(f"{k:>10}" for k in (*KINDS, "total")))
+def modules_at(src: Path, rev: str) -> dict:
+    """Module name -> source text of each ``*.py`` file in ``src`` at git ``rev``."""
+    def git(*args):
+        return subprocess.run(["git", "-C", str(src), *args], check=True,
+                              capture_output=True, text=True).stdout
+    names = [n for n in git("ls-tree", "--name-only", rev, "--", ".").split() if n.endswith(".py")]
+    return {n: git("show", f"{rev}:./{n}") for n in names}
+
+
+def table(rows, signed: bool = False) -> str:
+    rows = [*rows, ("total", {k: sum(c[k] for _, c in rows) for k in KINDS})]
+    fmt = "{:>+10}" if signed else "{:>10}"
+    lines = [f"{'module':<16}" + "".join(f"{k:>10}" for k in (*KINDS, "total"))]
     for name, c in rows:
-        print(f"{name:<16}" + "".join(f"{c[k]:>10}" for k in KINDS) + f"{sum(c.values()):>10}")
+        lines.append(f"{name:<16}" + "".join(fmt.format(v) for v in (*c.values(), sum(c.values()))))
+    return "\n".join(lines)
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("src", nargs="?", type=Path,
+                        default=Path(__file__).parents[1] / "src/farmerjoshi")
+    parser.add_argument("--against", metavar="REV", help="print the change since git REV")
+    args = parser.parse_args()
+    now = {p.name: counts(p.read_text()) for p in sorted(args.src.glob("*.py"))}
+    if args.against is None:
+        print(table(now.items()))
+    else:
+        old = {n: counts(text) for n, text in modules_at(args.src, args.against).items()}
+        zero = dict.fromkeys(KINDS, 0)
+        print(table([(n, {k: now.get(n, zero)[k] - old.get(n, zero)[k] for k in KINDS})
+                     for n in sorted(now.keys() | old.keys())], signed=True))

@@ -1,3 +1,4 @@
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -225,6 +226,13 @@ class TestEvaluate:
         assert all(isinstance(exc, CalibrationError) for _, exc in ev.failures)
         assert np.isnan(ev.moments).all()
         assert fitness(theta, tiny_cfg) == tiny_cfg.penalty
+
+    @pytest.mark.parametrize("penalty", [-5.0, 0.0, float("nan"), float("inf")])
+    def test_penalty_not_positive_and_finite_rejected(self, penalty, tiny_cfg):
+        """A failed theta scores the penalty, so a penalty at or below zero, or
+        NaN, would let it beat every theta that simulates."""
+        with pytest.raises(CalibrationError, match="penalty must be finite and > 0"):
+            dataclasses.replace(tiny_cfg, penalty=penalty)
 
 
 class TestFitness:

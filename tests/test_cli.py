@@ -3,11 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from farmerjoshi import calibration, cli
+from farmerjoshi import calibration, cli, weighting
 from farmerjoshi.cli import main
 from farmerjoshi.data_io import load_price_series, log_returns
 from farmerjoshi.market import DEFAULT_PARAMETERS, BlowUpError
-from farmerjoshi.stats import MIN_OBSERVATIONS, StatisticError
+from farmerjoshi.stats import MIN_OBSERVATIONS, N_MOMENTS, StatisticError, moment_vector
 from farmerjoshi.weighting import cached_weight_matrix
 
 
@@ -168,6 +168,38 @@ class TestCalibrateCommand:
         assert code == 2
         assert "GA settings" in capsys.readouterr().err
         assert not (outdir / "weights-cache").exists()
+
+    @pytest.mark.parametrize("flags, expected", [
+        (("--objective-sims", 0), "replications must be >= 1"),
+        (("--penalty=-5",), "penalty must be finite and > 0"),
+        (("--penalty", 0), "penalty must be finite and > 0"),
+        (("--penalty", "nan"), "penalty must be finite and > 0"),
+        (("--block-len", 1), "block_len must be >= 2"),
+        (("--block-len", 5000), "block_len 5000 exceeds series length 599"),
+        (("--bootstrap-replicates", 5), f"need at least {N_MOMENTS + 1} replicates"),
+    ], ids=["objective-sims-0", "penalty-negative", "penalty-0", "penalty-nan",
+            "block-len-1", "block-len-above-series", "replicates-5"])
+    def test_bad_objective_or_bootstrap_settings_exit_2_before_any_replicate(
+            self, flags, expected, empirical_csv_session, outdir, capsys, monkeypatch):
+        monkeypatch.setattr(weighting, "moment_vector", None)  # never reached
+        code = run_cli("calibrate", "--empirical", empirical_csv_session, "--bootstrap",
+                       "--bootstrap-replicates", 40, "--block-len", 50, "--population", 4,
+                       "--generations", 1, "--objective-sims", 1, "--sim-days", 300, *flags,
+                       "--out", outdir)
+        assert code == 2
+        assert expected in capsys.readouterr().err
+        assert not (outdir / "weights-cache").exists()
+
+    def test_failed_bootstrap_estimate_exits_1(self, empirical_csv_session, outdir,
+                                               capsys, monkeypatch):
+        def moment_vector(replicate, emp):
+            raise StatisticError("zero variance", component="adf")
+
+        monkeypatch.setattr(weighting, "moment_vector", moment_vector)
+        code = run_cli("calibrate", "--empirical", empirical_csv_session, "--bootstrap",
+                       "--bootstrap-replicates", 40, "--block-len", 50, "--out", outdir)
+        assert code == 1
+        assert "40/40 bootstrap replicates failed" in capsys.readouterr().err
 
     def test_unknown_optimizer_usage_error(self, empirical_csv_session, outdir):
         code = run_cli("calibrate", "--empirical", empirical_csv_session,
@@ -491,6 +523,34 @@ class TestSurfaceCommand:
         first = (out / "surface.csv").read_bytes()
         assert main(args) == 0
         assert (out / "surface.csv").read_bytes() == first
+
+    def test_calibration_supplies_the_base_theta(self, calibrated, empirical_csv_session,
+                                                 tmp_path):
+        out = tmp_path / "surf"
+        assert run_cli("surface", "--empirical", empirical_csv_session,
+                       "--variant", "adaptive", "--cache-dir", calibrated / "weights-cache",
+                       "--block-len", 50, "--bootstrap-replicates", 40,
+                       "--objective-sims", 1, "--sim-days", 300,
+                       "--x", "lam", "--y", "a", "--grid", "2x2",
+                       "--calibration", calibrated / "calibration.json", "--out", out) == 0
+        rows = [ln.split(",") for ln in (out / "surface.csv").read_text().splitlines()
+                if not ln.startswith("#")][1:]
+        assert len(rows) == 4
+        prices = load_price_series(empirical_csv_session)
+        emp = log_returns(prices)
+        space = calibration.ParameterSpace("adaptive")
+        cfg = calibration.ObjectiveConfig(
+            space=space, empirical_returns=emp,
+            empirical_moments=moment_vector(emp, emp).as_array(),
+            weight=cached_weight_matrix(emp, calibrated / "weights-cache",
+                                        block_len=50, replicates=40, seed=0),
+            replications=1, sim_days=300, p0=float(np.log(prices.closes[0])))
+        theta = json.loads((calibrated / "calibration.json").read_text())["theta"]
+        base = space.repair(np.array([theta[name] for name in space.names]))
+        for x, y, f in rows:
+            point = base.copy()
+            point[space.index("lam")], point[space.index("a")] = float(x), float(y)
+            assert float(f) == calibration.fitness(space.repair(point), cfg)
 
     def test_parameter_typo_lists_names(self, calibrated, empirical_csv_session,
                                         tmp_path, capsys):

@@ -192,3 +192,21 @@ class TestNmtaOptimize:
                                       NMTAParams(max_iters=300, shift_every=5,
                                                  shift_scale=0.25), seed=s).fitness)
         assert np.median(ta_f) < np.median(nm_f)
+
+
+@pytest.mark.parametrize("optimize, params, skipped", [
+    (ga_optimize, GAParams(population=6, generations=3), 0),
+    # the NM search starts after the 2 x 5 threshold samples
+    (nmta_optimize, NMTAParams(max_iters=12, threshold_samples=5), 10),
+    (nm_optimize, NMTAParams(max_iters=12), 0),
+], ids=["ga", "nmta", "nm"])
+def test_infinite_objective_returns_first_point_evaluated(optimize, params, skipped):
+    seen = []
+
+    def infinite(x):
+        seen.append(x.copy())
+        return np.inf
+
+    res = optimize(infinite, BOX6, params, seed=3)
+    assert res.fitness == np.inf and np.all(res.trace == np.inf)
+    assert np.array_equal(res.theta, seen[skipped])
