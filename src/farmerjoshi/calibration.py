@@ -100,14 +100,12 @@ class ReplicationError(CalibrationError):
 class ParameterSpace:
     """Free-parameter vector layout, box bounds, and feasibility repair.
 
-    The standard variant omits the switching parameters from the vector;
-    ``include_inert=True`` keeps them in the layout anyway (they do not
-    affect standard-variant output), which lets surface scans sweep them.
+    The standard variant, which never reads the switching parameters,
+    omits them (ADAPTIVE_ONLY) from the vector.
     """
 
     variant: str
     bounds: dict = field(default_factory=lambda: dict(DEFAULT_BOUNDS))
-    include_inert: bool = False
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -133,7 +131,7 @@ class ParameterSpace:
 
     @property
     def names(self) -> tuple:
-        if self.variant == "adaptive" or self.include_inert:
+        if self.variant == "adaptive":
             return PARAMETER_NAMES
         return PARAMETER_NAMES[: -len(ADAPTIVE_ONLY)]
 
@@ -188,15 +186,12 @@ class ParameterSpace:
         return np.array([float(getattr(params, n)) for n in self.names])
 
 
-def check_objective_settings(replications: int, sim_days: int, penalty: float) -> None:
-    """Reject ObjectiveConfig's scalar settings before any costly setup: a
-    penalty that is not finite and positive would let failed thetas win."""
+def check_objective_settings(replications: int, sim_days: int) -> None:
+    """Reject ObjectiveConfig's scalar settings before any costly setup."""
     if replications < 1:
         raise CalibrationError("replications must be >= 1")
     if sim_days < 1:
         raise CalibrationError("sim_days must be >= 1")
-    if not 0 < penalty < np.inf:  # NaN fails both comparisons
-        raise CalibrationError(f"penalty must be finite and > 0, got {penalty!r}")
 
 
 @dataclass(frozen=True)
@@ -211,10 +206,9 @@ class ObjectiveConfig:
     sim_days: int = 1000
     p0: float = 0.0
     master_seed: int = 0  # of the common-random-number seed set
-    penalty: float = PENALTY_FITNESS
 
     def __post_init__(self):
-        check_objective_settings(self.replications, self.sim_days, self.penalty)
+        check_objective_settings(self.replications, self.sim_days)
         object.__setattr__(self, "empirical_moments",
                            np.asarray(self.empirical_moments, dtype=float))
         k = len(self.empirical_moments)
@@ -254,7 +248,7 @@ class Evaluation:
     failures: tuple
     #: The mean deviation G of the kept runs; None when penalised.
     error: np.ndarray | None
-    #: G' W G, or the penalty.
+    #: G' W G, or PENALTY_FITNESS.
     fitness: float
 
 
@@ -263,7 +257,7 @@ def evaluate(theta, cfg: ObjectiveConfig) -> Evaluation:
 
     Runs that blow up or whose statistics degenerate are dropped from G;
     more than half failing, a theta outside the space or a ParameterError
-    (which fails every run) gives the penalty.
+    (which fails every run) gives PENALTY_FITNESS.
     """
     theta = np.asarray(theta, dtype=float)
     try:
@@ -277,14 +271,14 @@ def evaluate(theta, cfg: ObjectiveConfig) -> Evaluation:
         _, moments, failures = simulated_moments(params, cfg.space.variant, cfg.sim_days,
                                                  cfg.p0, seeds, cfg.empirical_returns)
     if len(failures) > cfg.replications / 2:
-        return Evaluation(moments, failures, None, cfg.penalty)
+        return Evaluation(moments, failures, None, PENALTY_FITNESS)
     ok = ~np.isnan(moments).any(axis=1)
     g = np.mean(cfg.empirical_moments - moments[ok], axis=0)
     return Evaluation(moments, failures, g, max(float(g @ cfg.weight.entries @ g), 0.0))
 
 
 def fitness(theta, cfg: ObjectiveConfig) -> float:
-    """G' W G, or the penalty: the fitness of ``evaluate``."""
+    """G' W G, or PENALTY_FITNESS: the fitness of ``evaluate``."""
     return evaluate(theta, cfg).fitness
 
 
@@ -418,19 +412,25 @@ def replicate_calibrations(run_one, space: ParameterSpace, runs: int,
     )
 
 
+def surface_axes(space: ParameterSpace, name_x, name_y, grid_x, grid_y) -> tuple[int, int]:
+    """The indices of a surface's two parameters in ``space``; a grid under
+    2x2, a repeated name or a name outside the space is a CalibrationError."""
+    if grid_x < 2 or grid_y < 2:
+        raise CalibrationError("grid must be at least 2x2")
+    if name_x == name_y:
+        raise CalibrationError("surface parameters must differ")
+    return space.index(name_x), space.index(name_y)
+
+
 def surface_scan(objective, space: ParameterSpace, name_x: str, name_y: str,
                  grid_x: int, grid_y: int, theta_base: np.ndarray) -> list[tuple]:
     """Objective values over a Cartesian grid of two free parameters.
 
     All other coordinates stay at ``theta_base``. Returns (x, y, f)
-    triples in row-major order; penalty values appear where the
+    triples in row-major order; PENALTY_FITNESS appears where the
     simulation blows up.
     """
-    if grid_x < 2 or grid_y < 2:
-        raise CalibrationError("grid must be at least 2x2")
-    ix, iy = space.index(name_x), space.index(name_y)
-    if ix == iy:
-        raise CalibrationError("surface parameters must differ")
+    ix, iy = surface_axes(space, name_x, name_y, grid_x, grid_y)
     xs = np.linspace(*space.bounds[name_x], grid_x)
     ys = np.linspace(*space.bounds[name_y], grid_y)
     rows = []

@@ -34,7 +34,6 @@ import numpy as np
 
 from farmerjoshi import report as report_mod
 from farmerjoshi.calibration import (
-    ADAPTIVE_ONLY,
     DEFAULT_BOUNDS,
     OPTIMIZERS,
     PARAMETER_NAMES,
@@ -49,6 +48,7 @@ from farmerjoshi.calibration import (
     replicate_calibrations,
     run_optimizer,
     simulated_moments,
+    surface_axes,
     surface_scan,
 )
 from farmerjoshi.data_io import (
@@ -275,15 +275,15 @@ def _weight_matrix(resolved: dict, emp_returns: ReturnSeries, out: Path) -> Weig
         raise UsageError(f"{exc}{hint}") from None
 
 
-def _objective_setup(resolved: dict, out: Path, include_inert: bool = False) -> ObjectiveConfig:
+def _objective_setup(resolved: dict, out: Path) -> ObjectiveConfig:
     emp_log_prices, emp_returns = _load_empirical(resolved.get("empirical"))
     sim_days = resolved["sim_days"] or len(emp_returns)
     _require_moment_days(sim_days, "--sim-days")
     bounds = dict(DEFAULT_BOUNDS)
     if resolved.get("bounds"):
         bounds.update(_read_json(resolved["bounds"], "bounds file"))
-    space = ParameterSpace(resolved["variant"], bounds=bounds, include_inert=include_inert)
-    check_objective_settings(resolved["objective_sims"], sim_days, resolved["penalty"])
+    space = ParameterSpace(resolved["variant"], bounds=bounds)
+    check_objective_settings(resolved["objective_sims"], sim_days)
     weight = _weight_matrix(resolved, emp_returns, out)
     try:
         emp_moments = moment_vector(emp_returns, emp_returns).as_array()
@@ -298,7 +298,6 @@ def _objective_setup(resolved: dict, out: Path, include_inert: bool = False) -> 
         sim_days=sim_days,
         p0=float(emp_log_prices[0]),
         master_seed=resolved["objective_seed"],
-        penalty=resolved["penalty"],
     )
 
 
@@ -319,7 +318,7 @@ def _optimizer_params(resolved: dict) -> tuple[GAParams, NMTAParams]:
         except ValueError:
             raise UsageError("--thresholds expects comma-separated numbers, "
                              f"got {nmta['thresholds']!r}") from None
-    return ga, NMTAParams(**nmta, penalty_cutoff=resolved["penalty"])
+    return ga, NMTAParams(**nmta, penalty_cutoff=PENALTY_FITNESS)
 
 
 def _result_doc(result, space) -> dict:
@@ -354,7 +353,7 @@ def _cmd_calibrate(resolved: dict) -> int:
         "replications": cfg.replications,
         "sim_days": cfg.sim_days,
         "master_seed": cfg.master_seed,
-        "penalty": cfg.penalty,
+        "penalty": PENALTY_FITNESS,
         "p0": cfg.p0,
         "weight_metadata": cfg.weight.metadata,
         "empirical_moments": cfg.empirical_moments.tolist(),
@@ -466,15 +465,13 @@ def _cmd_surface(resolved: dict) -> int:
     name_x, name_y = resolved["x"], resolved["y"]
     if not name_x or not name_y:
         raise UsageError("--x and --y parameter names are required")
-    # switching parameters may be swept for the standard variant too;
-    # they leave its output unchanged (the surface comes out flat)
-    include_inert = (resolved["variant"] == "standard"
-                     and bool({name_x, name_y} & set(ADAPTIVE_ONLY)))
     grid = re.fullmatch(r"(\d+)(?:x(\d+))?", str(resolved["grid"]).lower())
     if grid is None:
         raise UsageError(f"bad --grid spec {resolved['grid']!r}; use N or NxM, e.g. 10x10")
     grid_x, grid_y = int(grid[1]), int(grid[2] or grid[1])
-    cfg = _objective_setup(resolved, out, include_inert=include_inert)
+    # checked before any weight matrix is read or built; the names depend on the variant alone
+    surface_axes(ParameterSpace(resolved["variant"]), name_x, name_y, grid_x, grid_y)
+    cfg = _objective_setup(resolved, out)
     space = cfg.space
 
     if resolved.get("calibration"):
@@ -496,11 +493,18 @@ def _cmd_surface(resolved: dict) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+def non_negative_int(text: str) -> int:
+    """The type of the seed flags: numpy's SeedSequence takes no negative seed."""
+    if int(text) < 0:
+        raise ValueError(text)
+    return int(text)
+
+
 def _add_common(sub):
     sub.add_argument("--config", help="JSON config file; explicit flags win")
     sub.add_argument("--out", help=f"output directory (default ${OUTPUT_DIR_ENV} "
                      "or ./farmerjoshi-out)")
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=non_negative_int, default=0)
 
 
 def _add_objective_flags(sub):
@@ -512,17 +516,16 @@ def _add_objective_flags(sub):
                      help="build the weight matrix when not cached")
     sub.add_argument("--block-len", type=int, default=DEFAULT_BLOCK_LEN)
     sub.add_argument("--bootstrap-replicates", type=int, default=DEFAULT_REPLICATES)
-    sub.add_argument("--bootstrap-seed", type=int, default=0)
+    sub.add_argument("--bootstrap-seed", type=non_negative_int, default=0)
     sub.add_argument("--cache-dir",
                      help="weight-matrix cache directory (default OUT/weights-cache)")
     sub.add_argument("--objective-sims", type=int,
                      default=ObjectiveConfig.replications,  # the dataclass field's default
                      help="simulations averaged per fitness evaluation")
-    sub.add_argument("--objective-seed", type=int, default=0,
+    sub.add_argument("--objective-seed", type=non_negative_int, default=0,
                      help="master seed of the common-random-number set")
     sub.add_argument("--sim-days", type=int,
                      help="simulated days per run (default: empirical length)")
-    sub.add_argument("--penalty", type=float, default=PENALTY_FITNESS)
 
 
 def build_parser() -> argparse.ArgumentParser:

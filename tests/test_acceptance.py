@@ -14,6 +14,7 @@ import pytest
 
 from conftest import garch_returns, record_acceptance
 from farmerjoshi.calibration import (
+    PENALTY_FITNESS,
     ObjectiveConfig,
     ParameterSpace,
     fitness,
@@ -118,7 +119,7 @@ class TestCriterion1Determinism:
         details.append(f"ga={'ok' if ga_ok else 'MISMATCH'}")
 
         nm_kw = dict(nmta_params=NMTAParams(max_iters=3, threshold_samples=2,
-                                            penalty_cutoff=cfg.penalty), seed=4)
+                                            penalty_cutoff=PENALTY_FITNESS), seed=4)
         n1 = run_optimizer("nmta", objective, cfg.space, **nm_kw)
         n2 = run_optimizer("nmta", objective, cfg.space, **nm_kw)
         nm_ok = (np.array_equal(n1.theta, n2.theta)

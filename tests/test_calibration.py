@@ -1,4 +1,3 @@
-import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,6 +5,7 @@ import pytest
 
 from farmerjoshi import calibration
 from farmerjoshi.calibration import (
+    PENALTY_FITNESS,
     CalibrationError,
     ObjectiveConfig,
     ParameterSpace,
@@ -71,7 +71,6 @@ class TestParameterSpace:
         assert len(ParameterSpace("adaptive").names) == 16
         assert len(ParameterSpace("standard").names) == 14
         assert "gamma" not in ParameterSpace("standard").names
-        assert len(ParameterSpace("standard", include_inert=True).names) == 16
 
     def test_repair_clips_rounds_and_orders(self):
         space = ParameterSpace("adaptive")
@@ -164,7 +163,7 @@ class TestEvaluate:
         theta = mid_theta(tiny_cfg.space)
         stub_blow_ups(monkeypatch)
         ev = evaluate(theta, tiny_cfg)
-        assert ev.error is None and ev.fitness == tiny_cfg.penalty
+        assert ev.error is None and ev.fitness == PENALTY_FITNESS
         assert [i for i, _ in ev.failures] == [0, 1]
         assert all(isinstance(exc, BlowUpError) for _, exc in ev.failures)
         assert np.isnan(ev.moments).all()
@@ -208,7 +207,7 @@ class TestEvaluate:
                                                              (2, StatisticError)]
         assert ev.failures[1][1].component == "adf"
         if replications == 3:
-            assert ev.error is None and ev.fitness == cfg.penalty
+            assert ev.error is None and ev.fitness == PENALTY_FITNESS
         else:
             g = cfg.empirical_moments - run1
             assert np.array_equal(ev.error, g)
@@ -221,18 +220,11 @@ class TestEvaluate:
         theta = mid_theta(tiny_cfg.space)
         theta[tiny_cfg.space.index("lam")] = 1e9
         ev = evaluate(theta, tiny_cfg)
-        assert ev.fitness == tiny_cfg.penalty and ev.error is None
+        assert ev.fitness == PENALTY_FITNESS and ev.error is None
         assert [i for i, _ in ev.failures] == [0, 1]
         assert all(isinstance(exc, CalibrationError) for _, exc in ev.failures)
         assert np.isnan(ev.moments).all()
-        assert fitness(theta, tiny_cfg) == tiny_cfg.penalty
-
-    @pytest.mark.parametrize("penalty", [-5.0, 0.0, float("nan"), float("inf")])
-    def test_penalty_not_positive_and_finite_rejected(self, penalty, tiny_cfg):
-        """A failed theta scores the penalty, so a penalty at or below zero, or
-        NaN, would let it beat every theta that simulates."""
-        with pytest.raises(CalibrationError, match="penalty must be finite and > 0"):
-            dataclasses.replace(tiny_cfg, penalty=penalty)
+        assert fitness(theta, tiny_cfg) == PENALTY_FITNESS
 
 
 class TestFitness:
@@ -266,7 +258,7 @@ class TestFitness:
     def test_blow_up_maps_to_penalty(self, tiny_cfg, monkeypatch):
         theta = mid_theta(tiny_cfg.space)
         stub_blow_ups(monkeypatch)
-        assert fitness(theta, tiny_cfg) == tiny_cfg.penalty
+        assert fitness(theta, tiny_cfg) == PENALTY_FITNESS
 
     def test_real_simulation_fitness_deterministic(self, tiny_cfg):
         theta = mid_theta(tiny_cfg.space)
@@ -392,20 +384,6 @@ class TestSurfaceScan:
         theta = mid_theta(space)
         rows = surface_scan(lambda th: 1.0, space, "a", "lam", 2, 2, theta)
         assert len(rows) == 4
-
-    def test_unused_parameters_give_constant_surface(self, clustered_returns):
-        from farmerjoshi.stats import moment_vector
-        space = ParameterSpace("standard", include_inert=True)
-        m_emp = moment_vector(clustered_returns, clustered_returns).as_array()
-        cfg = ObjectiveConfig(
-            space=space, empirical_returns=clustered_returns,
-            empirical_moments=m_emp, weight=identity_weight(),
-            replications=1, sim_days=300, master_seed=2)
-        theta = mid_theta(space)
-        rows = surface_scan(make_objective(cfg), space, "gamma", "horizon",
-                            2, 2, theta)
-        values = {f for _, _, f in rows}
-        assert len(values) == 1
 
     def test_rescan_identical(self, tiny_cfg):
         theta = mid_theta(tiny_cfg.space)

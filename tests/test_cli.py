@@ -8,7 +8,7 @@ from farmerjoshi.cli import main
 from farmerjoshi.data_io import load_price_series, log_returns
 from farmerjoshi.market import DEFAULT_PARAMETERS, BlowUpError
 from farmerjoshi.stats import MIN_OBSERVATIONS, N_MOMENTS, StatisticError, moment_vector
-from farmerjoshi.weighting import cached_weight_matrix
+from farmerjoshi.weighting import WeightMatrix, cached_weight_matrix
 
 
 def run_cli(*args) -> int:
@@ -171,14 +171,10 @@ class TestCalibrateCommand:
 
     @pytest.mark.parametrize("flags, expected", [
         (("--objective-sims", 0), "replications must be >= 1"),
-        (("--penalty=-5",), "penalty must be finite and > 0"),
-        (("--penalty", 0), "penalty must be finite and > 0"),
-        (("--penalty", "nan"), "penalty must be finite and > 0"),
         (("--block-len", 1), "block_len must be >= 2"),
         (("--block-len", 5000), "block_len 5000 exceeds series length 599"),
         (("--bootstrap-replicates", 5), f"need at least {N_MOMENTS + 1} replicates"),
-    ], ids=["objective-sims-0", "penalty-negative", "penalty-0", "penalty-nan",
-            "block-len-1", "block-len-above-series", "replicates-5"])
+    ], ids=["objective-sims-0", "block-len-1", "block-len-above-series", "replicates-5"])
     def test_bad_objective_or_bootstrap_settings_exit_2_before_any_replicate(
             self, flags, expected, empirical_csv_session, outdir, capsys, monkeypatch):
         monkeypatch.setattr(weighting, "moment_vector", None)  # never reached
@@ -317,6 +313,7 @@ class TestCalibrateCommand:
     ("--bounds", '{"lam": 5}', "bounds for lam"),
     # rejected before the missing weight matrix is looked for
     ("--bounds", '{"lam": [50, 5]}', "bounds for lam"),
+    ("--bounds", '{"d_min": [30, 40], "d_max": [10, 20]}', "bounds forbid d_min <= d_max"),
     ("--calibration", '{"theta": 5, "variant": "adaptive"}', "input.json"),
     # model parameters that are not numbers
     ("--params", '{"lam": "x"}', "lam"),
@@ -340,11 +337,20 @@ def test_bad_json_input_usage_error(flag, content, expected, empirical_csv_sessi
     (["calibrate", "--weights"], {"entries": [[1, 2], [3, 4]], "metadata": {}}, "w.json"),
     (["calibrate", "--weights"], {"entries": [[1, 0], [0, 1]], "metadata": {}},
      "weight matrix is (2, 2)"),
+    (["calibrate", "--weights"], {"entries": [[1, 0]], "metadata": {}}, "must be square"),
+    (["calibrate", "--weights"], {"entries": [[float("nan")]], "metadata": {}},
+     "must be finite"),
+    (["calibrate", "--weights"], {"entries": [[1, 2], [2, 1]], "metadata": {}}, "not PSD"),
     (["simulate", "--set", "lam=abc"], None, "--set"),
+    (["simulate", "--set", "lam"], None, "--set expects name=value, got 'lam'"),
     # no weight matrix is cached: the flag is read before the matrix is looked for
     (["calibrate", "--thresholds", "abc"], None, "--thresholds"),
+    (["report"], None, "--calibration FILE is required"),
+    (["surface", "--x", "a"], None, "--x and --y parameter names are required"),
 ], ids=["weights-no-entries", "weights-asymmetric", "weights-wrong-shape",
-        "set-not-a-number", "thresholds-not-numbers"])
+        "weights-not-square", "weights-not-finite", "weights-not-psd",
+        "set-not-a-number", "set-without-value", "thresholds-not-numbers",
+        "report-without-calibration", "surface-without-y"])
 def test_bad_input_usage_error(argv, weights, expected, empirical_csv_session,
                                tmp_path, capsys):
     if weights is not None:
@@ -371,11 +377,11 @@ RESOLVED = {
         "bootstrap_seed": 0, "bounds": None, "cache_dir": None, "crossover_rate": 0.8,
         "elites": 1, "empirical": "e.csv", "generations": 100, "max_iters": 250,
         "mutation_scale": 0.1, "objective_seed": 0, "objective_sims": 10,
-        "optimizer": "nmta", "out": None, "penalty": 1e12, "population": 40,
+        "optimizer": "nmta", "out": None, "population": 40,
         "replications": None, "restarts": 1, "seed": 0, "shift_every": 10,
         "shift_scale": 0.15, "sim_days": None, "threshold_samples": 100,
         "thresholds": "0.5,0", "variant": "adaptive", "weights": None},
-        "05d9ab80cce72998"),
+        "a6db1d73a84ae021"),
     "report": (["report", "--calibration", "c.json", "--empirical", "e.csv"], {
         "calibration": "c.json", "days": None, "empirical": "e.csv", "max_lag": 50,
         "out": None, "qq_points": 99, "seed": 0, "simulations": 20},
@@ -385,9 +391,9 @@ RESOLVED = {
         "block_len": 100, "bootstrap": False, "bootstrap_replicates": 1000,
         "bootstrap_seed": 0, "bounds": None, "cache_dir": None, "calibration": None,
         "empirical": "e.csv", "grid": "10x10", "objective_seed": 0,
-        "objective_sims": 10, "out": None, "penalty": 1e12, "seed": 0,
+        "objective_sims": 10, "out": None, "seed": 0,
         "sim_days": None, "variant": "standard", "weights": None, "x": "lam",
-        "y": "a"}, "35dac5453155c8d3"),
+        "y": "a"}, "246342299beb946f"),
 }
 
 
@@ -397,6 +403,38 @@ def test_resolved_config_pinned(command):
     _, resolved = cli._resolve(argv)
     assert resolved == expected
     assert cli.config_hash(resolved) == digest
+
+
+@pytest.mark.parametrize("command, flag", [
+    *((command, "--seed") for command in COMMANDS),
+    *((command, flag) for command in ("calibrate", "surface")
+      for flag in ("--objective-seed", "--bootstrap-seed")),
+])
+def test_negative_seed_exits_2_before_any_output(command, flag, empirical_csv_session,
+                                                 tmp_path, capsys):
+    out = tmp_path / "out"
+    code = run_cli(command, flag, -1, "--empirical", empirical_csv_session, "--out", out)
+    assert code == 2
+    assert f"argument {flag}: invalid non_negative_int value: '-1'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_true_gives_the_switch(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"bootstrap": True}))
+    assert cli._resolve(["calibrate", "--config", str(cfg)])[1]["bootstrap"] is True
+    # the command still needs its empirical series
+    assert run_cli("calibrate", "--config", cfg, "--out", tmp_path / "out") == 2
+    assert "an empirical price CSV is required (--empirical)" in capsys.readouterr().err
+
+
+def test_degenerate_empirical_series_exit_2(price_csv, tmp_path, capsys):
+    weights = tmp_path / "w.json"
+    WeightMatrix(np.eye(N_MOMENTS)).save(weights)
+    code = run_cli("calibrate", "--empirical", price_csv([100.0] * 300),
+                   "--weights", weights, "--out", tmp_path / "out")
+    assert code == 2
+    assert "empirical series too degenerate to calibrate" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -467,6 +505,7 @@ class TestReportCommand:
         (("--days", 300, "--max-lag", 300), "--max-lag must be at least 1 and below 300"),
         (("--qq-points", 0), "--qq-points must be >= 1"),
         (("--qq-points", -3), "--qq-points must be >= 1"),
+        (("--simulations", 0), "--simulations must be >= 1"),
     ])
     def test_bad_table_sizes_rejected_before_any_table(self, flags, expected, calibrated,
                                                        empirical_csv_session, outdir, capsys):
@@ -565,15 +604,23 @@ class TestSurfaceCommand:
         err = capsys.readouterr().err
         assert "lam" in err and "n_traders" in err
 
-    @pytest.mark.parametrize("spec", ["tenxten", "3x3x7"])
-    def test_bad_grid_spec(self, spec, calibrated, empirical_csv_session, tmp_path):
-        code = main(["surface", "--empirical", str(empirical_csv_session),
-                     "--cache-dir", str(calibrated / "weights-cache"),
-                     "--block-len", "50", "--bootstrap-replicates", "40",
-                     "--objective-sims", "1", "--sim-days", "300",
-                     "--x", "a", "--y", "lam", "--grid", spec,
-                     "--out", str(tmp_path / "s3")])
+    @pytest.mark.parametrize("flags, expected", [
+        (("--grid", "tenxten"), "bad --grid spec"),
+        (("--grid", "3x3x7"), "bad --grid spec"),
+        (("--grid", "1x3"), "grid must be at least 2x2"),
+        (("--y", "a"), "surface parameters must differ"),
+        # the standard variant never reads gamma, so it has no gamma axis
+        (("--variant", "standard", "--x", "gamma"), "unknown parameter 'gamma'"),
+    ], ids=["tenxten", "3x3x7", "1x3", "x-equals-y", "standard-gamma"])
+    def test_bad_grid_spec(self, flags, expected, empirical_csv_session, outdir, capsys):
+        code = run_cli("surface", "--empirical", empirical_csv_session, "--bootstrap",
+                       "--block-len", 50, "--bootstrap-replicates", 40,
+                       "--objective-sims", 1, "--sim-days", 300,
+                       "--x", "a", "--y", "lam", "--grid", "3x3", *flags, "--out", outdir)
         assert code == 2
+        assert expected in capsys.readouterr().err
+        # rejected before any weight matrix is read or built
+        assert not (outdir / "weights-cache").exists()
 
 
 @pytest.mark.parametrize("command, flags", [

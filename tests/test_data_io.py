@@ -51,6 +51,24 @@ class TestLoadPriceSeries:
         with pytest.raises(PriceDataError, match="fewer than 2"):
             load_price_series(price_csv([100.0]))
 
+    @pytest.mark.parametrize("text, expected", [
+        ("", "empty file"),
+        ("date,close\n2015-01-01,100\n2015-01-02\n", "row 3: expected 2 columns, got 1"),
+    ], ids=["empty", "one-column-row"])
+    def test_malformed_file_rejected(self, text, expected, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(PriceDataError, match=expected):
+            load_price_series(path)
+
+    def test_blank_rows_skipped(self, price_csv, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("date,close\n2015-01-01,100\n\n , \n2015-01-02,101\n")
+        series = load_price_series(path)
+        plain = load_price_series(price_csv([100.0, 101.0]))
+        assert np.array_equal(series.dates, plain.dates)
+        assert np.array_equal(series.closes, plain.closes)
+
     def test_header_required(self, tmp_path):
         path = tmp_path / "nohdr.csv"
         path.write_text("2015-01-01,100\n2015-01-02,101\n")

@@ -71,6 +71,23 @@ def test_cli_import_leaves_out_unused_scipy_subpackages():
     assert loaded == []
 
 
+def test_cli_import_adds_only_stdlib_and_package_modules():
+    # what a fresh import loads beyond numpy's own import is start-up cost
+    found = run_fresh(textwrap.dedent("""
+        import json, sys
+        import numpy
+        before = set(sys.modules)
+        import farmerjoshi.cli
+        print(json.dumps({
+            "added": sorted(m for m in set(sys.modules) - before
+                            if m.partition(".")[0] not in sys.stdlib_module_names),
+            "loaded": [m for m in ("scipy", "numpy.random", "numpy.ma") if m in sys.modules]}))
+    """))
+    assert "farmerjoshi.cli" in found["added"]
+    assert all(m == "farmerjoshi" or m.startswith("farmerjoshi.") for m in found["added"])
+    assert found["loaded"] == []
+
+
 GARCH_FIT = textwrap.dedent("""
     import json, resource, sys
     import numpy as np
