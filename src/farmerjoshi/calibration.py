@@ -24,17 +24,15 @@ from farmerjoshi.market import (
     simulate_batch,
 )
 from farmerjoshi.optimize import (
+    PENALTY_FITNESS,
     CalibrationResult,
     GAParams,
     NMTAParams,
     ga_optimize,
-    nm_optimize,
     nmta_optimize,
 )
 from farmerjoshi.stats import N_MOMENTS, StatisticError, moment_vector
 from farmerjoshi.weighting import WeightMatrix
-
-PENALTY_FITNESS = 1e12
 
 #: Free parameters in calibration order: ModelParameters' fields, the
 #: adaptive-only ones last.
@@ -304,7 +302,7 @@ def make_objective(cfg: ObjectiveConfig):
 # Drivers
 # ---------------------------------------------------------------------------
 
-OPTIMIZERS = ("ga", "nmta", "nm")
+OPTIMIZERS = ("ga", "nmta")
 
 
 def run_optimizer(optimizer: str, objective, space: ParameterSpace, seed: int,
@@ -317,8 +315,6 @@ def run_optimizer(optimizer: str, objective, space: ParameterSpace, seed: int,
         return ga_optimize(objective, bounds, ga_params, **common)
     if optimizer == "nmta":
         return nmta_optimize(objective, bounds, nmta_params, **common)
-    if optimizer == "nm":
-        return nm_optimize(objective, bounds, nmta_params, **common)
     raise CalibrationError(
         f"unknown optimizer {optimizer!r}; choose from {', '.join(OPTIMIZERS)}")
 

@@ -180,6 +180,14 @@ def _load_empirical(path_str: str) -> tuple[np.ndarray, ReturnSeries]:
     return np.log(prices.closes), log_returns(prices)
 
 
+def _empirical_moments(emp_returns: ReturnSeries) -> np.ndarray:
+    """The empirical moment vector; a series too degenerate for it is a UsageError."""
+    try:
+        return moment_vector(emp_returns, emp_returns).as_array()
+    except StatisticError as exc:
+        raise UsageError(f"empirical series too degenerate to calibrate: {exc}") from None
+
+
 def _require_moment_days(days: int, flag: str) -> None:
     """Reject, before any simulation, a simulated length too short for the moments."""
     if days < MIN_OBSERVATIONS:
@@ -284,11 +292,8 @@ def _objective_setup(resolved: dict, out: Path) -> ObjectiveConfig:
         bounds.update(_read_json(resolved["bounds"], "bounds file"))
     space = ParameterSpace(resolved["variant"], bounds=bounds)
     check_objective_settings(resolved["objective_sims"], sim_days)
+    emp_moments = _empirical_moments(emp_returns)
     weight = _weight_matrix(resolved, emp_returns, out)
-    try:
-        emp_moments = moment_vector(emp_returns, emp_returns).as_array()
-    except StatisticError as exc:
-        raise UsageError(f"empirical series too degenerate to calibrate: {exc}") from None
     return ObjectiveConfig(
         space=space,
         empirical_returns=emp_returns,
@@ -301,24 +306,20 @@ def _objective_setup(resolved: dict, out: Path) -> ObjectiveConfig:
     )
 
 
-#: The NMTAParams fields that calibrate flags set; the others keep their defaults.
-_NMTA_FLAGS = ("restarts", "max_iters", "shift_every", "shift_scale",
-               "threshold_samples", "thresholds")
-
-
 def _optimizer_params(resolved: dict) -> tuple[GAParams, NMTAParams]:
     try:
         ga = GAParams(**{f.name: resolved[f.name] for f in dataclasses.fields(GAParams)})
     except ValueError as exc:
         raise UsageError(f"GA settings: {exc}") from None
-    nmta = {name: resolved[name] for name in _NMTA_FLAGS}
+    nmta = {f.name: resolved[f.name] for f in dataclasses.fields(NMTAParams)
+            if f.name in resolved}
     if nmta["thresholds"] is not None:
         try:
             nmta["thresholds"] = tuple(float(x) for x in str(nmta["thresholds"]).split(","))
         except ValueError:
             raise UsageError("--thresholds expects comma-separated numbers, "
                              f"got {nmta['thresholds']!r}") from None
-    return ga, NMTAParams(**nmta, penalty_cutoff=PENALTY_FITNESS)
+    return ga, NMTAParams(**nmta)
 
 
 def _result_doc(result, space) -> dict:
@@ -337,6 +338,9 @@ def _result_doc(result, space) -> dict:
 
 
 def _cmd_calibrate(resolved: dict) -> int:
+    replications = resolved["replications"]
+    if replications is not None and replications < 2:
+        raise UsageError("--replications must be at least 2")
     out = _out_dir(resolved)
     meta = _meta(resolved)
     ga_params, nmta_params = _optimizer_params(resolved)
@@ -358,8 +362,7 @@ def _cmd_calibrate(resolved: dict) -> int:
         "weight_metadata": cfg.weight.metadata,
         "empirical_moments": cfg.empirical_moments.tolist(),
     }}
-    replications = resolved["replications"]
-    if replications and replications >= 2:
+    if replications:
         logger.info("running %d replicate calibrations (%s)", replications, optimizer)
         error = None
         try:
@@ -431,7 +434,7 @@ def _cmd_report(resolved: dict) -> int:
                          "the length of the shorter return series")
     if resolved["qq_points"] < 1:
         raise UsageError("--qq-points must be >= 1")
-    emp_moments = moment_vector(emp_returns, emp_returns).as_array()
+    emp_moments = _empirical_moments(emp_returns)
     seeds = np.random.SeedSequence(resolved["seed"]).generate_state(sims)
     outputs, sim_moments, failures = simulated_moments(
         params, variant, days, float(emp_log_prices[0]), seeds, emp_returns)
@@ -555,9 +558,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="independent calibration runs for the 95%% intervals")
     cal.add_argument("--population", type=int, default=GAParams.population)
     cal.add_argument("--generations", type=int, default=GAParams.generations)
-    cal.add_argument("--crossover-rate", type=float, default=GAParams.crossover_rate)
-    cal.add_argument("--mutation-scale", type=float, default=GAParams.mutation_scale)
-    cal.add_argument("--elites", type=int, default=GAParams.elites)
     cal.add_argument("--max-iters", type=int, default=NMTAParams.max_iters)
     cal.add_argument("--restarts", type=int, default=NMTAParams.restarts)
     cal.add_argument("--shift-every", type=int, default=NMTAParams.shift_every)

@@ -187,16 +187,6 @@ def market_impact_update(p_t: float, net_order: float, lam: float, zeta: float) 
     return p_t + net_order / lam + zeta
 
 
-def chartist_mispricing(p_lagged: float, p_now: float) -> float:
-    """Trend signal m = p[t-d] - p[t]; negative after a rise (long pressure)."""
-    return p_lagged - p_now
-
-
-def fundamentalist_mispricing(p_now: float, v: float) -> float:
-    """Value signal m = p[t] - v; positive when overpriced (short pressure)."""
-    return p_now - v
-
-
 def threshold_transition(current: float, m: float, T: float, tau: float, c: float) -> float:
     """One day of the entry/exit state machine for a single position.
 
@@ -213,11 +203,6 @@ def threshold_transition(current: float, m: float, T: float, tau: float, c: floa
     if current > 0.0:
         return 0.0 if m > -tau else current
     return 0.0 if m < tau else current
-
-
-def value_perception_step(v: float, eta_draw: float) -> float:
-    """Advance a log value perception by one random-walk increment."""
-    return v + eta_draw
 
 
 def strategy_profit(shadow_positions, log_prices, H: int, t: int) -> float:

@@ -21,7 +21,6 @@ coordinates) at evaluation time only; reported optima are repaired points.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass, field
 
@@ -45,29 +44,32 @@ class CalibrationResult:
         object.__setattr__(self, "trace", np.asarray(self.trace, dtype=float))
 
 
+#: GA share of parent pairs recombined; the others pass on as copies.
+GA_CROSSOVER_RATE = 0.8
 #: GA per-gene mutation probability.
 GA_MUTATION_PROB = 0.10
+#: GA Gaussian mutation step, times bound width.
+GA_MUTATION_SCALE = 0.1
+#: GA individuals carried over unchanged to the next generation.
+GA_ELITES = 1
 #: GA BLX crossover: children are drawn from the parents' span widened by
 #: this fraction of it on each side.
 GA_BLEND_ALPHA = 0.30
 #: Nelder-Mead initial vertex offset, times bound width.
 NM_SIMPLEX_SCALE = 0.1
+#: An objective value at or above this is a penalty, not a measurement:
+#: threshold sampling drops the pairs that reach it.
+PENALTY_FITNESS = 1e12
 
 
 @dataclass(frozen=True)
 class GAParams:
     population: int = 40
     generations: int = 100
-    crossover_rate: float = 0.8
-    mutation_scale: float = 0.1  # times bound width
-    elites: int = 1
 
     def __post_init__(self):
         if self.population < 4:
             raise ValueError("population must be >= 4")
-        if not 0 <= self.elites < self.population:
-            raise ValueError(f"elites must be at least 0 and below the population "
-                             f"({self.population}), got {self.elites}")
 
 
 @dataclass(frozen=True)
@@ -79,7 +81,6 @@ class NMTAParams:
     threshold_len: int = 10
     threshold_samples: int = 100  # random pairs used to build thresholds
     thresholds: tuple | None = None  # explicit override; all-zero = plain NM
-    penalty_cutoff: float | None = None  # drop threshold pairs at/above this
 
 
 def _as_bounds(bounds) -> tuple[np.ndarray, np.ndarray]:
@@ -159,10 +160,10 @@ def ga_optimize(objective, bounds, ga_params: GAParams | None = None,
     fit = np.array([ev(x) for x in pop])
     ev.step()
 
-    n_children = p.population - p.elites
+    n_children = p.population - GA_ELITES
     for _ in range(p.generations):
         order = np.argsort(fit, kind="stable")
-        elite_pool = pop[order[: p.elites]].copy()
+        elite_pool = pop[order[:GA_ELITES]].copy()
         children = np.empty((n_children, n))
         made = 0
         while made < n_children:
@@ -171,7 +172,7 @@ def ga_optimize(objective, bounds, ga_params: GAParams | None = None,
                 i, j = rng.integers(0, p.population, size=2)
                 parents.append(pop[i] if fit[i] <= fit[j] else pop[j])
             pa, pb = parents
-            if rng.random() < p.crossover_rate:
+            if rng.random() < GA_CROSSOVER_RATE:
                 lo = np.minimum(pa, pb)
                 hi = np.maximum(pa, pb)
                 span = (hi - lo) * GA_BLEND_ALPHA
@@ -182,17 +183,17 @@ def ga_optimize(objective, bounds, ga_params: GAParams | None = None,
             for c in (c1, c2):
                 mask = rng.random(n) < GA_MUTATION_PROB
                 c[mask] += rng.normal(0.0, 1.0, size=int(mask.sum())) \
-                    * p.mutation_scale * width[mask]
+                    * GA_MUTATION_SCALE * width[mask]
                 children[made] = reflect_into_bounds(c, lower, upper)
                 made += 1
                 if made == n_children:
                     break
         child_fit = np.array([ev(x) for x in children])
         pop = np.vstack([elite_pool, children])
-        fit = np.concatenate([fit[order[: p.elites]], child_fit])
+        fit = np.concatenate([fit[order[:GA_ELITES]], child_fit])
         ev.step()
 
-    return ev.result(optimizer="ga", params=dataclasses.asdict(p))
+    return ev.result(optimizer="ga")
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +209,8 @@ _NM_SHRINK = 0.5
 def build_thresholds(objective_eval, lower, upper, params: NMTAParams, rng) -> np.ndarray:
     """Decreasing |delta f| quantiles over random shift pairs.
 
-    Non-finite and equal-penalty pairs are discarded; with no usable
-    pairs the thresholds are all zero (plain Nelder-Mead behavior).
+    Non-finite pairs and pairs reaching PENALTY_FITNESS are discarded; with
+    no usable pairs the thresholds are all zero (plain Nelder-Mead behavior).
     """
     width = upper - lower
     n = len(lower)
@@ -219,9 +220,7 @@ def build_thresholds(objective_eval, lower, upper, params: NMTAParams, rng) -> n
         delta = rng.uniform(-1.0, 1.0, size=n) * params.shift_scale * width
         fa = objective_eval(x)
         fb = objective_eval(np.clip(x + delta, lower, upper))
-        if not (np.isfinite(fa) and np.isfinite(fb)):
-            continue
-        if params.penalty_cutoff is not None and max(fa, fb) >= params.penalty_cutoff:
+        if not (np.isfinite(fa) and np.isfinite(fb)) or max(fa, fb) >= PENALTY_FITNESS:
             continue
         diffs.append(abs(fa - fb))
     if not diffs:
@@ -333,12 +332,3 @@ def nmta_optimize(objective, bounds, nmta_params: NMTAParams | None = None,
     return ev.result(optimizer="nmta", thresholds=taus.tolist(), events=events,
                      simplex_best_traces=simplex_traces)
 
-
-def nm_optimize(objective, bounds, nmta_params: NMTAParams | None = None,
-                seed: int = 0, repair=None) -> CalibrationResult:
-    """Plain Nelder-Mead: the zero-threshold special case of NMTA."""
-    p = nmta_params or NMTAParams()
-    zeroed = dataclasses.replace(p, thresholds=(0.0,) * p.threshold_len)
-    result = nmta_optimize(objective, bounds, zeroed, seed, repair)
-    result.details["optimizer"] = "nm"
-    return result

@@ -93,6 +93,7 @@ OPTIMIZER_RUNS = {
     "ga": dict(optimizer="ga", ga_params=GAParams(population=8, generations=5)),
     "nmta": dict(optimizer="nmta", nmta_params=NMTAParams(
         max_iters=40, shift_every=5, threshold_len=4, threshold_samples=12)),
+    "nmta_zero": dict(optimizer="nmta", nmta_params=NMTAParams(max_iters=40, thresholds=(0.0,))),
 }
 OPTIMIZER_SEED = 7
 

@@ -3,8 +3,8 @@
 Run with ``pytest tests/test_acceptance.py -v`` (add ``-s`` to stream the
 per-criterion lines as they happen; they are also echoed in the terminal
 summary). Criterion 7, the stylized-fact comparison of both calibrated
-variants, is pending (ROADMAP direction 3): no test for it exists yet.
-Criteria 6 and 8 dominate the wall time.
+variants, is pending (ROADMAP's criterion-7 direction): no test for it
+exists yet. Criteria 6 and 8 dominate the wall time.
 """
 
 import time
@@ -14,7 +14,6 @@ import pytest
 
 from conftest import garch_returns, record_acceptance
 from farmerjoshi.calibration import (
-    PENALTY_FITNESS,
     ObjectiveConfig,
     ParameterSpace,
     fitness,
@@ -37,7 +36,6 @@ from farmerjoshi.optimize import (
     GAParams,
     NMTAParams,
     ga_optimize,
-    nm_optimize,
     nmta_optimize,
 )
 from farmerjoshi.stats import (
@@ -118,8 +116,7 @@ class TestCriterion1Determinism:
         ok &= ga_ok
         details.append(f"ga={'ok' if ga_ok else 'MISMATCH'}")
 
-        nm_kw = dict(nmta_params=NMTAParams(max_iters=3, threshold_samples=2,
-                                            penalty_cutoff=PENALTY_FITNESS), seed=4)
+        nm_kw = dict(nmta_params=NMTAParams(max_iters=3, threshold_samples=2), seed=4)
         n1 = run_optimizer("nmta", objective, cfg.space, **nm_kw)
         n2 = run_optimizer("nmta", objective, cfg.space, **nm_kw)
         nm_ok = (np.array_equal(n1.theta, n2.theta)
@@ -314,15 +311,18 @@ class TestCriterion5OptimizerSanity:
         box3 = (np.full(3, -5.0), np.full(3, 5.0))
         zt = nmta_optimize(quad, box3, NMTAParams(thresholds=(0.0,) * 10,
                                                   max_iters=150), seed=5)
-        nm = nm_optimize(quad, box3, NMTAParams(max_iters=150), seed=5)
+        # plain NM: the loop without its shift branch
+        nm = nmta_optimize(quad, box3, NMTAParams(shift_every=0, max_iters=150,
+                                                  thresholds=(0.0,)), seed=5)
         checks["nmta-zero-equals-nm"] = (np.array_equal(zt.trace, nm.trace)
                                          and np.array_equal(zt.theta, nm.theta))
 
         sbox = (np.full(2, -500.0), np.full(2, 500.0))
         nm_f, ta_f, events = [], [], []
         for s in range(20):
-            nm_f.append(nm_optimize(schwefel, sbox,
-                                    NMTAParams(max_iters=300), seed=s).fitness)
+            nm_f.append(nmta_optimize(schwefel, sbox, NMTAParams(max_iters=300,
+                                                                  thresholds=(0.0,)),
+                                      seed=s).fitness)
             r = nmta_optimize(schwefel, sbox,
                               NMTAParams(max_iters=300, shift_every=5,
                                          shift_scale=0.25), seed=s)

@@ -156,10 +156,7 @@ class TestCalibrateCommand:
         assert run_cli(*args, "--bootstrap", "--out", tmp_path / "b") == 0
         assert damaged.read_text() == good.read_text()
 
-    @pytest.mark.parametrize("flags", [("--population", 3),
-                                       ("--population", 4, "--elites", 5),
-                                       ("--elites", -1)],
-                             ids=["population-3", "elites-above-population", "elites-negative"])
+    @pytest.mark.parametrize("flags", [("--population", 3)], ids=["population-3"])
     def test_bad_ga_settings_exit_2_before_any_work(self, flags, empirical_csv_session,
                                                     outdir, capsys):
         code = run_cli("calibrate", "--empirical", empirical_csv_session, "--bootstrap",
@@ -197,31 +194,22 @@ class TestCalibrateCommand:
         assert code == 1
         assert "40/40 bootstrap replicates failed" in capsys.readouterr().err
 
-    def test_unknown_optimizer_usage_error(self, empirical_csv_session, outdir):
-        code = run_cli("calibrate", "--empirical", empirical_csv_session,
-                       "--optimizer", "gradient", "--out", outdir)
-        assert code == 2
+    def test_unknown_optimizer_usage_error(self, empirical_csv_session, outdir, capsys):
+        # plain Nelder-Mead is `--optimizer nmta --thresholds 0`, not an optimizer of its own
+        for optimizer in ("gradient", "nm"):
+            code = run_cli("calibrate", "--empirical", empirical_csv_session,
+                           "--optimizer", optimizer, "--out", outdir)
+            assert code == 2, optimizer
+            assert f"invalid choice: '{optimizer}'" in capsys.readouterr().err
 
-    def test_nmta_zero_thresholds_equals_plain_nm(self, empirical_csv_session,
-                                                  calibrated, tmp_path):
-        common = ["--empirical", str(empirical_csv_session),
-                  "--variant", "adaptive",
-                  "--cache-dir", str(calibrated / "weights-cache"),
-                  "--block-len", "50", "--bootstrap-replicates", "40",
-                  "--objective-sims", "1", "--sim-days", "300",
-                  "--max-iters", "25", "--seed", "11"]
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        assert main(["calibrate", *common, "--optimizer", "nmta",
-                     "--thresholds", "0", "--out", str(out_a)]) == 0
-        assert main(["calibrate", *common, "--optimizer", "nm",
-                     "--out", str(out_b)]) == 0
-        trace_a = (out_a / "fitness_trace.csv").read_text()
-        trace_b = (out_b / "fitness_trace.csv").read_text()
-        strip = lambda text: [ln for ln in text.splitlines() if not ln.startswith("#")]
-        assert strip(trace_a) == strip(trace_b)
-        doc_a = json.loads((out_a / "calibration.json").read_text())
-        doc_b = json.loads((out_b / "calibration.json").read_text())
-        assert doc_a["theta"] == doc_b["theta"]
+    @pytest.mark.parametrize("replications", [-5, 0, 1])
+    def test_replications_below_2_exit_2_before_any_output(
+            self, replications, empirical_csv_session, outdir, capsys):
+        code = run_cli("calibrate", "--empirical", empirical_csv_session,
+                       "--replications", replications, "--out", outdir)
+        assert code == 2
+        assert "--replications must be at least 2" in capsys.readouterr().err
+        assert not outdir.exists()
 
     def test_replications_summary_table(self, empirical_csv_session, calibrated,
                                         tmp_path):
@@ -374,14 +362,14 @@ RESOLVED = {
     "calibrate": (["calibrate", "--empirical", "e.csv", "--optimizer", "nmta",
                    "--thresholds", "0.5,0"], {
         "block_len": 100, "bootstrap": False, "bootstrap_replicates": 1000,
-        "bootstrap_seed": 0, "bounds": None, "cache_dir": None, "crossover_rate": 0.8,
-        "elites": 1, "empirical": "e.csv", "generations": 100, "max_iters": 250,
-        "mutation_scale": 0.1, "objective_seed": 0, "objective_sims": 10,
+        "bootstrap_seed": 0, "bounds": None, "cache_dir": None,
+        "empirical": "e.csv", "generations": 100, "max_iters": 250,
+        "objective_seed": 0, "objective_sims": 10,
         "optimizer": "nmta", "out": None, "population": 40,
         "replications": None, "restarts": 1, "seed": 0, "shift_every": 10,
         "shift_scale": 0.15, "sim_days": None, "threshold_samples": 100,
         "thresholds": "0.5,0", "variant": "adaptive", "weights": None},
-        "a6db1d73a84ae021"),
+        "0b6f3c5773991a8f"),
     "report": (["report", "--calibration", "c.json", "--empirical", "e.csv"], {
         "calibration": "c.json", "days": None, "empirical": "e.csv", "max_lag": 50,
         "out": None, "qq_points": 99, "seed": 0, "simulations": 20},
@@ -429,12 +417,25 @@ def test_config_true_gives_the_switch(tmp_path, capsys):
 
 
 def test_degenerate_empirical_series_exit_2(price_csv, tmp_path, capsys):
+    # every command that reads the empirical moments rejects the series before
+    # any weight matrix is read or built, or any simulation is run
     weights = tmp_path / "w.json"
     WeightMatrix(np.eye(N_MOMENTS)).save(weights)
-    code = run_cli("calibrate", "--empirical", price_csv([100.0] * 300),
-                   "--weights", weights, "--out", tmp_path / "out")
-    assert code == 2
-    assert "empirical series too degenerate to calibrate" in capsys.readouterr().err
+    calibration = tmp_path / "calibration.json"
+    calibration.write_text(json.dumps({"variant": "adaptive", "theta": {}}))
+    bootstrap = ("--bootstrap", "--bootstrap-replicates", 12, "--block-len", 50)
+    cases = {
+        "calibrate-weights": ("calibrate", "--weights", weights),
+        "calibrate-bootstrap": ("calibrate", *bootstrap),
+        "surface-bootstrap": ("surface", "--x", "lam", "--y", "a", *bootstrap),
+        "report": ("report", "--calibration", calibration),
+    }
+    empirical = price_csv([100.0] * 300)
+    for name, args in cases.items():
+        out = tmp_path / name
+        assert run_cli(*args, "--empirical", empirical, "--out", out) == 2, name
+        assert "empirical series too degenerate to calibrate" in capsys.readouterr().err, name
+        assert not (out / "weights-cache").exists(), name
 
 
 @pytest.mark.parametrize("command", COMMANDS)

@@ -10,8 +10,6 @@ from farmerjoshi.market import (
     MarketState,
     ModelParameters,
     ParameterError,
-    chartist_mispricing,
-    fundamentalist_mispricing,
     init_simulation,
     market_impact_update,
     simulate,
@@ -20,7 +18,6 @@ from farmerjoshi.market import (
     strategy_profit,
     switch_probability,
     threshold_transition,
-    value_perception_step,
 )
 
 
@@ -146,26 +143,6 @@ class TestElementaryOps:
     def test_market_impact_requires_positive_lam(self):
         with pytest.raises(ParameterError):
             market_impact_update(0.0, 1.0, 0.0, 0.0)
-
-    def test_chartist_mispricing(self):
-        assert chartist_mispricing(4.0, 4.0) == 0.0
-        assert chartist_mispricing(4.0, 4.5) == pytest.approx(-0.5)
-        assert chartist_mispricing(4.5, 4.0) == pytest.approx(0.5)
-
-    def test_fundamentalist_mispricing(self):
-        assert fundamentalist_mispricing(4.0, 4.0) == 0.0
-        assert fundamentalist_mispricing(4.5, 4.0) == pytest.approx(0.5)
-        assert fundamentalist_mispricing(4.0, 4.5) == pytest.approx(-0.5)
-
-    def test_value_perception_step(self):
-        assert value_perception_step(4.0, 0.0) == 4.0
-        assert value_perception_step(4.0, 0.01) == 4.01
-
-    def test_value_perception_drift_sum(self):
-        v = 4.0
-        for _ in range(100):
-            v = value_perception_step(v, 0.001)
-        assert v == pytest.approx(4.1, abs=1e-12)
 
 
 class TestThresholdTransition:

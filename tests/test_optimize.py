@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from farmerjoshi.optimize import (
     GAParams,
+    PENALTY_FITNESS,
     NMTAParams,
     build_thresholds,
     ga_optimize,
-    nm_optimize,
     nmta_optimize,
     reflect_into_bounds,
 )
@@ -105,7 +105,10 @@ class TestNmtaOptimize:
         box = (np.full(3, -5.0), np.full(3, 5.0))
         a = nmta_optimize(quad, box, NMTAParams(thresholds=(0.0,) * 10,
                                                 max_iters=150), seed=5)
-        b = nm_optimize(quad, box, NMTAParams(max_iters=150), seed=5)
+        # the NM loop without its shift branch
+        b = nmta_optimize(quad, box, NMTAParams(shift_every=0, max_iters=150,
+                                                thresholds=(0.0,)), seed=5)
+        assert not a.details["events"] and not b.details["events"]
         assert np.array_equal(a.trace, b.trace)
         assert np.array_equal(a.theta, b.theta)
         assert a.evaluations == b.evaluations
@@ -113,7 +116,7 @@ class TestNmtaOptimize:
     def test_quadratic_bowl_convergence(self):
         quad = lambda x: float(np.sum((x - 0.7) ** 2))
         box = (np.full(2, -5.0), np.full(2, 5.0))
-        res = nm_optimize(quad, box, NMTAParams(max_iters=250), seed=0)
+        res = nmta_optimize(quad, box, NMTAParams(max_iters=250, thresholds=(0.0,)), seed=0)
         assert res.fitness < 1e-4
 
     def test_thresholds_non_increasing(self):
@@ -162,7 +165,7 @@ class TestNmtaOptimize:
 
         def spiky(x):
             calls["n"] += 1
-            return 1e12 if x[0] > 0 else sphere(x)
+            return PENALTY_FITNESS if x[0] > 0 else sphere(x)
 
         class _Eval:
             def __call__(self, x):
@@ -170,8 +173,7 @@ class TestNmtaOptimize:
 
         rng = np.random.Generator(np.random.PCG64(0))
         taus = build_thresholds(_Eval(), np.full(2, -1.0), np.full(2, 1.0),
-                                NMTAParams(threshold_samples=60,
-                                           penalty_cutoff=1e11), rng)
+                                NMTAParams(threshold_samples=60, shift_scale=1.0), rng)
         assert np.all(taus < 1e11)
 
     def test_restarts_accumulate_best(self):
@@ -187,7 +189,9 @@ class TestNmtaOptimize:
         box = (np.full(2, -500.0), np.full(2, 500.0))
         nm_f, ta_f = [], []
         for s in range(8):
-            nm_f.append(nm_optimize(schwefel, box, NMTAParams(max_iters=300), seed=s).fitness)
+            nm_f.append(nmta_optimize(schwefel, box,
+                                      NMTAParams(max_iters=300, thresholds=(0.0,)),
+                                      seed=s).fitness)
             ta_f.append(nmta_optimize(schwefel, box,
                                       NMTAParams(max_iters=300, shift_every=5,
                                                  shift_scale=0.25), seed=s).fitness)
@@ -198,7 +202,7 @@ class TestNmtaOptimize:
     (ga_optimize, GAParams(population=6, generations=3), 0),
     # the NM search starts after the 2 x 5 threshold samples
     (nmta_optimize, NMTAParams(max_iters=12, threshold_samples=5), 10),
-    (nm_optimize, NMTAParams(max_iters=12), 0),
+    (nmta_optimize, NMTAParams(max_iters=12, thresholds=(0.0,)), 0),
 ], ids=["ga", "nmta", "nm"])
 def test_infinite_objective_returns_first_point_evaluated(optimize, params, skipped):
     seen = []
