@@ -423,7 +423,8 @@ def surface_scan(objective, space: ParameterSpace, name_x: str, name_y: str,
     """Objective values over a Cartesian grid of two free parameters.
 
     All other coordinates stay at ``theta_base``. Returns (x, y, f)
-    triples in row-major order; PENALTY_FITNESS appears where the
+    triples in row-major order, where (x, y) are the two coordinates of the
+    repaired point that was scored; PENALTY_FITNESS appears where the
     simulation blows up.
     """
     ix, iy = surface_axes(space, name_x, name_y, grid_x, grid_y)
@@ -435,5 +436,6 @@ def surface_scan(objective, space: ParameterSpace, name_x: str, name_y: str,
             theta = np.asarray(theta_base, dtype=float).copy()
             theta[ix] = x
             theta[iy] = y
-            rows.append((float(x), float(y), float(objective(space.repair(theta)))))
+            theta = space.repair(theta)
+            rows.append((float(theta[ix]), float(theta[iy]), float(objective(theta))))
     return rows

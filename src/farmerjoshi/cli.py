@@ -73,7 +73,6 @@ from farmerjoshi.weighting import (
     DEFAULT_REPLICATES,
     WeightMatrix,
     WeightingError,
-    cache_path,
     cached_weight_matrix,
     check_bootstrap,
 )
@@ -138,9 +137,9 @@ def _resolve(argv: list[str]) -> tuple[Callable[[dict], int], dict]:
     defaults, overlaid by a ``--config`` file's values, overlaid by the flags given.
 
     Each key of the file is a flag's name with underscores, parsed as that
-    flag: ``{"block_len": 50}`` reads as ``--block-len=50``. ``null`` and
-    ``false`` omit the flag, ``true`` gives a switch, and a list gives the flag
-    once per item; a ``--set`` on the command line replaces the file's list.
+    flag: ``{"block_len": 50}`` reads as ``--block-len=50``. ``null`` omits the
+    flag, a list gives the flag once per item, and any other value is passed as
+    ``--flag=value``; a ``--set`` on the command line replaces the file's list.
     """
     parser = build_parser()
     args = vars(parser.parse_args(argv))
@@ -155,9 +154,7 @@ def _resolve(argv: list[str]) -> tuple[Callable[[dict], int], dict]:
                 continue
             flag = "--" + key.replace("_", "-")
             for item in value if isinstance(value, list) else [value]:
-                if item is True:
-                    tokens.append(flag)
-                elif item is not False and item is not None:
+                if item is not None:
                     tokens.append(f"{flag}={item}")
         args = vars(parser.parse_args([args["command"], *tokens, *argv[1:]]))
     handler = args.pop("handler")
@@ -166,9 +163,8 @@ def _resolve(argv: list[str]) -> tuple[Callable[[dict], int], dict]:
 
 
 def _out_dir(resolved: dict) -> Path:
-    out = resolved.get("out") or os.environ.get(OUTPUT_DIR_ENV) or "farmerjoshi-out"
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    """--out, else $FARMERJOSHI_OUT, else ./farmerjoshi-out; its first write creates it."""
+    path = Path(resolved.get("out") or os.environ.get(OUTPUT_DIR_ENV) or "farmerjoshi-out")
     resolved["out"] = str(path)
     return path
 
@@ -231,18 +227,18 @@ def _cmd_simulate(resolved: dict) -> int:
     out = _out_dir(resolved)
     params = _parse_params(resolved)
     meta = _meta(resolved)
+    emp_returns = None  # read before the simulation, so a bad file leaves no output
+    if resolved.get("empirical"):
+        _, emp_returns = _load_empirical(resolved["empirical"])
 
     output = simulate(params, resolved["variant"], resolved["days"],
                       p0=resolved["p0"], seed=resolved["seed"])
     write_csv(out / "simulation.csv", output.to_csv_rows(), meta)
 
     sim_returns = ReturnSeries(output.log_returns)
-    if resolved.get("empirical"):
-        _, emp_returns = _load_empirical(resolved["empirical"])
-    else:
-        emp_returns = sim_returns
     try:
-        moments = moment_vector(sim_returns, emp_returns).to_dict()
+        moments = moment_vector(sim_returns,
+                                sim_returns if emp_returns is None else emp_returns).to_dict()
         moment_error = None
     except StatisticError as exc:
         moments, moment_error = None, str(exc)
@@ -262,30 +258,26 @@ def _cmd_simulate(resolved: dict) -> int:
 # ---------------------------------------------------------------------------
 
 def _weight_matrix(resolved: dict, emp_returns: ReturnSeries, out: Path) -> WeightMatrix:
-    """The --weights file, or the bootstrap matrix: built under --bootstrap when
-    not cached, else read from the cache. Bad settings or files are UsageErrors."""
-    path, hint = resolved.get("weights"), ""
-    if not path:
-        settings = (resolved["block_len"], resolved["bootstrap_replicates"],
-                    resolved["bootstrap_seed"])
+    """The --weights file, or else the bootstrap matrix from the cache, built and
+    cached on a miss. Bad settings or a bad --weights file are UsageErrors."""
+    if resolved.get("weights"):
         try:
-            check_bootstrap(len(emp_returns), *settings[:2])
+            return WeightMatrix.load(resolved["weights"])
         except WeightingError as exc:
-            raise UsageError(f"bootstrap settings: {exc}") from None
-        cache_dir = resolved.get("cache_dir") or (out / "weights-cache")
-        if resolved.get("bootstrap"):
-            return cached_weight_matrix(emp_returns, cache_dir, *settings)
-        path = cache_path(cache_dir, emp_returns, *settings)
-        hint = "; pass --bootstrap to build it or --weights FILE to load one"
+            raise UsageError(str(exc)) from None
+    settings = (resolved["block_len"], resolved["bootstrap_replicates"],
+                resolved["bootstrap_seed"])
     try:
-        return WeightMatrix.load(path)
+        check_bootstrap(len(emp_returns), *settings[:2])
     except WeightingError as exc:
-        raise UsageError(f"{exc}{hint}") from None
+        raise UsageError(f"bootstrap settings: {exc}") from None
+    cache_dir = resolved.get("cache_dir") or out / "weights-cache"
+    return cached_weight_matrix(emp_returns, cache_dir, *settings)
 
 
 def _objective_setup(resolved: dict, out: Path) -> ObjectiveConfig:
     emp_log_prices, emp_returns = _load_empirical(resolved.get("empirical"))
-    sim_days = resolved["sim_days"] or len(emp_returns)
+    sim_days = len(emp_returns) if resolved["sim_days"] is None else resolved["sim_days"]
     _require_moment_days(sim_days, "--sim-days")
     bounds = dict(DEFAULT_BOUNDS)
     if resolved.get("bounds"):
@@ -319,7 +311,10 @@ def _optimizer_params(resolved: dict) -> tuple[GAParams, NMTAParams]:
         except ValueError:
             raise UsageError("--thresholds expects comma-separated numbers, "
                              f"got {nmta['thresholds']!r}") from None
-    return ga, NMTAParams(**nmta)
+    try:
+        return ga, NMTAParams(**nmta)
+    except ValueError as exc:
+        raise UsageError(f"NMTA settings: {exc}") from None
 
 
 def _result_doc(result, space) -> dict:
@@ -423,7 +418,7 @@ def _cmd_report(resolved: dict) -> int:
     emp_log_prices, emp_returns = _load_empirical(resolved.get("empirical"))
 
     sims = resolved["simulations"]
-    days = resolved["days"] or len(emp_returns)
+    days = len(emp_returns) if resolved["days"] is None else resolved["days"]
     if sims < 1:
         raise UsageError("--simulations must be >= 1")
     _require_moment_days(days, "--days")
@@ -474,15 +469,16 @@ def _cmd_surface(resolved: dict) -> int:
     grid_x, grid_y = int(grid[1]), int(grid[2] or grid[1])
     # checked before any weight matrix is read or built; the names depend on the variant alone
     surface_axes(ParameterSpace(resolved["variant"]), name_x, name_y, grid_x, grid_y)
+    params = None
+    if resolved.get("calibration"):
+        variant, params = _load_calibration(resolved["calibration"])
+        if variant != resolved["variant"]:
+            raise UsageError(f"{resolved['calibration']} holds a {variant} calibration, "
+                             f"not the --variant {resolved['variant']}")
     cfg = _objective_setup(resolved, out)
     space = cfg.space
-
-    if resolved.get("calibration"):
-        _, params = _load_calibration(resolved["calibration"])
-        base = space.from_model_parameters(params)
-    else:
-        base = (space.lower + space.upper) / 2.0
-    base = space.repair(base)
+    base = space.repair((space.lower + space.upper) / 2.0 if params is None
+                        else space.from_model_parameters(params))
 
     rows = surface_scan(make_objective(cfg), space, name_x, name_y, grid_x, grid_y, base)
     header = [(name_x, name_y, "fitness")]
@@ -515,8 +511,6 @@ def _add_objective_flags(sub):
     sub.add_argument("--variant", choices=VARIANTS, default="adaptive")
     sub.add_argument("--bounds", help="JSON file overriding default parameter bounds")
     sub.add_argument("--weights", help="load weight matrix JSON instead of bootstrapping")
-    sub.add_argument("--bootstrap", action="store_true",
-                     help="build the weight matrix when not cached")
     sub.add_argument("--block-len", type=int, default=DEFAULT_BLOCK_LEN)
     sub.add_argument("--bootstrap-replicates", type=int, default=DEFAULT_REPLICATES)
     sub.add_argument("--bootstrap-seed", type=non_negative_int, default=0)

@@ -73,8 +73,10 @@ class ReturnSeries:
 
 def write_atomic(path, text: str) -> None:
     """Write ``text`` to ``path`` through a temporary file and a rename, so
-    readers see the old file or the whole new one, never a partial one."""
+    readers see the old file or the whole new one, never a partial one. The
+    one place that creates a directory: ``path``'s parents, if need be."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text)
     os.replace(tmp, path)

@@ -62,25 +62,35 @@ NM_SIMPLEX_SCALE = 0.1
 PENALTY_FITNESS = 1e12
 
 
+def _require_at_least(params, minima: dict) -> None:
+    """Raise a ValueError naming the first field of ``params`` below its minimum."""
+    for name, least in minima.items():
+        if getattr(params, name) < least:
+            raise ValueError(f"{name} must be >= {least}")
+
+
 @dataclass(frozen=True)
 class GAParams:
     population: int = 40
     generations: int = 100
 
     def __post_init__(self):
-        if self.population < 4:
-            raise ValueError("population must be >= 4")
+        _require_at_least(self, {"population": 4, "generations": 0})
 
 
 @dataclass(frozen=True)
 class NMTAParams:
     restarts: int = 1
     max_iters: int = 250
-    shift_every: int = 10  # iterations between shift proposals
+    shift_every: int = 10  # iterations between shift proposals; 0: none
     shift_scale: float = 0.15  # shift magnitude, times bound width
     threshold_len: int = 10
     threshold_samples: int = 100  # random pairs used to build thresholds
     thresholds: tuple | None = None  # explicit override; all-zero = plain NM
+
+    def __post_init__(self):
+        _require_at_least(self, {"restarts": 1, "threshold_len": 1, "max_iters": 0,
+                                 "shift_every": 0, "threshold_samples": 0})
 
 
 def _as_bounds(bounds) -> tuple[np.ndarray, np.ndarray]:
@@ -324,7 +334,7 @@ def nmta_optimize(objective, bounds, nmta_params: NMTAParams | None = None,
 
     events: list[dict] = []
     simplex_traces: list[list[float]] = []
-    for _ in range(max(1, p.restarts)):
+    for _ in range(p.restarts):
         x0 = lower + ev.rng.random(len(lower)) * (upper - lower)
         simplex_traces.append([])
         _nm_run(ev, x0, p, taus, events, simplex_traces[-1])

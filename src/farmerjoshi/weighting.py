@@ -172,23 +172,16 @@ def cache_key(r_emp, block_len: int, replicates: int, seed: int) -> str:
     return h.hexdigest()[:24]
 
 
-def cache_path(cache_dir, r_emp, block_len: int, replicates: int, seed: int) -> Path:
-    """The cache file of a weight matrix estimation in ``cache_dir``."""
-    return Path(cache_dir) / f"weights-{cache_key(r_emp, block_len, replicates, seed)}.json"
-
-
 def cached_weight_matrix(r_emp, cache_dir, block_len: int = DEFAULT_BLOCK_LEN,
                          replicates: int = DEFAULT_REPLICATES,
                          seed: int = 0) -> WeightMatrix:
     """Load a weight matrix from cache or estimate and cache it; a missing or
-    damaged cache file is a miss, and the estimate replaces it, creating
-    ``cache_dir`` if need be."""
-    path = cache_path(cache_dir, r_emp, block_len, replicates, seed)
+    damaged cache file is a miss, and the estimate replaces it."""
+    path = Path(cache_dir) / f"weights-{cache_key(r_emp, block_len, replicates, seed)}.json"
     try:
         return WeightMatrix.load(path)
     except WeightingError:
         pass
     wm = estimate_weight_matrix(r_emp, block_len, replicates, seed)
-    path.parent.mkdir(parents=True, exist_ok=True)
     wm.save(path)
     return wm

@@ -392,6 +392,26 @@ class TestSurfaceScan:
         b = surface_scan(obj, tiny_cfg.space, "a", "gamma", 2, 2, theta)
         assert a == b
 
+    @pytest.mark.parametrize("name_x, name_y, grid_x, grid_y", [
+        ("d_min", "d_max", 4, 4),  # integral and ordered: repair rounds and swaps
+        ("n_traders", "a", 7, 2),  # an integral grid that repair leaves alone
+        ("horizon", "gamma", 15, 2),  # integral, off-grid: repair rounds
+    ])
+    def test_rows_report_the_point_evaluated(self, name_x, name_y, grid_x, grid_y):
+        space = ParameterSpace("adaptive")
+        seen = []
+
+        def objective(theta):
+            seen.append(theta.copy())
+            return float(len(seen))
+
+        rows = surface_scan(objective, space, name_x, name_y, grid_x, grid_y,
+                            mid_theta(space))
+        assert len(rows) == len(seen) == grid_x * grid_y
+        ix, iy = space.index(name_x), space.index(name_y)
+        for n, ((x, y, f), theta) in enumerate(zip(rows, seen), 1):
+            assert (x, y, f) == (theta[ix], theta[iy], n)
+
     def test_same_parameter_twice_rejected(self, tiny_cfg):
         theta = mid_theta(tiny_cfg.space)
         with pytest.raises(CalibrationError):

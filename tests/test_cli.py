@@ -43,6 +43,8 @@ class TestSimulateCommand:
                        "--out", outdir)
         assert code == 2
         assert "/no/such.csv" in capsys.readouterr().err
+        # the series is read before the simulation, so nothing is written
+        assert not outdir.exists()
 
     def test_summary_contains_moments(self, outdir):
         assert run_cli("simulate", "--days", 400, "--seed", 3, "--out", outdir) == 0
@@ -103,7 +105,7 @@ def calibrated(tmp_path_factory, empirical_csv_session):
     code = main([
         "calibrate", "--empirical", str(empirical_csv_session),
         "--variant", "adaptive", "--optimizer", "ga",
-        "--bootstrap", "--bootstrap-replicates", "40", "--block-len", "50",
+        "--bootstrap-replicates", "40", "--block-len", "50",
         "--population", "6", "--generations", "2",
         "--objective-sims", "1", "--sim-days", "300",
         "--seed", "3", "--out", str(out),
@@ -134,37 +136,49 @@ class TestCalibrateCommand:
         assert sorted(cache.glob("weights-*.json")) == files
         assert wm.metadata["replicates"] == 40
 
-    def test_missing_weights_without_bootstrap(self, empirical_csv_session, outdir):
-        code = run_cli("calibrate", "--empirical", empirical_csv_session,
-                       "--out", outdir, "--optimizer", "ga")
-        assert code == 2
-        # only a bootstrap that writes a matrix creates the cache directory
-        assert not (outdir / "weights-cache").exists()
-
-    def test_damaged_cache_exits_2_and_bootstrap_rebuilds_it(self, calibrated, tmp_path,
-                                                             empirical_csv_session, capsys):
+    def test_damaged_cache_is_rebuilt(self, calibrated, tmp_path, empirical_csv_session):
         (good,) = (calibrated / "weights-cache").glob("weights-*.json")
         damaged = tmp_path / "cache" / good.name
         damaged.parent.mkdir()
         damaged.write_text(good.read_text()[:40])
-        args = ["calibrate", "--empirical", empirical_csv_session, "--variant", "adaptive",
-                "--cache-dir", damaged.parent, "--bootstrap-replicates", 40,
-                "--block-len", 50, "--population", 6, "--generations", 1,
-                "--objective-sims", 1, "--sim-days", 300, "--seed", 3]
-        assert run_cli(*args, "--out", tmp_path / "a") == 2
-        assert str(damaged) in capsys.readouterr().err
-        assert run_cli(*args, "--bootstrap", "--out", tmp_path / "b") == 0
+        assert run_cli("calibrate", "--empirical", empirical_csv_session,
+                       "--variant", "adaptive", "--cache-dir", damaged.parent,
+                       "--bootstrap-replicates", 40, "--block-len", 50,
+                       "--population", 6, "--generations", 1, "--objective-sims", 1,
+                       "--sim-days", 300, "--seed", 3, "--out", tmp_path / "out") == 0
         assert damaged.read_text() == good.read_text()
 
-    @pytest.mark.parametrize("flags", [("--population", 3)], ids=["population-3"])
-    def test_bad_ga_settings_exit_2_before_any_work(self, flags, empirical_csv_session,
-                                                    outdir, capsys):
-        code = run_cli("calibrate", "--empirical", empirical_csv_session, "--bootstrap",
+    @pytest.mark.parametrize("flags, expected", [
+        (("--population", 3), "GA settings: population must be >= 4"),
+        (("--generations", -1), "GA settings: generations must be >= 0"),
+        (("--restarts", 0), "NMTA settings: restarts must be >= 1"),
+        (("--max-iters", -1), "NMTA settings: max_iters must be >= 0"),
+        (("--threshold-samples", -1), "NMTA settings: threshold_samples must be >= 0"),
+    ], ids=["population-3", "generations-minus-1", "restarts-0", "max-iters-minus-1",
+            "threshold-samples-minus-1"])
+    def test_bad_ga_settings_exit_2_before_any_work(self, flags, expected,
+                                                    empirical_csv_session, outdir, capsys):
+        code = run_cli("calibrate", "--empirical", empirical_csv_session,
                        "--bootstrap-replicates", 40, "--block-len", 50,
                        "--generations", 1, *flags, "--out", outdir)
         assert code == 2
-        assert "GA settings" in capsys.readouterr().err
+        assert expected in capsys.readouterr().err
         assert not (outdir / "weights-cache").exists()
+
+    @pytest.mark.parametrize("flags, with_empirical", [
+        (("--population", 3), True),
+        (("--thresholds", "a,b"), True),
+        ((), False),
+        # the removed switch is an ambiguous prefix of two bootstrap flags
+        (("--bootstrap",), True),
+    ], ids=["population-3", "thresholds-not-numbers", "no-empirical", "bootstrap-switch"])
+    def test_usage_error_creates_no_output_directory(self, flags, with_empirical,
+                                                     empirical_csv_session, outdir):
+        empirical = ("--empirical", empirical_csv_session) if with_empirical else ()
+        code = run_cli("calibrate", *empirical, "--bootstrap-replicates", 40,
+                       "--block-len", 50, *flags, "--out", outdir)
+        assert code == 2
+        assert not outdir.exists()
 
     @pytest.mark.parametrize("flags, expected", [
         (("--objective-sims", 0), "replications must be >= 1"),
@@ -175,7 +189,7 @@ class TestCalibrateCommand:
     def test_bad_objective_or_bootstrap_settings_exit_2_before_any_replicate(
             self, flags, expected, empirical_csv_session, outdir, capsys, monkeypatch):
         monkeypatch.setattr(weighting, "moment_vector", None)  # never reached
-        code = run_cli("calibrate", "--empirical", empirical_csv_session, "--bootstrap",
+        code = run_cli("calibrate", "--empirical", empirical_csv_session,
                        "--bootstrap-replicates", 40, "--block-len", 50, "--population", 4,
                        "--generations", 1, "--objective-sims", 1, "--sim-days", 300, *flags,
                        "--out", outdir)
@@ -189,7 +203,7 @@ class TestCalibrateCommand:
             raise StatisticError("zero variance", component="adf")
 
         monkeypatch.setattr(weighting, "moment_vector", moment_vector)
-        code = run_cli("calibrate", "--empirical", empirical_csv_session, "--bootstrap",
+        code = run_cli("calibrate", "--empirical", empirical_csv_session,
                        "--bootstrap-replicates", 40, "--block-len", 50, "--out", outdir)
         assert code == 1
         assert "40/40 bootstrap replicates failed" in capsys.readouterr().err
@@ -299,7 +313,7 @@ class TestCalibrateCommand:
     ("--config", '["days"]', "input.json"),
     ("--bounds", "[1, 2]", "input.json"),
     ("--bounds", '{"lam": 5}', "bounds for lam"),
-    # rejected before the missing weight matrix is looked for
+    # rejected before any weight matrix is read or built
     ("--bounds", '{"lam": [50, 5]}', "bounds for lam"),
     ("--bounds", '{"d_min": [30, 40], "d_max": [10, 20]}', "bounds forbid d_min <= d_max"),
     ("--calibration", '{"theta": 5, "variant": "adaptive"}', "input.json"),
@@ -331,7 +345,7 @@ def test_bad_json_input_usage_error(flag, content, expected, empirical_csv_sessi
     (["calibrate", "--weights"], {"entries": [[1, 2], [2, 1]], "metadata": {}}, "not PSD"),
     (["simulate", "--set", "lam=abc"], None, "--set"),
     (["simulate", "--set", "lam"], None, "--set expects name=value, got 'lam'"),
-    # no weight matrix is cached: the flag is read before the matrix is looked for
+    # the flag is read before any weight matrix is read or built
     (["calibrate", "--thresholds", "abc"], None, "--thresholds"),
     (["report"], None, "--calibration FILE is required"),
     (["surface", "--x", "a"], None, "--x and --y parameter names are required"),
@@ -361,7 +375,7 @@ RESOLVED = {
         "seed": 0, "set": ["lam=20"], "variant": "adaptive"}, "9a49c9168efaf9b2"),
     "calibrate": (["calibrate", "--empirical", "e.csv", "--optimizer", "nmta",
                    "--thresholds", "0.5,0"], {
-        "block_len": 100, "bootstrap": False, "bootstrap_replicates": 1000,
+        "block_len": 100, "bootstrap_replicates": 1000,
         "bootstrap_seed": 0, "bounds": None, "cache_dir": None,
         "empirical": "e.csv", "generations": 100, "max_iters": 250,
         "objective_seed": 0, "objective_sims": 10,
@@ -369,19 +383,19 @@ RESOLVED = {
         "replications": None, "restarts": 1, "seed": 0, "shift_every": 10,
         "shift_scale": 0.15, "sim_days": None, "threshold_samples": 100,
         "thresholds": "0.5,0", "variant": "adaptive", "weights": None},
-        "0b6f3c5773991a8f"),
+        "42efc8551dac38a9"),
     "report": (["report", "--calibration", "c.json", "--empirical", "e.csv"], {
         "calibration": "c.json", "days": None, "empirical": "e.csv", "max_lag": 50,
         "out": None, "qq_points": 99, "seed": 0, "simulations": 20},
         "e2a37e43daf1a41d"),
     "surface": (["surface", "--empirical", "e.csv", "--x", "lam", "--y", "a",
                  "--variant", "standard"], {
-        "block_len": 100, "bootstrap": False, "bootstrap_replicates": 1000,
+        "block_len": 100, "bootstrap_replicates": 1000,
         "bootstrap_seed": 0, "bounds": None, "cache_dir": None, "calibration": None,
         "empirical": "e.csv", "grid": "10x10", "objective_seed": 0,
         "objective_sims": 10, "out": None, "seed": 0,
         "sim_days": None, "variant": "standard", "weights": None, "x": "lam",
-        "y": "a"}, "246342299beb946f"),
+        "y": "a"}, "6a41378b7a3a1530"),
 }
 
 
@@ -407,15 +421,6 @@ def test_negative_seed_exits_2_before_any_output(command, flag, empirical_csv_se
     assert not out.exists()
 
 
-def test_config_true_gives_the_switch(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"bootstrap": True}))
-    assert cli._resolve(["calibrate", "--config", str(cfg)])[1]["bootstrap"] is True
-    # the command still needs its empirical series
-    assert run_cli("calibrate", "--config", cfg, "--out", tmp_path / "out") == 2
-    assert "an empirical price CSV is required (--empirical)" in capsys.readouterr().err
-
-
 def test_degenerate_empirical_series_exit_2(price_csv, tmp_path, capsys):
     # every command that reads the empirical moments rejects the series before
     # any weight matrix is read or built, or any simulation is run
@@ -423,7 +428,7 @@ def test_degenerate_empirical_series_exit_2(price_csv, tmp_path, capsys):
     WeightMatrix(np.eye(N_MOMENTS)).save(weights)
     calibration = tmp_path / "calibration.json"
     calibration.write_text(json.dumps({"variant": "adaptive", "theta": {}}))
-    bootstrap = ("--bootstrap", "--bootstrap-replicates", 12, "--block-len", 50)
+    bootstrap = ("--bootstrap-replicates", 12, "--block-len", 50)
     cases = {
         "calibrate-weights": ("calibrate", "--weights", weights),
         "calibrate-bootstrap": ("calibrate", *bootstrap),
@@ -454,6 +459,9 @@ def test_config_file_equals_flags(command, tmp_path):
     ("simulate", {"days": 50.7}, "--days"),
     ("simulate", {"variant": "adaptiv"}, "--variant"),
     ("surface", {"x": "lamda", "y": "a"}, "--x"),
+    # the removed switch is not a key, and a JSON true is no value of --population
+    ("calibrate", {"bootstrap": True}, "unknown config keys: ['bootstrap']"),
+    ("calibrate", {"population": True}, "argument --population: invalid int value: 'True'"),
 ])
 def test_config_value_rejected_as_the_flag(command, value, expected, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
@@ -492,12 +500,13 @@ class TestReportCommand:
 
     def test_too_few_days_rejected_before_any_table(self, calibrated, empirical_csv_session,
                                                     outdir, capsys):
-        code = run_cli("report", "--calibration", calibrated / "calibration.json",
-                       "--empirical", empirical_csv_session, "--simulations", 2,
-                       "--days", MIN_OBSERVATIONS - 1, "--out", outdir)
-        assert code == 2
-        assert f"at least {MIN_OBSERVATIONS}" in capsys.readouterr().err
-        assert list(outdir.iterdir()) == []
+        for days in (MIN_OBSERVATIONS - 1, 0):  # 0 is a length, not "the empirical length"
+            code = run_cli("report", "--calibration", calibrated / "calibration.json",
+                           "--empirical", empirical_csv_session, "--simulations", 2,
+                           "--days", days, "--out", outdir)
+            assert code == 2, days
+            assert f"at least {MIN_OBSERVATIONS}" in capsys.readouterr().err, days
+            assert not outdir.exists(), days
 
     @pytest.mark.parametrize("flags, expected", [
         (("--max-lag", 0), "--max-lag must be at least 1 and below 599"),
@@ -515,7 +524,7 @@ class TestReportCommand:
                        *flags, "--out", outdir)
         assert code == 2
         assert expected in capsys.readouterr().err
-        assert list(outdir.iterdir()) == []
+        assert not outdir.exists()
 
     def test_failing_path_statistic_writes_no_table(self, calibrated, empirical_csv_session,
                                                     outdir, monkeypatch, capsys):
@@ -537,7 +546,7 @@ class TestReportCommand:
         assert "zero variance" in capsys.readouterr().err
         # every path is classified before the first failure is raised
         assert len(simulated) == 3
-        assert list(outdir.iterdir()) == []
+        assert not outdir.exists()
 
     def test_missing_calibration_usage_error(self, empirical_csv_session, outdir):
         assert run_cli("report", "--calibration", "/none.json",
@@ -592,6 +601,19 @@ class TestSurfaceCommand:
             point[space.index("lam")], point[space.index("a")] = float(x), float(y)
             assert float(f) == calibration.fitness(space.repair(point), cfg)
 
+    def test_calibration_of_another_variant_exits_2(self, calibrated, empirical_csv_session,
+                                                    outdir, capsys):
+        code = run_cli("surface", "--empirical", empirical_csv_session,
+                       "--variant", "standard", "--block-len", 50,
+                       "--bootstrap-replicates", 40, "--objective-sims", 1, "--sim-days", 300,
+                       "--x", "lam", "--y", "a", "--grid", "2x2",
+                       "--calibration", calibrated / "calibration.json", "--out", outdir)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "adaptive calibration" in err and "--variant standard" in err
+        # rejected before any weight matrix is read or built
+        assert not outdir.exists()
+
     def test_parameter_typo_lists_names(self, calibrated, empirical_csv_session,
                                         tmp_path, capsys):
         out = tmp_path / "surf2"
@@ -614,7 +636,7 @@ class TestSurfaceCommand:
         (("--variant", "standard", "--x", "gamma"), "unknown parameter 'gamma'"),
     ], ids=["tenxten", "3x3x7", "1x3", "x-equals-y", "standard-gamma"])
     def test_bad_grid_spec(self, flags, expected, empirical_csv_session, outdir, capsys):
-        code = run_cli("surface", "--empirical", empirical_csv_session, "--bootstrap",
+        code = run_cli("surface", "--empirical", empirical_csv_session,
                        "--block-len", 50, "--bootstrap-replicates", 40,
                        "--objective-sims", 1, "--sim-days", 300,
                        "--x", "a", "--y", "lam", "--grid", "3x3", *flags, "--out", outdir)
@@ -631,13 +653,14 @@ class TestSurfaceCommand:
 def test_too_few_sim_days_rejected_before_any_simulation(command, flags, calibrated,
                                                          empirical_csv_session, outdir,
                                                          capsys):
-    code = run_cli(command, "--empirical", empirical_csv_session,
-                   "--cache-dir", calibrated / "weights-cache",
-                   "--block-len", 50, "--bootstrap-replicates", 40, "--objective-sims", 1,
-                   "--sim-days", MIN_OBSERVATIONS - 1, *flags, "--out", outdir)
-    assert code == 2
-    assert f"at least {MIN_OBSERVATIONS}" in capsys.readouterr().err
-    assert list(outdir.iterdir()) == []
+    for sim_days in (MIN_OBSERVATIONS - 1, 0):  # 0 is a length, not "the empirical length"
+        code = run_cli(command, "--empirical", empirical_csv_session,
+                       "--cache-dir", calibrated / "weights-cache",
+                       "--block-len", 50, "--bootstrap-replicates", 40, "--objective-sims", 1,
+                       "--sim-days", sim_days, *flags, "--out", outdir)
+        assert code == 2, sim_days
+        assert f"at least {MIN_OBSERVATIONS}" in capsys.readouterr().err, sim_days
+        assert not outdir.exists(), sim_days
 
 
 class TestOutputDirEnv:

@@ -176,6 +176,10 @@ class TestNmtaOptimize:
                                 NMTAParams(threshold_samples=60, shift_scale=1.0), rng)
         assert np.all(taus < 1e11)
 
+    def test_threshold_len_zero_rejected(self):
+        with pytest.raises(ValueError, match="threshold_len must be >= 1"):
+            NMTAParams(threshold_len=0)
+
     def test_restarts_accumulate_best(self):
         res = nmta_optimize(sphere, BOX6,
                             NMTAParams(max_iters=40, restarts=3,
