@@ -85,15 +85,6 @@ class CalibrationError(RuntimeError):
     """Raised when a calibration step cannot proceed."""
 
 
-class ReplicationError(CalibrationError):
-    """Fewer than two replication runs succeeded; ``failures`` holds the
-    ReplicationFailure of every run."""
-
-    def __init__(self, message: str, failures: tuple):
-        super().__init__(message)
-        self.failures = failures
-
-
 @dataclass(frozen=True)
 class ParameterSpace:
     """Free-parameter vector layout, box bounds, and feasibility repair.
@@ -320,15 +311,6 @@ def run_optimizer(optimizer: str, objective, space: ParameterSpace, seed: int,
 
 
 @dataclass(frozen=True)
-class ReplicationFailure:
-    """A replication run that raised one of the model's domain errors."""
-
-    seed: int
-    error: str  # the exception's type name, e.g. "BlowUpError"
-    message: str
-
-
-@dataclass(frozen=True)
 class ReplicationSummary:
     """Point estimates (best-fitness run) and 95% intervals across runs."""
 
@@ -339,11 +321,6 @@ class ReplicationSummary:
     upper: np.ndarray
     fitness_lower: float
     fitness_upper: float
-    runs_requested: int
-    runs_succeeded: int
-    seeds: tuple
-    #: The runs that failed, in seed order.
-    failures: tuple[ReplicationFailure, ...] = ()
 
     @property
     def point(self) -> np.ndarray:
@@ -372,24 +349,13 @@ def replicate_calibrations(run_one, space: ParameterSpace, runs: int,
                            seed: int = 0) -> ReplicationSummary:
     """Repeat ``run_one(seed_i)`` with distinct derived seeds and summarize.
 
-    ``run_one`` maps an integer seed to a CalibrationResult. A run that
-    raises one of the model's domain errors is excluded from the estimates
-    (``runs_succeeded`` falls short of ``runs_requested``) and recorded in
-    ``failures``; any other exception is a fault in the program and
-    propagates. Fewer than two successes raise ReplicationError.
+    ``run_one`` maps an integer seed to a CalibrationResult; an exception it
+    raises propagates. (A failed simulation never gets this far: ``evaluate``
+    penalises it.)
     """
     if runs < 2:
         raise CalibrationError("need at least 2 replication runs")
-    run_seeds = tuple(int(s) for s in np.random.SeedSequence(seed).generate_state(runs))
-    results, failures = [], []
-    for s in run_seeds:
-        try:
-            results.append(run_one(s))
-        except (CalibrationError, BlowUpError, StatisticError, ParameterError) as exc:
-            failures.append(ReplicationFailure(s, type(exc).__name__, str(exc)))
-    if len(results) < 2:
-        raise ReplicationError(f"only {len(results)}/{runs} calibration runs succeeded",
-                               tuple(failures))
+    results = [run_one(int(s)) for s in np.random.SeedSequence(seed).generate_state(runs)]
     thetas = np.array([r.theta for r in results])
     fits = np.array([r.fitness for r in results])
     lo, hi = np.percentile(thetas, [2.5, 97.5], axis=0)
@@ -401,10 +367,6 @@ def replicate_calibrations(run_one, space: ParameterSpace, runs: int,
         upper=hi,
         fitness_lower=f_lo,
         fitness_upper=f_hi,
-        runs_requested=runs,
-        runs_succeeded=len(results),
-        seeds=run_seeds,
-        failures=tuple(failures),
     )
 
 

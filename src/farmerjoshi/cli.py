@@ -41,7 +41,6 @@ from farmerjoshi.calibration import (
     CalibrationError,
     ObjectiveConfig,
     ParameterSpace,
-    ReplicationError,
     check_objective_settings,
     make_objective,
     model_parameters,
@@ -359,35 +358,15 @@ def _cmd_calibrate(resolved: dict) -> int:
     }}
     if replications:
         logger.info("running %d replicate calibrations (%s)", replications, optimizer)
-        error = None
-        try:
-            summary = replicate_calibrations(run_one, space, replications,
-                                             seed=resolved["seed"])
-            failures = summary.failures
-        except ReplicationError as exc:
-            error, failures = exc, exc.failures
-        for failure in failures:
-            logger.warning("replication with seed %d failed: %s: %s",
-                           failure.seed, failure.error, failure.message)
-        extra = {"runs_succeeded": replications - len(failures),
-                 "replication_failures": [dataclasses.asdict(f) for f in failures]}
-        if error is not None:
-            # Too few runs succeeded: keep their failures, then fail the command.
-            write_json(out / "calibration.json", {"optimizer": optimizer,
-                                                  "variant": space.variant,
-                                                  **extra, **objective_doc}, meta)
-            print(f"runtime failure: {error}", file=sys.stderr)
-            return 1
+        summary = replicate_calibrations(run_one, space, replications, seed=resolved["seed"])
         write_csv(out / "replication_summary.csv", summary.rows(), meta)
         result = summary.best
-        logger.info("best of %d replications: fitness %.6g",
-                    summary.runs_succeeded, result.fitness)
+        logger.info("best of %d replications: fitness %.6g", replications, result.fitness)
     else:
         logger.info("running %s calibration (seed %d)", optimizer, resolved["seed"])
         result = run_one(resolved["seed"])
-        extra = {}
 
-    doc = {**_result_doc(result, space), **extra, **objective_doc}
+    doc = {**_result_doc(result, space), **objective_doc}
     write_json(out / "calibration.json", doc, meta)
     write_csv(out / "fitness_trace.csv",
               [("step", "best_fitness")] +

@@ -91,6 +91,10 @@ class NMTAParams:
     def __post_init__(self):
         _require_at_least(self, {"restarts": 1, "threshold_len": 1, "max_iters": 0,
                                  "shift_every": 0, "threshold_samples": 0})
+        if self.thresholds is not None and not (
+                len(self.thresholds) > 0 and all(0.0 <= t < np.inf for t in self.thresholds)):
+            raise ValueError("thresholds must be a non-empty sequence of finite "
+                             f"numbers >= 0, got {self.thresholds!r}")
 
 
 def _as_bounds(bounds) -> tuple[np.ndarray, np.ndarray]:
@@ -328,6 +332,8 @@ def nmta_optimize(objective, bounds, nmta_params: NMTAParams | None = None,
 
     if p.thresholds is not None:
         taus = np.minimum.accumulate(np.asarray(p.thresholds, dtype=float))
+    elif p.shift_every == 0:  # no shift is proposed, so no threshold is read
+        taus = np.zeros(p.threshold_len)
     else:
         taus = build_thresholds(ev, lower, upper, p, ev.rng)
         ev.best_x, ev.best_f = None, np.inf  # a threshold sample is never the optimum

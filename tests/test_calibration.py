@@ -1,3 +1,4 @@
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -5,11 +6,11 @@ import pytest
 
 from farmerjoshi import calibration
 from farmerjoshi.calibration import (
+    DEFAULT_BOUNDS,
     PENALTY_FITNESS,
     CalibrationError,
     ObjectiveConfig,
     ParameterSpace,
-    ReplicationFailure,
     evaluate,
     fitness,
     make_objective,
@@ -19,7 +20,7 @@ from farmerjoshi.calibration import (
     run_optimizer,
     surface_scan,
 )
-from farmerjoshi.market import BlowUpError
+from farmerjoshi.market import BlowUpError, ParameterError
 from farmerjoshi.optimize import CalibrationResult, GAParams, NMTAParams
 from farmerjoshi.stats import N_MOMENTS, StatisticError
 from farmerjoshi.weighting import WeightMatrix
@@ -215,16 +216,29 @@ class TestEvaluate:
         calls.clear()
         assert fitness(theta, cfg) == ev.fitness
 
-    def test_out_of_box_theta_penalised(self, tiny_cfg, monkeypatch):
+    @staticmethod
+    def assert_every_run_fails_unsimulated(theta, cfg, error, monkeypatch):
         monkeypatch.setattr(calibration, "simulate_batch", None)  # never reached
-        theta = mid_theta(tiny_cfg.space)
-        theta[tiny_cfg.space.index("lam")] = 1e9
-        ev = evaluate(theta, tiny_cfg)
+        ev = evaluate(theta, cfg)
         assert ev.fitness == PENALTY_FITNESS and ev.error is None
         assert [i for i, _ in ev.failures] == [0, 1]
-        assert all(isinstance(exc, CalibrationError) for _, exc in ev.failures)
+        assert all(isinstance(exc, error) for _, exc in ev.failures)
         assert np.isnan(ev.moments).all()
-        assert fitness(theta, tiny_cfg) == PENALTY_FITNESS
+        assert fitness(theta, cfg) == PENALTY_FITNESS
+
+    def test_out_of_box_theta_penalised(self, tiny_cfg, monkeypatch):
+        theta = mid_theta(tiny_cfg.space)
+        theta[tiny_cfg.space.index("lam")] = 1e9
+        self.assert_every_run_fails_unsimulated(theta, tiny_cfg, CalibrationError,
+                                                monkeypatch)
+
+    def test_invalid_model_theta_penalised(self, tiny_cfg, monkeypatch):
+        """A box the user widened past the model's constraints: every theta
+        in it is a ParameterError, which fails each run without simulating."""
+        space = ParameterSpace("adaptive", bounds={**DEFAULT_BOUNDS, "lam": (0.0, 0.0)})
+        cfg = dataclasses.replace(tiny_cfg, space=space)
+        self.assert_every_run_fails_unsimulated(mid_theta(space), cfg, ParameterError,
+                                                monkeypatch)
 
 
 class TestFitness:
@@ -283,7 +297,6 @@ class TestReplicateCalibrations:
         assert np.array_equal(summary.point, theta)
         assert np.array_equal(summary.lower, theta)
         assert np.array_equal(summary.upper, theta)
-        assert summary.runs_succeeded == 5
 
     def test_percentile_oracle_1_to_100(self):
         lo, hi = percentile_interval(np.arange(1.0, 101.0))
@@ -311,39 +324,9 @@ class TestReplicateCalibrations:
         assert summary.lower[i] == pytest.approx(3.475 / 10.0 + 5.0)
         assert summary.upper[i] == pytest.approx(97.525 / 10.0 + 5.0)
 
-    def test_failures_excluded_and_counted(self):
-        space = ParameterSpace("adaptive")
-        theta = mid_theta(space)
-        calls = {"n": 0}
-
-        def run_one(seed):
-            calls["n"] += 1
-            if calls["n"] % 2 == 0:
-                raise BlowUpError("sim exploded")
-            return stub_result(theta, 1.0, seed)
-
-        summary = replicate_calibrations(run_one, space, runs=6, seed=0)
-        assert summary.runs_succeeded == 3
-        assert summary.runs_requested == 6
-
-    def test_failures_recorded_with_seed_and_message(self):
-        space = ParameterSpace("adaptive")
-        theta = mid_theta(space)
-        seeds = []
-
-        def run_one(seed):
-            seeds.append(seed)
-            if len(seeds) == 2:
-                raise BlowUpError(f"log price 51.5 diverged at day 7 (seed {seed})")
-            return stub_result(theta, 1.0, seed)
-
-        summary = replicate_calibrations(run_one, space, runs=3, seed=0)
-        assert summary.seeds == tuple(seeds)
-        assert summary.runs_succeeded == 2
-        assert summary.failures == (ReplicationFailure(
-            seeds[1], "BlowUpError", f"log price 51.5 diverged at day 7 (seed {seeds[1]})"),)
-
-    def test_programming_errors_propagate(self):
+    @staticmethod
+    def assert_propagates(error):
+        """The second of four runs raises ``error``: it ends the replications."""
         space = ParameterSpace("adaptive")
         theta = mid_theta(space)
         calls = {"n": 0}
@@ -351,21 +334,20 @@ class TestReplicateCalibrations:
         def run_one(seed):
             calls["n"] += 1
             if calls["n"] == 2:
-                raise TypeError("bad argument")
+                raise error
             return stub_result(theta, 1.0, seed)
 
-        with pytest.raises(TypeError, match="bad argument"):
+        with pytest.raises(type(error), match=str(error)):
             replicate_calibrations(run_one, space, runs=4, seed=0)
         assert calls["n"] == 2
 
-    def test_too_few_successes(self):
-        space = ParameterSpace("adaptive")
+    def test_programming_errors_propagate(self):
+        self.assert_propagates(TypeError("bad argument"))
 
-        def run_one(seed):
-            raise BlowUpError("always fails")
-
-        with pytest.raises(CalibrationError, match="succeeded"):
-            replicate_calibrations(run_one, space, runs=4, seed=0)
+    def test_domain_errors_propagate(self):
+        # a fitness evaluation penalises a failed simulation; one that escapes a
+        # run is a fault, and no run is dropped from the intervals for it
+        self.assert_propagates(BlowUpError("sim exploded"))
 
     def test_rows_table_shape(self):
         space = ParameterSpace("adaptive")

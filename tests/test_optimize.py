@@ -108,10 +108,13 @@ class TestNmtaOptimize:
         # the NM loop without its shift branch
         b = nmta_optimize(quad, box, NMTAParams(shift_every=0, max_iters=150,
                                                 thresholds=(0.0,)), seed=5)
-        assert not a.details["events"] and not b.details["events"]
-        assert np.array_equal(a.trace, b.trace)
-        assert np.array_equal(a.theta, b.theta)
-        assert a.evaluations == b.evaluations
+        # with no shift proposed, no threshold is sampled either
+        c = nmta_optimize(quad, box, NMTAParams(shift_every=0, max_iters=150), seed=5)
+        for run in (a, c):
+            assert not run.details["events"]
+            assert np.array_equal(run.trace, b.trace)
+            assert np.array_equal(run.theta, b.theta)
+            assert run.evaluations == b.evaluations
 
     def test_quadratic_bowl_convergence(self):
         quad = lambda x: float(np.sum((x - 0.7) ** 2))
@@ -179,6 +182,12 @@ class TestNmtaOptimize:
     def test_threshold_len_zero_rejected(self):
         with pytest.raises(ValueError, match="threshold_len must be >= 1"):
             NMTAParams(threshold_len=0)
+
+    @pytest.mark.parametrize("thresholds", [(), (np.nan,), (np.inf,), (0.5, -1.0)],
+                             ids=["empty", "nan", "inf", "negative"])
+    def test_unusable_thresholds_rejected(self, thresholds):
+        with pytest.raises(ValueError, match="thresholds must be a non-empty sequence"):
+            NMTAParams(thresholds=thresholds)
 
     def test_restarts_accumulate_best(self):
         res = nmta_optimize(sphere, BOX6,

@@ -1,9 +1,11 @@
 """What a fresh interpreter loads and how BLAS is set up when it imports the package.
 
 Each check runs in a subprocess, because the test process has imported
-numpy, scipy and the package already.
+numpy, scipy and the package already. The last check reads the sources:
+an import no module uses is start-up cost too.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -142,3 +144,20 @@ def test_a_thread_count_the_user_sets_wins(name):
     found = run_fresh(OPENBLAS_THREADS, **{name: "2"})
     assert found["env"] == {other: ("2" if other == name else None)
                             for other in BLAS_VARIABLES}
+
+
+def test_every_imported_name_is_used():
+    # no linter ships with the project, and a deletion can leave an import behind
+    unused = []
+    for path in sorted(Path(farmerjoshi.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []
