@@ -9,6 +9,7 @@ every command output and the weight-matrix cache go through.
 from __future__ import annotations
 
 import csv
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -49,8 +50,8 @@ class PriceSeries:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["date", "close"])
-            for d, c in zip(self.dates, self.closes):
-                writer.writerow([np.datetime_as_string(d, unit="D"), repr(float(c))])
+            writer.writerows(zip(np.datetime_as_string(self.dates, unit="D").tolist(),
+                                 self.closes.tolist()))
 
 
 @dataclass(frozen=True)
@@ -85,8 +86,8 @@ def write_atomic(path, text: str) -> None:
 def load_price_series(path) -> PriceSeries:
     """Load and validate a ``date,close`` CSV.
 
-    Any unparsable or non-positive row is an error naming the offending
-    row (1-based, counting the header as row 1).
+    Any unparsable, non-finite or non-positive row is an error naming the
+    offending row (1-based, counting the header as row 1).
     """
     path = Path(path)
     if not path.exists():
@@ -114,8 +115,9 @@ def load_price_series(path) -> PriceSeries:
                 close = float(row[1])
             except ValueError:
                 raise PriceDataError(f"{path}: row {i}: non-numeric close {row[1]!r}") from None
-            if not np.isfinite(close) or close <= 0:
-                raise PriceDataError(f"{path}: row {i}: non-positive close {row[1]!r}")
+            if not math.isfinite(close) or close <= 0:
+                reason = "non-positive" if math.isfinite(close) else "non-finite"
+                raise PriceDataError(f"{path}: row {i}: {reason} close {row[1]!r}")
             dates.append(date)
             closes.append(close)
     try:

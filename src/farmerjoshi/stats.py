@@ -11,7 +11,8 @@ Conventions frozen here because the calibration target must be stable:
 * the log-periodogram regression of |r| uses the lowest floor(sqrt(n))
   Fourier frequencies;
 * the unit-root regression uses an intercept, no trend, and lag order
-  floor((n-1)^(1/3));
+  floor((n-1)^(1/3)), solved by its normal equations on the standardized
+  series; the two slopes above are closed-form least squares;
 * conditional-variance persistence is the alpha + beta of a Gaussian
   quasi-maximum-likelihood GARCH(1,1) fit (variance recursion started at
   the mean squared residual) on the standardized series, found by a
@@ -64,7 +65,7 @@ MOMENT_NAMES = (
 N_MOMENTS = len(MOMENT_NAMES)
 
 #: Version of the statistic conventions above; bump it when a value changes.
-MOMENTS_VERSION = 5
+MOMENTS_VERSION = 6
 
 #: Fewest returns the full moment vector is defined on: the log-periodogram
 #: regression and the GARCH fit need this many, the other statistics fewer.
@@ -145,11 +146,13 @@ def sample_moments(r) -> tuple[float, float, float]:
         raise StatisticError("need at least 4 observations", component="mean")
     mu = float(np.mean(x))
     dev = x - mu
-    m2 = float(np.mean(dev**2))
+    # The operations of np.mean(dev**2) and np.std(x, ddof=1), bit for bit.
+    ss = float(np.sum(dev**2))
+    m2 = ss / n
     if m2 == 0.0 or _effectively_constant(x):
         raise StatisticError("zero variance: excess kurtosis undefined",
                              component="excess_kurtosis")
-    sd = float(np.std(x, ddof=1))
+    sd = math.sqrt(ss / (n - 1))
     kurt = float(np.mean(dev**4) / m2**2 - 3.0)
     return mu, sd, kurt
 
@@ -180,6 +183,12 @@ def _expected_rs_white_noise(w: int) -> float:
     return s / math.sqrt(w * math.pi / 2.0)
 
 
+def _ols_slope(x: np.ndarray, y: np.ndarray) -> float:
+    """Least-squares slope of ``y`` on ``x`` with an intercept."""
+    dx = x - x.mean()
+    return float(dx @ (y - y.mean()) / (dx @ dx))
+
+
 def hurst_exponent(r) -> float:
     """Rescaled-range slope over dyadic windows 16, 32, ..., n/4.
 
@@ -203,7 +212,7 @@ def hurst_exponent(r) -> float:
         dev = blocks - blocks.mean(axis=1, keepdims=True)
         z = np.cumsum(dev, axis=1)
         ranges = z.max(axis=1) - z.min(axis=1)
-        scales = blocks.std(axis=1, ddof=1)
+        scales = np.sqrt(np.sum(dev * dev, axis=1) / (w - 1))  # blocks.std(axis=1, ddof=1)
         ok = (scales > 0) & (ranges > 0)
         if np.any(ok):
             log_w.append(math.log(w))
@@ -215,8 +224,7 @@ def hurst_exponent(r) -> float:
         warnings.warn("degenerate rescaled-range input; returning fallback 1.0",
                       DegenerateSeriesWarning)
         return 1.0
-    slope = np.polyfit(log_w, log_rs_excess, 1)[0]
-    return float(0.5 + slope)
+    return 0.5 + _ols_slope(np.array(log_w), np.array(log_rs_excess))
 
 
 def gph_estimator(r) -> float:
@@ -241,20 +249,24 @@ def gph_estimator(r) -> float:
                              component="gph")
     j = np.arange(1, m + 1)
     regressor = np.log(4.0 * np.sin(np.pi * j / n) ** 2)
-    slope = np.polyfit(regressor, np.log(periodogram), 1)[0]
-    return float(-slope)
+    return -_ols_slope(regressor, np.log(periodogram))
 
 
 def adf_statistic(r) -> float:
     """Augmented Dickey-Fuller t-statistic, intercept included, no trend.
 
     Lag order p = floor((n-1)^(1/3)). Returns the raw t-statistic of the
-    lagged-level coefficient; no p-value.
+    lagged-level coefficient; no p-value. Standardizing the series first
+    leaves the statistic unchanged (it is invariant to y -> a + b*y).
     """
     y = _values(r)
     n = len(y)
     if n < 32:
         raise StatisticError("need at least 32 observations", component="adf")
+    if _effectively_constant(y):
+        raise StatisticError("singular unit-root regression", component="adf")
+    dev = y - np.mean(y)
+    y = dev / math.sqrt(float(dev @ dev) / n)
     p = int(math.floor((n - 1) ** (1.0 / 3.0)))
     dy = np.diff(y)
     rows = len(dy) - p
@@ -266,14 +278,15 @@ def adf_statistic(r) -> float:
     for i in range(1, p + 1):
         cols.append(dy[p - i : len(dy) - i])
     design = np.column_stack(cols)
-    beta, _, rank, _ = np.linalg.lstsq(design, dep, rcond=None)
-    if rank < design.shape[1]:
+    gram = design.T @ design
+    eigenvalues = np.linalg.eigvalsh(gram)
+    if eigenvalues[0] <= rows * _EPS * eigenvalues[-1]:
         raise StatisticError("singular unit-root regression", component="adf")
+    inv = np.linalg.inv(gram)
+    beta = inv @ (design.T @ dep)
     resid = dep - design @ beta
-    dof = rows - design.shape[1]
-    s2 = float(resid @ resid) / dof
-    cov = s2 * np.linalg.inv(design.T @ design)
-    se = math.sqrt(cov[1, 1])
+    s2 = float(resid @ resid) / (rows - design.shape[1])
+    se = math.sqrt(s2 * inv[1, 1])
     if se == 0.0:
         raise StatisticError("singular unit-root regression", component="adf")
     return float(beta[1] / se)

@@ -1,4 +1,6 @@
+import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -34,6 +36,16 @@ class TestLoadPriceSeries:
     def test_missing_file(self, tmp_path):
         with pytest.raises(PriceDataError, match="not found"):
             load_price_series(tmp_path / "absent.csv")
+
+    @pytest.mark.parametrize("close, reason", [
+        ("nan", "non-finite"), ("inf", "non-finite"), ("-inf", "non-finite"),
+        ("0", "non-positive"), ("-5", "non-positive"),
+    ])
+    def test_bad_close_names_row_and_reason(self, close, reason, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"date,close\n2015-01-01,100\n2015-01-02,{close}\n")
+        with pytest.raises(PriceDataError, match=re.escape(f"row 3: {reason} close '{close}'")):
+            load_price_series(path)
 
     def test_non_numeric_close_names_row(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -82,6 +94,24 @@ class TestLoadPriceSeries:
         again = load_price_series(out)
         assert np.array_equal(series.dates, again.dates)
         assert np.array_equal(series.closes, again.closes)
+
+    def test_to_csv_bytes_equal_a_per_row_writer(self, tmp_path):
+        # The dates cross 1970-01-01 and two 29 Februaries; the closes take
+        # both of repr's notations.
+        dates = np.concatenate([np.datetime64("1969-12-20") + np.arange(25),
+                                np.datetime64("2000-02-27") + np.arange(4),
+                                np.datetime64("2024-02-28") + np.arange(3)])
+        closes = np.random.default_rng(0).lognormal(3.0, 1.0, len(dates))
+        closes[:4] = [1e-7, 1e22, 0.1, 123456789.0]
+        series = PriceSeries(dates=dates, closes=closes)
+        series.to_csv(tmp_path / "series.csv")
+        with open(tmp_path / "reference.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["date", "close"])
+            for d, c in zip(series.dates, series.closes):
+                writer.writerow([np.datetime_as_string(d, unit="D"), repr(float(c))])
+        assert ((tmp_path / "series.csv").read_bytes()
+                == (tmp_path / "reference.csv").read_bytes())
 
 
 class TestValidation:

@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg.blas import dtbsv
 
@@ -59,8 +60,9 @@ def brute_force_ks(x, y):
     return best
 
 
-def adf_oracle(y, p):
-    """Independent regression oracle solved via the normal equations."""
+def adf_regression(y, p):
+    """The unit-root regression's design (intercept, lagged level, p lagged
+    differences) and dependent variable."""
     y = np.asarray(y, dtype=float)
     dy = np.diff(y)
     dep = dy[p:]
@@ -68,13 +70,78 @@ def adf_oracle(y, p):
     cols = [np.ones(rows), y[p:len(y) - 1]]
     for i in range(1, p + 1):
         cols.append(dy[p - i:len(dy) - i])
-    X = np.column_stack(cols)
+    return np.column_stack(cols), dep
+
+
+def adf_oracle(y, p):
+    """Independent regression oracle solved via the normal equations."""
+    X, dep = adf_regression(y, p)
+    rows = len(dep)
     xtx = X.T @ X
     beta = np.linalg.solve(xtx, X.T @ dep)
     resid = dep - X @ beta
     s2 = resid @ resid / (rows - X.shape[1])
     se = np.sqrt(s2 * np.linalg.inv(xtx)[1, 1])
     return beta[1] / se
+
+
+# The version-5 statistics that version 6 rewrote, as they were.
+
+def adf_version5(y):
+    """ADF solved by ``np.linalg.lstsq``, singular when its rank falls short."""
+    y = np.asarray(y, dtype=float)
+    design, dep = adf_regression(y, int(math.floor((len(y) - 1) ** (1.0 / 3.0))))
+    beta, _, rank, _ = np.linalg.lstsq(design, dep, rcond=None)
+    if rank < design.shape[1]:
+        raise StatisticError("singular unit-root regression", component="adf")
+    resid = dep - design @ beta
+    s2 = float(resid @ resid) / (len(dep) - design.shape[1])
+    se = math.sqrt((s2 * np.linalg.inv(design.T @ design))[1, 1])
+    if se == 0.0:
+        raise StatisticError("singular unit-root regression", component="adf")
+    return float(beta[1] / se)
+
+
+def polyfit_slope(x, y):
+    return float(np.polyfit(x, y, 1)[0])
+
+
+def hurst_version5(x, slope=polyfit_slope):
+    """The rescaled-range slope with ``blocks.std`` spreads, fitted by ``slope``."""
+    x = np.asarray(x, dtype=float)
+    n = len(x)
+    log_w, log_rs_excess = [], []
+    w = 16
+    while w <= n // 4:
+        k = n // w
+        blocks = x[: k * w].reshape(k, w)
+        dev = blocks - blocks.mean(axis=1, keepdims=True)
+        z = np.cumsum(dev, axis=1)
+        ranges = z.max(axis=1) - z.min(axis=1)
+        scales = blocks.std(axis=1, ddof=1)
+        ok = (scales > 0) & (ranges > 0)
+        if np.any(ok):
+            log_w.append(math.log(w))
+            log_rs_excess.append(math.log(float(np.mean(ranges[ok] / scales[ok])))
+                                 - math.log(stats._expected_rs_white_noise(w)))
+        w *= 2
+    if len(log_w) < 2:
+        return 1.0
+    return 0.5 + slope(np.array(log_w), np.array(log_rs_excess))
+
+
+def gph_version5(r):
+    """The log-periodogram slope fitted by ``np.polyfit``."""
+    x = np.abs(np.asarray(r, dtype=float))
+    n = len(x)
+    if stats._effectively_constant(x):
+        raise StatisticError("degenerate periodogram: |r| is constant", component="gph")
+    m = int(math.floor(math.sqrt(n)))
+    periodogram = np.abs(np.fft.rfft(x - x.mean())[1 : m + 1]) ** 2 / (2.0 * np.pi * n)
+    if np.any(periodogram <= 0):
+        raise StatisticError("degenerate periodogram: zero ordinate", component="gph")
+    regressor = np.log(4.0 * np.sin(np.pi * np.arange(1, m + 1) / n) ** 2)
+    return -polyfit_slope(regressor, np.log(periodogram))
 
 
 class TestSampleMoments:
@@ -345,6 +412,91 @@ class TestGarchAgainstVersion2:
 @pytest.fixture(scope="module")
 def series_44():
     return equivalence_series(44, seed=1)
+
+
+class TestOnePassRewrites:
+    """Version 6's one-pass sample moments and Hurst block spreads are version
+    5's formulas bit for bit, so of the moment vector only ADF and the two
+    slopes move."""
+
+    @given(st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=300))
+    @settings(max_examples=200, deadline=None)
+    def test_sample_moments_are_the_version5_formulas(self, values):
+        x = np.array(values)
+        try:
+            got = sample_moments(x)
+        except StatisticError:
+            assume(False)
+        dev = x - np.mean(x)
+        expected = (np.mean(x), np.std(x, ddof=1), np.mean(dev**4) / np.mean(dev**2) ** 2 - 3.0)
+        assert [v.hex() for v in got] == [float(v).hex() for v in expected]
+
+    @given(st.integers(128, 1200), st.integers(0, 2**32 - 1),
+           st.floats(1e-6, 1e3), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_hurst_block_spreads_are_blocks_std(self, n, seed, scale, rounded):
+        x = scale * np.random.default_rng(seed).standard_t(3, n)
+        if rounded:  # ties, and blocks with zero spread
+            x = np.round(x)
+        w = 16
+        while w <= n // 4:
+            blocks = x[: n // w * w].reshape(-1, w)
+            dev = blocks - blocks.mean(axis=1, keepdims=True)
+            spread = np.sqrt(np.sum(dev * dev, axis=1) / (w - 1))
+            assert spread.tobytes() == blocks.std(axis=1, ddof=1).tobytes()
+            w *= 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateSeriesWarning)
+            got = hurst_exponent(x)
+        assert got.hex() == hurst_version5(x, slope=stats._ols_slope).hex()
+
+
+class TestVersion6AgainstVersion5:
+    """ADF by its normal equations and closed-form slopes against version 5's
+    ``lstsq`` and ``np.polyfit``."""
+
+    def test_statistics_meet_the_fixed_criteria(self, series_44):
+        """Fixed before the first run, on ``equivalence_series(44, seed=1)``
+        (220 series) plus a constant series, ``np.tile([1.0, -1.0], 100)`` and
+        ``np.zeros(300)``: every raise/no-raise decision of ADF, Hurst and GPH
+        is version 5's; |dadf| <= 1e-9 * max(1, |adf|); |dhurst| and |dgph|
+        <= 1e-12; the other six statistics of the moment vector equal the
+        version-5 formulas bit for bit; and ADF is invariant under
+        y -> 3 + 7*y to a relative 1e-9."""
+        series = dict(series_44, constant=np.full(300, 0.01),
+                      alternating=np.tile([1.0, -1.0], 100), zeros=np.zeros(300))
+        assert len(series) == 223
+        empirical = garch_returns(2500, seed=2024)
+        checks = ((adf_statistic, adf_version5, 1e-9, True),
+                  (hurst_exponent, hurst_version5, 1e-12, False),
+                  (gph_estimator, gph_version5, 1e-12, False))
+        for name, x in series.items():
+            for new, old, tol, relative in checks:
+                outcomes = []
+                for fn in (new, old):
+                    try:
+                        with warnings.catch_warnings():
+                            warnings.simplefilter("ignore", DegenerateSeriesWarning)
+                            outcomes.append(fn(x))
+                    except StatisticError:
+                        outcomes.append(None)
+                got, expected = outcomes
+                assert (got is None) == (expected is None), (name, new.__name__)
+                if got is not None:
+                    bound = tol * max(1.0, abs(expected)) if relative else tol
+                    assert abs(got - expected) <= bound, (name, new.__name__, got, expected)
+            if name in series_44:
+                adf = adf_statistic(x)
+                assert adf_statistic(3.0 + 7.0 * x) == pytest.approx(adf, rel=1e-9), name
+                moments = moment_vector(x, empirical)
+                dev = x - np.mean(x)
+                expected = {"mean": np.mean(x), "stdev": np.std(x, ddof=1),
+                            "excess_kurtosis": np.mean(dev**4) / np.mean(dev**2) ** 2 - 3.0,
+                            "ks_stat": ks_statistic(x, empirical),
+                            "garch_persistence": garch_persistence(x),
+                            "hill_avg": hill_tail_average(x)}
+                for key, value in expected.items():
+                    assert getattr(moments, key).hex() == float(value).hex(), (name, key)
 
 
 class TestGarchAgainstVersion3:
