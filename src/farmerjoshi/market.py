@@ -20,12 +20,11 @@ the active strategy's shadow position.
 ``simulate_batch`` runs the I common-random-number seeds of one parameter
 set through one kernel over an (I, N) state, a block of days per call
 (fewer when a day of the batch's buffers takes more bytes); ``simulate``
-is its one-seed case and ``step_standard``/``step_adaptive`` call the same
-kernel with one-day blocks. Every row reproduces the one-seed run bit for
-bit. Each day the kernel does what the next day reads: mispricings,
-switching, positions, the price (written in place into the output buffer)
-and, in the adaptive variant, the return the rolling profits read. Once per
-block it reduces the day's chartist counts and strategy profits from block
+is its one-seed case. Every row reproduces the one-seed run bit for bit.
+Each day the kernel does what the next day reads: mispricings, switching,
+positions, the price (written in place into the output buffer) and, in
+the adaptive variant, the return the rolling profits read. Once per block
+it reduces the day's chartist counts and strategy profits from block
 buffers, and checks the block's prices for blow-ups. Across blocks it
 keeps only the trader state (position signs, value perceptions) and, in
 the adaptive variant, a bounded window of shadow positions for the
@@ -177,67 +176,6 @@ class SimulationOutput:
 
 
 # ---------------------------------------------------------------------------
-# Elementary operations
-# ---------------------------------------------------------------------------
-
-def market_impact_update(p_t: float, net_order: float, lam: float, zeta: float) -> float:
-    """Next log price: p_t + net_order / lam + zeta."""
-    if lam <= 0:
-        raise ParameterError("lam must be positive")
-    return p_t + net_order / lam + zeta
-
-
-def threshold_transition(current: float, m: float, T: float, tau: float, c: float) -> float:
-    """One day of the entry/exit state machine for a single position.
-
-    ``current`` is the signed position in {-c, 0, +c}. Flat enters long
-    at m < -T and short at m > T; long exits once m rises above -tau;
-    short exits once m falls below tau.
-    """
-    if current == 0.0:
-        if m < -T:
-            return c
-        if m > T:
-            return -c
-        return 0.0
-    if current > 0.0:
-        return 0.0 if m > -tau else current
-    return 0.0 if m < tau else current
-
-
-def strategy_profit(shadow_positions, log_prices, H: int, t: int) -> float:
-    """Rolling profit of one strategy over the ``H`` days ending at day t.
-
-    ``shadow_positions[k]`` is the position held after day k's decision,
-    ``log_prices[k]`` the log price p_k; the profit sums
-    position[k-1] * (p_k - p_{k-1}) for k in [max(1, t-H+1), t]. Before a
-    full window exists the sum runs over all available days.
-    """
-    if t < 1:
-        return 0.0
-    x = np.asarray(shadow_positions, dtype=float)
-    p = np.asarray(log_prices, dtype=float)
-    k0 = max(1, t - H + 1)
-    dp = p[k0 : t + 1] - p[k0 - 1 : t]
-    return float(x[k0 - 1 : t] @ dp)
-
-
-def switch_probability(pi_c: float, pi_f: float, gamma: float) -> tuple[float, float]:
-    """Logistic strategy-selection probabilities (phi_chartist, phi_fund).
-
-    Computed in the overflow-safe form of 1 / (1 + exp((pi_f - pi_c)/gamma)),
-    with numpy's exp as in the day kernel, so the two agree to the last bit
-    (``math.exp`` differs from ``np.exp`` in the last bit on some inputs).
-    """
-    if gamma <= 0:
-        raise ParameterError("gamma must be positive")
-    z = (pi_f - pi_c) / gamma
-    e = np.exp(-abs(z))
-    phi_c = float((e if z >= 0.0 else 1.0) / (1.0 + e))
-    return phi_c, 1.0 - phi_c
-
-
-# ---------------------------------------------------------------------------
 # The day kernel, batched over the seeds of one parameter set
 # ---------------------------------------------------------------------------
 
@@ -275,7 +213,7 @@ def _seed_streams(seed: int) -> list[np.random.Generator]:
 
 
 class _Positions:
-    """threshold_transition over a whole array of positions, in place.
+    """The entry/exit rule over a whole array of positions, in place.
 
     The state is each position's sign s in {-1, 0, 1}, kept as int8 with
     its mirror -s: a short position is a long one of -m, so one set of
@@ -287,7 +225,8 @@ class _Positions:
     that is [m < -T] from flat, [m <= -tau] from held (tau < T, so m < -T
     implies m <= -tau) and never from the other side. ``m <= -tau`` is
     tested as ``m < nextafter(-tau, +inf)``, the same for every float m.
-    The position is then s * c: flat is +0.0, as in threshold_transition.
+    The position is then s * c: flat is +0.0, as in the one-position
+    oracle ``threshold_transition`` of ``tests/day_driver.py``.
 
     Trader arrays come in the layout of the variant: (I, N) standard or
     (I, 2, N) adaptive, one position per strategy. The caller writes each
@@ -341,16 +280,16 @@ class _Runs:
     slides by ``horizon + 1`` days when full, so a slide never copies a day
     onto one it still has to copy; window row j holds day ``base + j``.
 
-    The rows are fixed when the runs are drawn, and the variant by
-    :meth:`_start` before the first block; nothing reshapes or restarts
-    them afterwards. A row that leaves the range runs on to the end of the
-    run.
+    The rows and the variant are fixed when the runs are drawn; nothing
+    reshapes or restarts them afterwards. A row that leaves the range runs
+    on to the end of the run.
     """
 
-    def __init__(self, params: ModelParameters, p0: float, seeds, days: int):
+    def __init__(self, params: ModelParameters, p0: float, seeds, days: int, adaptive: bool):
         params.validate()
-        n, n_runs = params.n_traders, len(seeds)
+        n, n_runs, n_f = params.n_traders, len(seeds), params.n_fundamentalists()
         self.params = params
+        self.adaptive = adaptive
         self.day = 0
         self.base = 0
         self.rows = 2 * params.horizon + 1
@@ -368,39 +307,21 @@ class _Runs:
         #: (zeta, eta, switch) generators per row.
         self.streams = [s[1:] for s in streams]
 
-        # By convention the first n_fundamentalists() traders start as
-        # fundamentalists; in the standard variant the split never changes.
-        split = np.arange(n) >= params.n_fundamentalists()
-        self.is_chartist = np.tile(split, (n_runs, 1))
-        self.pos_actual = np.zeros((n_runs, n))
-        #: The adaptive variant's shadow positions, built by :meth:`_start`.
-        self.shadow_window = None
         self.prices = np.full((n_runs, params.d_max + days + 1), float(p0))
         self.returns = np.zeros((n_runs, days))
-        self.n_chart = np.full((n_runs, days), n - params.n_fundamentalists())
+        self.n_chart = np.full((n_runs, days), n - n_f)
         self.profit = np.zeros((n_runs, 2, days))
-        #: The variant the rows run, fixed by :meth:`_start`.
-        self.adaptive = None
-        self.positions = None
-
-    def _index(self) -> None:
-        """Flat price indices of the lagged prices the chartists read on day 0.
-
-        On day t the same indices read the flat prices from element t on.
-        """
-        n_runs, width = self.prices.shape
-        index = np.arange(n_runs)[:, None] * width + self.params.d_max - self.lag
-        self._lag_index = index if self.adaptive else index[:, self.params.n_fundamentalists():]
+        # Flat price indices of the lagged prices the chartists read on day
+        # 0; on day t the same indices read the flat prices from element t on.
+        width = self.prices.shape[1]
+        lag_index = np.arange(n_runs)[:, None] * width + params.d_max - self.lag
+        self._lag_index = lag_index if adaptive else lag_index[:, n_f:]
         self._lagged = np.empty(self._lag_index.shape)
         self._flat_prices = self.prices.reshape(-1)
 
-    def _start(self, adaptive: bool) -> None:
-        """Fix the variant; build the positions, the block buffers and their views."""
-        self.adaptive = adaptive
-        self._index()
-        n_runs, n = self.pos_actual.shape
-        self.block = block = _block_days(self.params, adaptive, n_runs, self.returns.shape[1])
+        self.block = block = _block_days(params, adaptive, n_runs, days)
         if adaptive:
+            #: The shadow positions of both strategies, a window of days.
             self.shadow_window = np.zeros((n_runs, 2, self.rows, n))
             layout = [np.repeat(x[:, None, :], 2, axis=1)
                       for x in (self.entry, self.exit, self.capital)]
@@ -413,47 +334,21 @@ class _Runs:
             self._pi = np.empty((block, n_runs, 2, 1, n))
             self._decisions = np.empty((block, n_runs, n), bool)
             self._gap, self._odds = np.empty((2, n_runs, n))
-            self._neg_gamma = -self.params.gamma
+            self._neg_gamma = -params.gamma
+            self.pos_actual = np.zeros((n_runs, n))
         else:
+            self.shadow_window = None
             self.positions = _Positions(self.entry, self.exit, self.capital)
-            n_f = self.params.n_fundamentalists()
+            # the first n_fundamentalists() traders are fundamentalists
             fund, chart = slice(None, n_f), slice(n_f, None)
             self._value_fund = self.value[:, fund]
             #: Row j + 1 holds the positions taken on the block's day j; row 0
             #: those held before the block, which are pos_actual between blocks.
-            self._ring = np.empty((block + 1, n_runs, n))
-            self._ring[0] = self.pos_actual
+            self._ring = np.zeros((block + 1, n_runs, n))
             self.pos_actual = self._ring[0]
         self._m_fund = self.positions.mispricing[:, fund]
         self._m_chart = self.positions.mispricing[:, chart]
         self._order = np.empty((n_runs, n))
-
-    def extend(self, days: int) -> None:
-        """Make room in the outputs for ``days`` more days."""
-        for name in ("prices", "returns", "n_chart", "profit"):
-            arr = getattr(self, name)
-            # "edge" carries the standard variant's constant chartist count on
-            setattr(self, name, np.pad(arr, [(0, 0)] * (arr.ndim - 1) + [(0, days)],
-                                       mode="edge"))
-        self._index()
-
-    def rolling_profits(self) -> np.ndarray:
-        """Per-trader strategy profits over the last ``horizon`` days, (I, 2, N).
-
-        The matmul stacks one (1, h) @ (h, N) product per seed and strategy,
-        each on a C-contiguous slab, which numpy hands to BLAS gemv one by
-        one: the same call, so the same rounding, as a single run's
-        ``dp @ slab``. One (h, 2N) product rounds differently. Before day 1
-        the products are empty, so zero. :meth:`run` forms the same product
-        each day before it redraws the strategies.
-        """
-        t = self.day
-        if not t:  # the runs may not have started, so have no window yet
-            return np.zeros((len(self.returns), 2, self.params.n_traders))
-        k = max(0, t - self.params.horizon)
-        dp = self.returns[:, None, None, k:t]
-        window = self.shadow_window[:, :, k - self.base : t - self.base]
-        return np.matmul(dp, window)[:, :, 0]
 
     def _slide(self) -> None:
         """Move the last ``horizon`` days of the shadow window to the front,
@@ -482,7 +377,8 @@ class _Runs:
         row out of range in this block, by row index, from its first such
         day in the block.
 
-        phi_chartist is switch_probability's overflow-safe logistic: with
+        phi_chartist is the overflow-safe logistic of the oracle
+        ``switch_probability`` in ``tests/day_driver.py``: with
         e = exp(-|z|), z = (pi_f - pi_c) / gamma, it is e / (1 + e) where
         z >= 0 and 1 / (1 + e) where z < 0, i.e. where pi_c - pi_f > 0, so
         the numerator is max(e, sign(pi_c - pi_f)). -|z| is computed as
@@ -526,10 +422,9 @@ class _Runs:
                     add(odds, 1.0, out=odds)
                     divide(gap, odds, out=gap)
                     is_chartist = less(u[:, j], gap, out=decisions[j])
-                if window is not None and t + 1 - base == rows:
-                    self._slide()
-                    base = self.base
-                if adaptive:
+                    if t + 1 - base == rows:
+                        self._slide()
+                        base = self.base
                     shadow = window[:, :, t + 1 - base]
                     step(shadow)
                     new_pos = where(is_chartist, shadow[:, CHART], shadow[:, FUND])
@@ -547,7 +442,7 @@ class _Runs:
 
             self.day = t0 + days
             if adaptive:
-                self.is_chartist, self.pos_actual = is_chartist, pos_actual
+                self.pos_actual = pos_actual
                 reduce(decisions[:days], axis=2, out=self.n_chart[:, span].T)
                 reduce(pi[:days, :, :, 0], axis=3,
                        out=self.profit[:, :, span].transpose(2, 0, 1))
@@ -567,136 +462,6 @@ class _Runs:
             day = t0 + 1 + int(np.argmin(in_range[i]))
             blown[int(i)] = _blowup(float(prices[i, d_max + day]), day)
         return blown
-
-
-# ---------------------------------------------------------------------------
-# Day-at-a-time API
-# ---------------------------------------------------------------------------
-
-def _first_row(name: str) -> property:
-    return property(lambda self: getattr(self._runs, name)[0])
-
-
-def _last_profit(strategy: int) -> property:
-    return property(lambda self: float(self._runs.profit[0, strategy, self.day - 1])
-                    if self.day else 0.0)
-
-
-class MarketState:
-    """One run, advanced a day at a time by step_standard / step_adaptive.
-
-    A one-row batch of the simulate_batch kernel, whose outputs grow as the
-    days go by. A state runs the variant of its first step, and a step of
-    the other variant raises RuntimeError. The steps draw the day's noise
-    from ``rng_zeta``, ``rng_eta`` and ``rng_switch``, which tests may
-    replace with prescribed streams. Trader attributes are (N,)
-    arrays; day-indexed prices go through :meth:`log_price`, which is
-    defined back to day ``-d_max`` (pre-seeded with p0). Only the adaptive
-    kernel keeps shadow positions, so once a state has run a standard day,
-    reading them or the rolling profits raises RuntimeError.
-    """
-
-    entry = _first_row("entry")
-    exit = _first_row("exit")
-    lag = _first_row("lag")
-    value = _first_row("value")
-    capital = _first_row("capital")
-    is_chartist = _first_row("is_chartist")
-    pos_actual = _first_row("pos_actual")
-    day = property(lambda self: self._runs.day)
-    last_profit_fund = _last_profit(FUND)
-    last_profit_chart = _last_profit(CHART)
-
-    def __init__(self, params: ModelParameters, p0: float, seed: int):
-        # outputs for one day; they double when full (blocks stay one day long)
-        self._runs = _Runs(params, p0, [seed], 1)
-        self.params_echo = params
-        self.seed = seed
-        self.pad = params.d_max
-        self.rng_zeta, self.rng_eta, self.rng_switch = self._runs.streams[0]
-
-    def log_price(self, t: int) -> float:
-        """p_t for day t; padding makes t - d valid for any d <= d_max."""
-        if not -self.pad <= t <= self.day:
-            raise IndexError(f"no log price for day {t}")
-        return float(self._runs.prices[0, self.pad + t])
-
-    @property
-    def log_prices(self) -> np.ndarray:
-        """Day-indexed log prices p_0..p_day (padding excluded)."""
-        return self._runs.prices[0, self.pad : self.pad + self.day + 1].copy()
-
-    def _shadows(self, t: int) -> np.ndarray:
-        """Both strategies' shadow positions held after day t, (2, N), for
-        the last ``horizon + 1`` days."""
-        r = self._runs
-        first = max(0, r.day - r.params.horizon)
-        if not first <= t <= r.day:
-            raise IndexError(f"day {t} is outside the kept days {first}..{r.day}")
-        self._require_shadows()
-        if r.shadow_window is None:  # no step yet: every shadow position is flat
-            return np.zeros((2, r.params.n_traders))
-        return r.shadow_window[0, :, t - r.base]
-
-    def _require_shadows(self) -> None:
-        if self._runs.adaptive is False:
-            raise RuntimeError("a state that ran the standard variant keeps no "
-                               "shadow positions or rolling profits")
-
-    def shadow_fund(self, t: int) -> np.ndarray:
-        return self._shadows(t)[FUND]
-
-    def shadow_chart(self, t: int) -> np.ndarray:
-        return self._shadows(t)[CHART]
-
-    def rolling_profits(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-trader (chartist, fundamentalist) profits that drive the next switch."""
-        self._require_shadows()
-        pi = self._runs.rolling_profits()[0]
-        return pi[CHART], pi[FUND]
-
-
-def init_simulation(params: ModelParameters, p0: float, seed: int) -> MarketState:
-    """Draw trader attributes and seed the price history with p0."""
-    return MarketState(params, p0, seed)
-
-
-def _step(state: MarketState, adaptive: bool, zeta, eta, u) -> MarketState:
-    """Run the kernel over a block of one day; the first step fixes the variant."""
-    runs = state._runs
-    if runs.adaptive is None:
-        runs._start(adaptive)
-    elif runs.adaptive != adaptive:
-        variant = "adaptive" if runs.adaptive else "standard"
-        raise RuntimeError(f"this state runs the {variant} variant")
-    if runs.day == runs.returns.shape[1]:
-        runs.extend(runs.day)
-    blown = runs.run(np.reshape(zeta, (1, 1)), np.reshape(eta, (1, 1, -1)),
-                     None if u is None else np.reshape(u, (1, 1, -1)))
-    if blown:
-        raise blown[0]
-    return state
-
-
-def step_standard(state: MarketState, params: ModelParameters) -> MarketState:
-    """Advance one day with fixed strategies per trader."""
-    zeta = state.rng_zeta.normal(0.0, params.sigma_zeta)
-    eta = state.rng_eta.normal(params.mu_eta, params.sigma_eta,
-                               size=params.n_fundamentalists())
-    return _step(state, False, zeta, eta, None)
-
-
-def step_adaptive(state: MarketState, params: ModelParameters) -> MarketState:
-    """Advance one day with daily profit-driven strategy re-selection.
-
-    Both strategies' shadow positions evolve every day so the rolling
-    profits stay defined for the strategy not in use; the trader's actual
-    position is the active strategy's shadow position.
-    """
-    u = state.rng_switch.random(params.n_traders)
-    zeta = state.rng_zeta.normal(0.0, params.sigma_zeta)
-    eta = state.rng_eta.normal(params.mu_eta, params.sigma_eta, size=params.n_traders)
-    return _step(state, True, zeta, eta, u)
 
 
 # ---------------------------------------------------------------------------
@@ -722,8 +487,7 @@ def simulate_batch(params: ModelParameters, variant: Variant, days: int,
         raise ParameterError(f"unknown variant {variant!r}")
     seeds = [int(s) for s in seeds]
     adaptive = variant == "adaptive"
-    runs = _Runs(params, p0, seeds, days)
-    runs._start(adaptive)
+    runs = _Runs(params, p0, seeds, days, adaptive)
     n = params.n_traders
     n_eta = n if adaptive else params.n_fundamentalists()
 

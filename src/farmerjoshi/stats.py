@@ -123,13 +123,6 @@ class MomentVector:
     def as_array(self) -> np.ndarray:
         return np.array([getattr(self, name) for name in MOMENT_NAMES])
 
-    @classmethod
-    def from_array(cls, arr) -> "MomentVector":
-        arr = np.asarray(arr, dtype=float)
-        if arr.shape != (N_MOMENTS,):
-            raise StatisticError(f"expected {N_MOMENTS} entries, got shape {arr.shape}")
-        return cls(**{name: float(v) for name, v in zip(MOMENT_NAMES, arr)})
-
     def to_dict(self) -> dict:
         return {name: float(getattr(self, name)) for name in MOMENT_NAMES}
 
@@ -280,7 +273,7 @@ def adf_statistic(r) -> float:
     design = np.column_stack(cols)
     gram = design.T @ design
     eigenvalues = np.linalg.eigvalsh(gram)
-    if eigenvalues[0] <= rows * _EPS * eigenvalues[-1]:
+    if eigenvalues[0] <= math.sqrt(_EPS) * eigenvalues[-1]:
         raise StatisticError("singular unit-root regression", component="adf")
     inv = np.linalg.inv(gram)
     beta = inv @ (design.T @ dep)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import garch_returns, record_acceptance
+from day_driver import DayDriver, market_impact_update
 from farmerjoshi.calibration import (
     ObjectiveConfig,
     ParameterSpace,
@@ -23,14 +24,7 @@ from farmerjoshi.calibration import (
     run_optimizer,
 )
 from farmerjoshi.data_io import ReturnSeries
-from farmerjoshi.market import (
-    ModelParameters,
-    init_simulation,
-    market_impact_update,
-    simulate,
-    step_adaptive,
-    step_standard,
-)
+from farmerjoshi.market import ModelParameters, simulate
 from farmerjoshi.optimize import (
     CalibrationResult,
     GAParams,
@@ -227,14 +221,6 @@ class TestCriterion2StatisticOracles:
 # Criterion 3: model micro-oracles
 # ---------------------------------------------------------------------------
 
-class StubUniform:
-    def __init__(self, values):
-        self.values = list(values)
-
-    def random(self, n):
-        return np.full(n, self.values.pop(0))
-
-
 class TestCriterion3MicroOracles:
     def test_micro_oracles(self):
         micro = make_params(
@@ -252,14 +238,13 @@ class TestCriterion3MicroOracles:
             n_traders=1, lam=1.0, a=1.0, d_min=1, d_max=1, sigma_eta=0.0,
             sigma_zeta=0.0, T_min=0.1, T_max=0.1, tau_min=0.04, tau_max=0.04,
             v_min=-0.2, v_max=-0.2, horizon=1)
-        state = init_simulation(adaptive, 0.0, seed=4)
-        state.rng_switch = StubUniform([0.9, 0.0])
+        state = DayDriver(adaptive, "adaptive", 2, seed=4)
         ca = 1.0 * (0.1 - 0.04)
-        step_adaptive(state, adaptive)
+        state.step(u=0.9)
         q1 = market_impact_update(0.0, -ca, 1.0, 0.0)
         ok1 = (state.log_price(1) == q1 and state.pos_actual[0] == -ca
                and not state.is_chartist[0])
-        step_adaptive(state, adaptive)
+        state.step(u=0.0)
         q2 = market_impact_update(q1, ca, 1.0, 0.0)
         ok2 = (state.log_price(2) == q2 and state.pos_actual[0] == 0.0
                and state.is_chartist[0])

@@ -6,17 +6,16 @@ import warnings
 import numpy as np
 import pytest
 
+from day_driver import DayDriver, strategy_profit
 from farmerjoshi.market import (
     BLOCK_DAYS,
+    CHART,
     DEFAULT_PARAMETERS,
+    FUND,
     BlowUpError,
     _block_days,
-    init_simulation,
     simulate,
     simulate_batch,
-    step_adaptive,
-    step_standard,
-    strategy_profit,
 )
 from make_golden import BLOWUP_CASES, OUTPUT_ARRAYS
 
@@ -127,30 +126,24 @@ def test_day_steps_agree_with_simulate_across_window_slides(variant):
     params = DEFAULT_PARAMETERS.with_values(n_traders=15, horizon=5, d_max=8)
     days = 2 * (params.horizon + BLOCK_DAYS) + 3
     out = simulate(params, variant, days, p0=0.3, seed=42)
-    state = init_simulation(params, 0.3, seed=42)
-    step = step_standard if variant == "standard" else step_adaptive
+    state = DayDriver(params, variant, days, 0.3, seed=42)
     n_chart, profit_chart, profit_fund = [], [], []
     for _ in range(days):
-        step(state, params)
+        state.step()
         n_chart.append(int(np.sum(state.is_chartist)))
-        profit_chart.append(state.last_profit_chart)
-        profit_fund.append(state.last_profit_fund)
+        profit_chart.append(float(state.runs.profit[0, CHART, state.day - 1]))
+        profit_fund.append(float(state.runs.profit[0, FUND, state.day - 1]))
     assert np.array_equal(state.log_prices, out.log_prices)
     assert n_chart == out.n_chartists.tolist()
     assert profit_chart == out.profit_chartists.tolist()
     assert profit_fund == out.profit_fundamentalists.tolist()
 
     assert state.log_price(-params.d_max) == 0.3
-    kept = range(days - params.horizon, days + 1)
     if variant == "adaptive":
-        window = [state.shadow_chart(t)[3] for t in kept]
-        assert len(window) == params.horizon + 1
-        assert window[-1] == state.shadow_chart(days)[3]
+        # the window keeps at least the last horizon + 1 days, all a switch reads
+        assert state.runs.base <= days - params.horizon
     else:
-        with pytest.raises(RuntimeError):
-            state.shadow_chart(days)
-    with pytest.raises(IndexError):
-        state.shadow_fund(days - params.horizon - BLOCK_DAYS - 1)
+        assert state.runs.shadow_window is None
 
 
 @pytest.mark.parametrize("horizon", [7, BLOCK_DAYS + 1])
@@ -158,10 +151,11 @@ def test_rolling_profits_match_oracle_across_window_slides(horizon):
     # Checked every day: only the day after a slide reads the window's first
     # row. Both horizons run through at least three slides.
     params = DEFAULT_PARAMETERS.with_values(n_traders=6, horizon=horizon, gamma=0.2)
-    state = init_simulation(params, 0.0, seed=13)
+    days = 2 * (horizon + BLOCK_DAYS) + 4
+    state = DayDriver(params, "adaptive", days, seed=13)
     chart_rows, fund_rows = [state.shadow_chart(0).copy()], [state.shadow_fund(0).copy()]
-    for day in range(1, 2 * (horizon + BLOCK_DAYS) + 5):
-        step_adaptive(state, params)
+    for day in range(1, days + 1):
+        state.step()
         chart_rows.append(state.shadow_chart(day).copy())
         fund_rows.append(state.shadow_fund(day).copy())
         prices = state.log_prices

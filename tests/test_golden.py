@@ -16,15 +16,9 @@ import re
 import numpy as np
 import pytest
 
+from day_driver import DayDriver
 from farmerjoshi.calibration import ParameterSpace
-from farmerjoshi.market import (
-    BLOCK_DAYS,
-    BlowUpError,
-    _block_days,
-    init_simulation,
-    step_adaptive,
-    step_standard,
-)
+from farmerjoshi.market import BLOCK_DAYS, BlowUpError, _block_days
 from farmerjoshi.stats import MOMENTS_VERSION
 from make_golden import (
     BLOCK_EDGE_DAYS,
@@ -107,11 +101,10 @@ def test_golden_block_edge_blowups_fall_on_their_day():
 @pytest.mark.parametrize("key", sorted(GOLDEN["blowups"]))
 def test_day_steps_raise_the_golden_blowup_on_its_day(key):
     params, variant, days, seed = blowup_cases()[key]
-    step = step_standard if variant == "standard" else step_adaptive
-    state = init_simulation(params, 0.0, seed)
+    state = DayDriver(params, variant, days, seed=seed)
     try:
         for _ in range(days):
-            step(state, params)
+            state.step()
     except BlowUpError as exc:
         outcome = str(exc)
         assert f"diverged at day {state.day} " in outcome

@@ -10,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from day_driver import threshold_transition
 from farmerjoshi.market import (
     DEFAULT_PARAMETERS,
     _Positions,
@@ -17,7 +18,6 @@ from farmerjoshi.market import (
     _seed_streams,
     simulate,
     simulate_batch,
-    threshold_transition,
 )
 
 ENTRY = (0.1, 0.3)

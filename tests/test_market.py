@@ -3,21 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from day_driver import (
+    DayDriver,
+    market_impact_update,
+    strategy_profit,
+    switch_probability,
+    threshold_transition,
+)
 from farmerjoshi.market import (
     BLOCK_DAYS,
     DEFAULT_PARAMETERS,
     BlowUpError,
-    MarketState,
     ModelParameters,
     ParameterError,
-    init_simulation,
-    market_impact_update,
     simulate,
-    step_adaptive,
-    step_standard,
-    strategy_profit,
-    switch_probability,
-    threshold_transition,
 )
 
 
@@ -30,16 +29,6 @@ def params_with(**kwargs) -> ModelParameters:
     )
     base.update(kwargs)
     return ModelParameters(**base)
-
-
-class StubUniform:
-    """Replacement for the switch stream with prescribed uniform draws."""
-
-    def __init__(self, values):
-        self.values = list(values)
-
-    def random(self, n):
-        return np.full(n, self.values.pop(0))
 
 
 class TestParameterValidation:
@@ -59,75 +48,58 @@ class TestParameterValidation:
 class TestInitSimulation:
     def test_same_seed_identical_state(self):
         p = params_with()
-        a = init_simulation(p, 4.6, seed=42)
-        b = init_simulation(p, 4.6, seed=42)
+        a, b = (DayDriver(p, "standard", 1, 4.6, seed=42) for _ in range(2))
         for field in ("entry", "exit", "lag", "value", "capital"):
             assert np.array_equal(getattr(a, field), getattr(b, field))
         assert np.array_equal(a.log_prices, b.log_prices)
 
     def test_degenerate_uniform_thresholds(self):
-        state = init_simulation(params_with(T_min=0.5, T_max=0.5), 0.0, seed=1)
+        state = DayDriver(params_with(T_min=0.5, T_max=0.5), "standard", 1, seed=1)
         assert np.all(state.entry == 0.5)
 
     def test_capital_formula(self):
         p = params_with(a=2.0, T_min=0.5, T_max=0.5, tau_min=0.1, tau_max=0.1)
-        state = init_simulation(p, 0.0, seed=3)
+        state = DayDriver(p, "standard", 1, seed=3)
         assert np.all(state.capital == 2.0 * (0.5 - 0.1))
 
     def test_price_history_padded_with_p0(self):
-        state = init_simulation(params_with(d_max=5), 4.6, seed=0)
+        state = DayDriver(params_with(d_max=5), "standard", 1, 4.6, seed=0)
         assert state.log_prices.tolist() == [4.6]
         assert [state.log_price(t) for t in range(-5, 1)] == [4.6] * 6
-        with pytest.raises(IndexError):
-            state.log_price(-6)
 
     def test_value_offsets_from_p0(self):
-        state = init_simulation(params_with(v_min=-0.2, v_max=-0.2), 4.0, seed=0)
+        state = DayDriver(params_with(v_min=-0.2, v_max=-0.2), "standard", 1, 4.0, seed=0)
         assert np.allclose(state.value, 3.8)
 
     def test_trader_view(self):
-        state = init_simulation(params_with(), 0.0, seed=5)
-        assert not state.is_chartist[0]  # starts as a fundamentalist
-        assert state.capital[0] == pytest.approx(
-            state.params_echo.a * (state.entry[0] - state.exit[0]))
+        p = params_with()
+        state = DayDriver(p, "adaptive", 1, seed=5)
+        assert state.capital[0] == pytest.approx(p.a * (state.entry[0] - state.exit[0]))
         assert state.shadow_fund(0)[0] == 0.0 and state.shadow_chart(0)[0] == 0.0
 
     def test_standard_state_has_no_shadow_positions(self):
-        # The standard kernel never writes the shadow window, so reading it
-        # would report flat positions that the traders do not hold.
+        # The standard kernel has no shadow window to write, so none can
+        # report flat positions that the traders do not hold.
         p = DEFAULT_PARAMETERS.with_values(a=20.0)
-        state = init_simulation(p, 0.0, seed=3)
+        state = DayDriver(p, "standard", 200, seed=3)
         for _ in range(200):
-            step_standard(state, p)
+            state.step()
         assert np.any(state.pos_actual != 0.0)
-        for read in (lambda: state.shadow_fund(state.day),
-                     lambda: state.shadow_chart(state.day),
-                     state.rolling_profits):
-            with pytest.raises(RuntimeError, match="standard variant"):
-                read()
+        assert state.runs.shadow_window is None
 
     def test_standard_state_keeps_no_shadow_window(self):
         # enough days that an adaptive state's window would have slid once
-        state = init_simulation(DEFAULT_PARAMETERS, 0.0, seed=3)
-        for _ in range(DEFAULT_PARAMETERS.horizon + BLOCK_DAYS + 1):
-            step_standard(state, DEFAULT_PARAMETERS)
-        assert state._runs.shadow_window is None
+        days = DEFAULT_PARAMETERS.horizon + BLOCK_DAYS + 1
+        state = DayDriver(DEFAULT_PARAMETERS, "standard", days, seed=3)
+        for _ in range(days):
+            state.step()
+        assert state.runs.shadow_window is None
 
     def test_shadow_reads_before_the_first_step_are_flat(self):
-        state = init_simulation(DEFAULT_PARAMETERS, 0.0, seed=3)
+        state = DayDriver(DEFAULT_PARAMETERS, "adaptive", 1, seed=3)
         n = DEFAULT_PARAMETERS.n_traders
         for read in (state.shadow_fund(0), state.shadow_chart(0), *state.rolling_profits()):
             assert np.array_equal(read, np.zeros(n))
-
-    @pytest.mark.parametrize("first, other", [(step_standard, step_adaptive),
-                                              (step_adaptive, step_standard)])
-    def test_step_of_the_other_variant_rejected(self, first, other):
-        state = init_simulation(DEFAULT_PARAMETERS, 0.0, seed=3)
-        first(state, DEFAULT_PARAMETERS)
-        variant = first.__name__.removeprefix("step_")
-        with pytest.raises(RuntimeError, match=f"runs the {variant} variant"):
-            other(state, DEFAULT_PARAMETERS)
-        assert state.day == 1
 
 
 class TestElementaryOps:
@@ -252,19 +224,17 @@ class TestSwitchProbability:
         # of 400 traders' profit gaps. The gaps stay within a few gamma of
         # zero on either side, where phi_c carries the last bit of exp.
         p = params_with(n_traders=400, gamma=3.0)
-        at_phi, below_phi = (init_simulation(p, 0.0, seed=5) for _ in range(2))
+        at_phi, below_phi = (DayDriver(p, "adaptive", 31, seed=5) for _ in range(2))
         for _ in range(30):
-            step_adaptive(at_phi, p)
-            step_adaptive(below_phi, p)
+            at_phi.step()
+            below_phi.step()
         pi_c, pi_f = at_phi.rolling_profits()
         phi_c = np.array([switch_probability(c, f, p.gamma)[0]
                           for c, f in zip(pi_c, pi_f)])
         assert len(np.unique(phi_c)) > 100
         assert phi_c.min() < 0.5 < phi_c.max()
-        at_phi.rng_switch = StubUniform([phi_c])
-        below_phi.rng_switch = StubUniform([np.nextafter(phi_c, 0.0)])
-        step_adaptive(at_phi, p)
-        step_adaptive(below_phi, p)
+        at_phi.step(u=phi_c)
+        below_phi.step(u=np.nextafter(phi_c, 0.0))
         assert not at_phi.is_chartist.any()
         assert below_phi.is_chartist.all()
 
@@ -286,7 +256,7 @@ class TestStandardMicroOracle:
 
     def test_three_day_path_matches_hand_computation(self):
         p = micro_params()
-        state = init_simulation(p, 0.0, seed=9)
+        state = DayDriver(p, "standard", 3, seed=9)
         c = 2.0 * (0.1 - 0.04)
         # day 1: fundamentalist sees m = 0.2 > T, enters short; chartist flat
         # day 2: chartist sees m = p0 - p1 = c > T, enters short; fund holds
@@ -295,41 +265,40 @@ class TestStandardMicroOracle:
         p2 = market_impact_update(p1, -c, 1.0, 0.0)
         p3 = market_impact_update(p2, c, 1.0, 0.0)
         for _ in range(3):
-            step_standard(state, p)
+            state.step()
         assert state.log_prices.tolist() == [0.0, p1, p2, p3]
 
     def test_positions_along_the_path(self):
         p = micro_params()
-        state = init_simulation(p, 0.0, seed=9)
+        state = DayDriver(p, "standard", 3, seed=9)
         c = 2.0 * (0.1 - 0.04)
-        step_standard(state, p)
+        state.step()
         assert state.pos_actual.tolist() == [-c, 0.0]
-        step_standard(state, p)
+        state.step()
         assert state.pos_actual.tolist() == [-c, -c]
-        step_standard(state, p)
+        state.step()
         assert state.pos_actual.tolist() == [0.0, -c]
 
     def test_simulate_agrees_with_manual_steps(self):
         p = micro_params()
         out = simulate(p, "standard", 3, p0=0.0, seed=9)
-        state = init_simulation(p, 0.0, seed=9)
+        state = DayDriver(p, "standard", 3, seed=9)
         for _ in range(3):
-            step_standard(state, p)
+            state.step()
         assert np.array_equal(out.log_prices, state.log_prices)
 
 
 class TestAdaptiveMicroOracle:
-    """1-trader, 2-day adaptive path with a stubbed switch stream."""
+    """1-trader, 2-day adaptive path with prescribed switching draws."""
 
     def test_two_day_path_with_forced_switches(self):
         p = micro_params(n_traders=1, a=1.0, horizon=1)
-        state = init_simulation(p, 0.0, seed=4)
-        state.rng_switch = StubUniform([0.9, 0.0])
+        state = DayDriver(p, "adaptive", 2, seed=4)
         c = 1.0 * (0.1 - 0.04)
 
         # day 1: profits 0 -> phi_c = 0.5; u = 0.9 -> fundamentalist.
         # fund shadow: m = 0.2 > T -> short; chart shadow stays flat.
-        step_adaptive(state, p)
+        state.step(u=0.9)
         assert not state.is_chartist[0]
         p1 = market_impact_update(0.0, -c, 1.0, 0.0)
         assert state.log_price(1) == p1
@@ -340,7 +309,7 @@ class TestAdaptiveMicroOracle:
         # day 2: both shadows at day 0 were flat -> profits 0 -> phi = 0.5;
         # u = 0.0 -> chartist. chart shadow: m = p0 - p1 = c < T -> flat.
         # actual snaps from -c to 0, order +c.
-        step_adaptive(state, p)
+        state.step(u=0.0)
         assert state.is_chartist[0]
         p2 = market_impact_update(p1, c, 1.0, 0.0)
         assert state.log_price(2) == p2
@@ -357,18 +326,18 @@ class TestAdaptiveMicroOracle:
 
     def test_equal_profits_fair_coin_frequency(self):
         p = params_with(n_traders=10_000, gamma=1e9, d_min=1, d_max=1)
-        state = init_simulation(p, 0.0, seed=21)
-        step_adaptive(state, p)
+        state = DayDriver(p, "adaptive", 1, seed=21)
+        state.step()
         n_chart = int(np.sum(state.is_chartist))
         sigma = np.sqrt(10_000 * 0.25)
         assert abs(n_chart - 5_000) <= 3 * sigma
 
     def test_windowed_profit_matches_public_op(self):
         p = params_with(gamma=0.2, horizon=7)
-        state = init_simulation(p, 0.0, seed=13)
+        state = DayDriver(p, "adaptive", 40, seed=13)
         chart_rows, fund_rows = [state.shadow_chart(0).copy()], [state.shadow_fund(0).copy()]
         for _ in range(40):
-            step_adaptive(state, p)
+            state.step()
             chart_rows.append(state.shadow_chart(state.day).copy())
             fund_rows.append(state.shadow_fund(state.day).copy())
         pi_c, pi_f = state.rolling_profits()
@@ -424,20 +393,20 @@ class TestSimulate:
 
     def test_order_telescoping_per_trader(self):
         p = params_with(gamma=0.3)
-        state = init_simulation(p, 0.0, seed=17)
+        state = DayDriver(p, "adaptive", 60, seed=17)
         start = state.pos_actual.copy()
         order_sum = np.zeros(p.n_traders)
         for _ in range(60):
             before = state.pos_actual.copy()
-            step_adaptive(state, p)
+            state.step()
             order_sum += state.pos_actual - before
         assert np.allclose(order_sum, state.pos_actual - start)
 
     def test_positions_stay_in_domain(self):
         p = params_with(gamma=0.3)
-        state = init_simulation(p, 0.0, seed=19)
+        state = DayDriver(p, "adaptive", 80, seed=19)
         for _ in range(80):
-            step_adaptive(state, p)
+            state.step()
             for pos in (state.shadow_fund(state.day), state.shadow_chart(state.day),
                         state.pos_actual):
                 ok = (pos == 0.0) | (pos == state.capital) | (pos == -state.capital)

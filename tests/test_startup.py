@@ -1,8 +1,9 @@
 """What a fresh interpreter loads and how BLAS is set up when it imports the package.
 
 Each check runs in a subprocess, because the test process has imported
-numpy, scipy and the package already. The last check reads the sources:
-an import no module uses is start-up cost too.
+numpy, scipy and the package already. The last two checks read the
+sources: an import no module uses is start-up cost too, and a definition
+nothing uses is dead code.
 """
 
 import ast
@@ -11,6 +12,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -160,4 +162,32 @@ def test_every_imported_name_is_used():
                     name = alias.asname or alias.name.partition(".")[0]
                     if name not in used:
                         unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []
+
+
+def test_every_module_level_definition_is_used():
+    # a function or class that neither the package nor the benchmark reads is
+    # dead code, however many tests call it; tests keep their oracles themselves
+    package = sorted(Path(farmerjoshi.__file__).parent.glob("*.py"))
+    bench = sorted((Path(__file__).resolve().parent.parent / "bench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text()) for path in [*package, *bench]}
+
+    def references(node):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                yield sub.id
+            elif isinstance(sub, ast.Attribute):
+                yield sub.attr
+            elif isinstance(sub, ast.ImportFrom):
+                yield from (alias.name for alias in sub.names)
+
+    everywhere = Counter(name for tree in trees.values() for name in references(tree))
+    unused = []
+    for path in package:
+        for node in trees[path].body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                # references inside the definition itself (recursion) do not count
+                outside = everywhere[node.name] - Counter(references(node))[node.name]
+                if not outside:
+                    unused.append(f"{path.name}:{node.lineno} {node.name}")
     assert unused == []

@@ -277,6 +277,14 @@ class TestAdfStatistic:
         assert np.isfinite(stat)
         assert stat == pytest.approx(adf_oracle(y, p), abs=1e-8)
 
+    @pytest.mark.parametrize("noise", [1e-4, 1e-5])
+    def test_nearly_collinear_series_is_singular(self, noise):
+        # Gram condition numbers 3.7e10 and 3.7e12: the normal equations
+        # would return a statistic 1e-4 and 0.21 relative off a QR solve
+        y = np.tile([1.0, -1.0], 100) + noise * np.random.default_rng(31).standard_normal(200)
+        with pytest.raises(StatisticError, match="singular"):
+            adf_statistic(y)
+
     def test_stationary_returns_strongly_negative(self):
         rng = np.random.default_rng(6)
         assert adf_statistic(rng.standard_normal(2048)) < -10
@@ -739,14 +747,14 @@ class TestMomentVector:
 
     def test_canonical_order_roundtrip(self):
         arr = np.array([0.0, 1.0, 0.5, 0.2, 0.55, 0.1, -12.0, 0.9, 3.0])
-        mv = MomentVector.from_array(arr)
+        mv = MomentVector(*arr)
         assert np.array_equal(mv.as_array(), arr)
         assert list(mv.to_dict()) == list(MOMENT_NAMES)
 
     def test_nonfinite_rejected(self):
         arr = np.array([0.0, 1.0, 0.5, 0.2, 0.55, 0.1, np.inf, 0.9, 3.0])
         with pytest.raises(StatisticError):
-            MomentVector.from_array(arr)
+            MomentVector(*arr)
 
 
 class TestAcf:
