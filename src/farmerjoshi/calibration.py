@@ -111,6 +111,9 @@ class ParameterSpace:
                     and all(isinstance(v, Real) for v in pair) and pair[0] <= pair[1]):
                 raise CalibrationError(f"bounds for {name} must be a pair of numbers "
                                        f"low <= high, got {pair!r}")
+            if name in INTEGRAL_PARAMETERS and not all(float(v).is_integer() for v in pair):
+                # repair rounds these, so a fractional end could round out of the box
+                raise CalibrationError(f"bounds for {name} must be integers, got {pair!r}")
         for lo_name, hi_name in _ORDERED_PAIRS:
             if self.bounds[lo_name][0] > self.bounds[hi_name][1]:
                 raise CalibrationError(f"bounds forbid {lo_name} <= {hi_name}")
@@ -149,15 +152,19 @@ class ParameterSpace:
             ) from None
 
     def repair(self, theta: np.ndarray) -> np.ndarray:
-        """Clip to bounds, round integrals, and order constrained pairs."""
-        theta = np.clip(np.asarray(theta, dtype=float), self.lower, self.upper)
+        """Clip to bounds, round integrals, order constrained pairs, and clip
+        again: a swapped value can leave its own box when a pair's boxes are
+        not nested, and clipping an ordered pair keeps it ordered because
+        __post_init__ puts the low box's lower bound under the high box's upper."""
+        lower, upper = self.lower, self.upper
+        theta = np.clip(np.asarray(theta, dtype=float), lower, upper)
         mask = self.integral_mask
         theta[mask] = np.rint(theta[mask])
         for lo_name, hi_name in _ORDERED_PAIRS:
             i, j = self.index(lo_name), self.index(hi_name)
             if theta[i] > theta[j]:
                 theta[i], theta[j] = theta[j], theta[i]
-        return theta
+        return np.clip(theta, lower, upper, out=theta)
 
     def validate(self, theta: np.ndarray) -> None:
         theta = np.asarray(theta, dtype=float)

@@ -5,8 +5,11 @@ excess_kurtosis, ks_stat, hurst, gph, adf, garch_persistence, hill_avg.
 
 Conventions frozen here because the calibration target must be stable:
 
-* excess kurtosis uses the population moment-ratio estimator (m4/m2^2 - 3)
-  while the standard deviation is the unbiased sample estimator;
+* excess kurtosis uses the population moment-ratio estimator (m4/m2^2 - 3),
+  with m4 the mean of each squared deviation squared, while the standard
+  deviation is the unbiased sample estimator;
+* the Kolmogorov-Smirnov distance reads both empirical CDFs at every
+  observed point;
 * the rescaled-range slope uses dyadic windows 16, 32, ..., n/4;
 * the log-periodogram regression of |r| uses the lowest floor(sqrt(n))
   Fourier frequencies;
@@ -65,7 +68,7 @@ MOMENT_NAMES = (
 N_MOMENTS = len(MOMENT_NAMES)
 
 #: Version of the statistic conventions above; bump it when a value changes.
-MOMENTS_VERSION = 6
+MOMENTS_VERSION = 7
 
 #: Fewest returns the full moment vector is defined on: the log-periodogram
 #: regression and the GARCH fit need this many, the other statistics fewer.
@@ -139,27 +142,45 @@ def sample_moments(r) -> tuple[float, float, float]:
         raise StatisticError("need at least 4 observations", component="mean")
     mu = float(np.mean(x))
     dev = x - mu
+    d2 = dev * dev
     # The operations of np.mean(dev**2) and np.std(x, ddof=1), bit for bit.
-    ss = float(np.sum(dev**2))
+    ss = float(np.sum(d2))
     m2 = ss / n
     if m2 == 0.0 or _effectively_constant(x):
         raise StatisticError("zero variance: excess kurtosis undefined",
                              component="excess_kurtosis")
     sd = math.sqrt(ss / (n - 1))
-    kurt = float(np.mean(dev**4) / m2**2 - 3.0)
+    # d2 * d2: dev**4 would be a libm pow per element.
+    kurt = float(np.mean(d2 * d2) / m2**2 - 3.0)
     return mu, sd, kurt
 
 
 def ks_statistic(r_sim, r_emp) -> float:
-    """Two-sample Kolmogorov-Smirnov sup-distance between empirical CDFs."""
+    """Two-sample Kolmogorov-Smirnov sup-distance between empirical CDFs.
+
+    Both CDFs are read at every observed point, from one merge of the two
+    sorted samples: at the last of each group of equal values, the counts
+    so far are each sample's count at or below that value, whatever the
+    order within the group.
+    """
     x = np.sort(_values(r_sim))
     y = np.sort(_values(r_emp))
-    if len(x) == 0 or len(y) == 0:
+    nx, ny = len(x), len(y)
+    if nx == 0 or ny == 0:
         raise StatisticError("empty sample", component="ks_stat")
-    grid = np.concatenate([x, y])
-    cdf_x = np.searchsorted(x, grid, side="right") / len(x)
-    cdf_y = np.searchsorted(y, grid, side="right") / len(y)
-    return float(np.max(np.abs(cdf_x - cdf_y)))
+    merged = np.concatenate([x, y])
+    order = np.argsort(merged, kind="stable")  # timsort: one linear merge of the two runs
+    merged = merged[order]
+    count_x = np.cumsum(order < nx)
+    # The last of each group of equal values; NaNs, sorted last and unequal
+    # to themselves, are one group.
+    last = np.empty(nx + ny, dtype=bool)
+    np.not_equal(merged[1:], merged[:-1], out=last[:-1])
+    last[:-1] &= merged[:-1] == merged[:-1]
+    last[-1] = True
+    ends = np.flatnonzero(last)
+    count_x = count_x[ends]
+    return float(np.max(np.abs(count_x / nx - (ends + 1 - count_x) / ny)))
 
 
 # ---------------------------------------------------------------------------
@@ -202,15 +223,19 @@ def hurst_exponent(r) -> float:
     while w <= n // 4:
         k = n // w
         blocks = x[: k * w].reshape(k, w)
-        dev = blocks - blocks.mean(axis=1, keepdims=True)
+        # np.add.reduce(...) / count is np.mean's arithmetic without its
+        # Python-level wrapper, which costs more than the sum on short rows.
+        dev = blocks - np.add.reduce(blocks, axis=1, keepdims=True) / w
         z = np.cumsum(dev, axis=1)
         ranges = z.max(axis=1) - z.min(axis=1)
-        scales = np.sqrt(np.sum(dev * dev, axis=1) / (w - 1))  # blocks.std(axis=1, ddof=1)
+        scales = np.sqrt(np.add.reduce(dev * dev, axis=1) / (w - 1))  # blocks.std(axis=1, ddof=1)
         ok = (scales > 0) & (ranges > 0)
-        if np.any(ok):
+        if not ok.all():
+            ranges, scales = ranges[ok], scales[ok]
+        if len(ranges):
             log_w.append(math.log(w))
             log_rs_excess.append(
-                math.log(float(np.mean(ranges[ok] / scales[ok])))
+                math.log(float(np.add.reduce(ranges / scales) / len(ranges)))
                 - math.log(_expected_rs_white_noise(w)))
         w *= 2
     if len(log_w) < 2:
@@ -267,10 +292,11 @@ def adf_statistic(r) -> float:
         raise StatisticError("too few observations for the lag order",
                              component="adf")
     dep = dy[p:]
-    cols = [np.ones(rows), y[p : n - 1]]
-    for i in range(1, p + 1):
-        cols.append(dy[p - i : len(dy) - i])
-    design = np.column_stack(cols)
+    design = np.empty((rows, p + 2))
+    design[:, 0] = 1.0
+    design[:, 1] = y[p : n - 1]
+    # Row t's lagged differences dy[t+p-1], ..., dy[t], newest first.
+    design[:, 2:] = np.lib.stride_tricks.sliding_window_view(dy[:-1], p)[:, ::-1]
     gram = design.T @ design
     eigenvalues = np.linalg.eigvalsh(gram)
     if eigenvalues[0] <= math.sqrt(_EPS) * eigenvalues[-1]:
@@ -573,16 +599,25 @@ def _garch_search(y: np.ndarray, starts: np.ndarray) -> list[_BoundedBFGS]:
     return searches
 
 
-def _garch_fit(x: np.ndarray) -> tuple[float, float, float, float, float]:
-    """(NLL, mu, omega, alpha, beta) of the best start, in the units of ``x``.
+def _centre(x: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """(mean, x - mean, sum of squared deviations) of ``x``, in one pass of
+    ``np.mean`` and ``np.var``'s operations, bit for bit."""
+    center = float(np.mean(x))
+    dev = x - center
+    return center, dev, float(np.sum(dev * dev))
+
+
+def _garch_fit(center: float, dev: np.ndarray,
+               ss: float) -> tuple[float, float, float, float, float]:
+    """(NLL, mu, omega, alpha, beta) of the best start for the series x whose
+    ``_centre(x)`` is (center, dev, ss), in the units of x.
 
     Fits the standardized series y = (x - mean) / sd, whose alpha, beta and
     likelihood differences equal those of x: mu and omega scale back, and
     the NLL shifts by n*log(sd).
     """
-    center = float(np.mean(x))
-    sd = math.sqrt(float(np.var(x, ddof=1)))
-    y = (x - center) / sd
+    sd = math.sqrt(ss / (len(dev) - 1))  # np.var(x, ddof=1)
+    y = dev / sd
     best_nll, best = math.inf, None
     for search in _garch_search(y, _GARCH_START_POINTS):
         if search.f < best_nll - _GARCH_LL_MARGIN:
@@ -590,7 +625,7 @@ def _garch_fit(x: np.ndarray) -> tuple[float, float, float, float, float]:
     if best is None:
         raise GarchConvergenceError("no GARCH start converged to a finite fit")
     mu, omega, p, s = best
-    return (best_nll + len(x) * math.log(sd), center + sd * mu, sd * sd * omega,
+    return (best_nll + len(dev) * math.log(sd), center + sd * mu, sd * sd * omega,
             p * s, p * (1.0 - s))
 
 
@@ -618,9 +653,9 @@ def garch_persistence(r) -> float:
     if _effectively_constant(x):
         raise StatisticError("zero variance: GARCH undefined",
                              component="garch_persistence")
-    null_nll = 0.5 * n * (math.log(2.0 * math.pi * float(np.mean((x - np.mean(x)) ** 2)))
-                          + 1.0)
-    best_nll, _, _, alpha, beta = _garch_fit(x)
+    center, dev, ss = _centre(x)
+    null_nll = 0.5 * n * (math.log(2.0 * math.pi * (ss / n)) + 1.0)
+    best_nll, _, _, alpha, beta = _garch_fit(center, dev, ss)
     if null_nll - best_nll <= math.log(n):
         return 0.0
     return float(alpha + beta)
@@ -652,15 +687,13 @@ def hill_tail_average(r) -> float:
     log_pos = np.log(pos)
     # suffix_mean[k] = mean of log_pos[k:]
     suffix_sums = np.cumsum(log_pos[::-1])[::-1]
-    estimates = []
-    for k in range(k_lo, k_hi + 1):
-        inv = suffix_sums[k] / (m - k) - log_pos[k - 1]
-        if inv > 0:
-            estimates.append(1.0 / inv)
-    if len(estimates) < 3:
+    k = np.arange(k_lo, k_hi + 1)
+    inv = suffix_sums[k_lo : k_hi + 1] / (m - k) - log_pos[k_lo - 1 : k_hi]
+    inv = inv[inv > 0]
+    if len(inv) < 3:
         raise StatisticError("degenerate tail: ties at the thresholds",
                              component="hill_avg")
-    return float(np.mean(estimates))
+    return float(np.mean(1.0 / inv))
 
 
 # ---------------------------------------------------------------------------

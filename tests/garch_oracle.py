@@ -53,6 +53,7 @@ from farmerjoshi.stats import (
     _GARCH_UPPER,
     _MAX_BACKTRACKS,
     _PERSISTENCE_CAP,
+    _centre,
     _garch_fit,
     _garch_objective,
     garch_persistence,
@@ -352,7 +353,7 @@ def compare(x: np.ndarray) -> dict:
     return {
         "p_new": p_new,
         "p_old": unscreened_old if kept_old else 0.0,
-        "nll_new": _garch_fit(x)[0],
+        "nll_new": _garch_fit(*_centre(x))[0],
         "nll_old": nll_old,
         "s_new": t2 - t1,
         "s_old": t1 - t0,
@@ -405,7 +406,7 @@ def gradient_fit_rows(series: dict, version: int = 3) -> dict:
         times = {}
         for side in (("old", "new") if i % 2 == 0 else ("new", "old")):
             t0 = time.perf_counter()
-            fit = old_fit(x) if side == "old" else _garch_fit(x)
+            fit = old_fit(x) if side == "old" else _garch_fit(*_centre(x))
             times[side] = time.perf_counter() - t0
             nll, _, _, alpha, beta = fit
             rows.setdefault(name, {}).update({f"p_{side}": screened(x, nll, alpha, beta),

@@ -3,10 +3,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from farmerjoshi import calibration
 from farmerjoshi.calibration import (
     DEFAULT_BOUNDS,
+    INTEGRAL_PARAMETERS,
     PENALTY_FITNESS,
     CalibrationError,
     ObjectiveConfig,
@@ -86,6 +89,39 @@ class TestParameterSpace:
         assert fixed[space.index("a")] == space.bounds["a"][1]
         space.validate(fixed)
 
+    def test_repair_stays_in_boxes_that_are_not_nested(self):
+        bounds = {**DEFAULT_BOUNDS, "d_min": (5, 25), "d_max": (1, 60)}
+        space = ParameterSpace("adaptive", bounds=bounds)
+        theta = mid_theta(space)
+        theta[space.index("d_min")], theta[space.index("d_max")] = 10.0, 3.0
+        fixed = space.repair(theta)
+        assert (fixed[space.index("d_min")], fixed[space.index("d_max")]) == (5.0, 10.0)
+        space.validate(fixed)
+        assert np.array_equal(space.repair(fixed.copy()), fixed)
+
+    @given(st.data(), st.sampled_from(["standard", "adaptive"]))
+    @settings(max_examples=200, deadline=None)
+    def test_repair_is_valid_and_idempotent_under_accepted_bounds(self, data, variant):
+        """Any box of the ordered pairs that ParameterSpace accepts (integer
+        ends on the integral coordinates)."""
+        bounds = dict(DEFAULT_BOUNDS)
+        for lo_name, hi_name in calibration._ORDERED_PAIRS:
+            ends = st.integers(-20, 80) if lo_name in INTEGRAL_PARAMETERS else st.floats(-1.0, 1.0)
+            lo_box, hi_box = (tuple(sorted((data.draw(ends), data.draw(ends)))) for _ in "lh")
+            if lo_box[0] > hi_box[1]:
+                lo_box, hi_box = hi_box, lo_box
+            bounds[lo_name], bounds[hi_name] = lo_box, hi_box
+        shift = bounds["tau_max"][1] - bounds["T_min"][0]
+        if shift >= 0:  # tau_max's box must sit below T_min's
+            for name in ("T_min", "T_max"):
+                bounds[name] = tuple(v + shift + 1.0 for v in bounds[name])
+        space = ParameterSpace(variant, bounds=bounds)
+        theta = np.array(data.draw(st.lists(st.floats(-200.0, 200.0),
+                                            min_size=space.dim, max_size=space.dim)))
+        fixed = space.repair(theta)
+        space.validate(fixed)
+        assert np.array_equal(space.repair(fixed.copy()), fixed)
+
     def test_validate_rejects_out_of_bounds(self):
         space = ParameterSpace("adaptive")
         theta = mid_theta(space)
@@ -123,6 +159,10 @@ class TestParameterSpace:
         typo = {**ParameterSpace("adaptive").bounds, "lamda": (1.0, 2.0)}
         with pytest.raises(CalibrationError, match="lamda"):
             ParameterSpace("adaptive", bounds=typo)
+        fractional = {**ParameterSpace("adaptive").bounds, "horizon": (5.4, 100)}
+        with pytest.raises(CalibrationError, match="horizon must be integers"):
+            ParameterSpace("adaptive", bounds=fractional)
+        ParameterSpace("adaptive", bounds={**fractional, "horizon": (5.0, 100.0)})
 
 
 class TestEvaluate:

@@ -268,6 +268,7 @@ class TestCalibrateCommand:
     # rejected before any weight matrix is read or built
     ("--bounds", '{"lam": [50, 5]}', "bounds for lam"),
     ("--bounds", '{"d_min": [30, 40], "d_max": [10, 20]}', "bounds forbid d_min <= d_max"),
+    ("--bounds", '{"horizon": [5.5, 100]}', "bounds for horizon must be integers"),
     ("--calibration", '{"theta": 5, "variant": "adaptive"}', "input.json"),
     # model parameters that are not numbers
     ("--params", '{"lam": "x"}', "lam"),
