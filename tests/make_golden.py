@@ -92,7 +92,7 @@ MOMENT_DAYS = 2500
 OPTIMIZER_RUNS = {
     "ga": dict(optimizer="ga", ga_params=GAParams(population=8, generations=5)),
     "nmta": dict(optimizer="nmta", nmta_params=NMTAParams(
-        max_iters=40, shift_every=5, threshold_len=4, threshold_samples=12)),
+        max_iters=40, shift_every=5, threshold_samples=12)),
     "nmta_zero": dict(optimizer="nmta", nmta_params=NMTAParams(max_iters=40, thresholds=(0.0,))),
 }
 OPTIMIZER_SEED = 7
