@@ -324,32 +324,16 @@ class ReplicationSummary:
     names: tuple
     #: The run of least fitness, the first of them on a tie.
     best: CalibrationResult
+    #: The 2.5th and 97.5th percentiles (numpy's linear interpolation) of
+    #: each parameter, then of the fitness.
     lower: np.ndarray
     upper: np.ndarray
-    fitness_lower: float
-    fitness_upper: float
-
-    @property
-    def point(self) -> np.ndarray:
-        return self.best.theta
-
-    @property
-    def fitness_point(self) -> float:
-        return float(self.best.fitness)
 
     def rows(self):
         yield ("parameter", "point", "lower_95", "upper_95")
-        for i, name in enumerate(self.names):
-            yield (name, repr(float(self.point[i])), repr(float(self.lower[i])),
-                   repr(float(self.upper[i])))
-        yield ("fitness", repr(self.fitness_point), repr(self.fitness_lower),
-               repr(self.fitness_upper))
-
-
-def percentile_interval(samples) -> tuple:
-    """The 2.5th and 97.5th percentiles, by linear interpolation (numpy's default)."""
-    arr = np.asarray(samples, dtype=float)
-    return (float(np.percentile(arr, 2.5)), float(np.percentile(arr, 97.5)))
+        points = (*self.best.theta, self.best.fitness)
+        for name, *values in zip((*self.names, "fitness"), points, self.lower, self.upper):
+            yield (name, *(repr(float(v)) for v in values))
 
 
 def replicate_calibrations(run_one, space: ParameterSpace, runs: int,
@@ -365,16 +349,9 @@ def replicate_calibrations(run_one, space: ParameterSpace, runs: int,
     results = [run_one(int(s)) for s in np.random.SeedSequence(seed).generate_state(runs)]
     thetas = np.array([r.theta for r in results])
     fits = np.array([r.fitness for r in results])
-    lo, hi = np.percentile(thetas, [2.5, 97.5], axis=0)
-    f_lo, f_hi = percentile_interval(fits)
-    return ReplicationSummary(
-        names=space.names,
-        best=results[int(np.argmin(fits))],
-        lower=lo,
-        upper=hi,
-        fitness_lower=f_lo,
-        fitness_upper=f_hi,
-    )
+    lo, hi = np.percentile(np.column_stack([thetas, fits]), [2.5, 97.5], axis=0)
+    return ReplicationSummary(names=space.names, best=results[int(np.argmin(fits))],
+                              lower=lo, upper=hi)
 
 
 def surface_axes(space: ParameterSpace, name_x, name_y, grid_x, grid_y) -> tuple[int, int]:

@@ -302,8 +302,7 @@ def _optimizer_params(resolved: dict) -> tuple[GAParams, NMTAParams]:
         ga = GAParams(**{f.name: resolved[f.name] for f in dataclasses.fields(GAParams)})
     except ValueError as exc:
         raise UsageError(f"GA settings: {exc}") from None
-    nmta = {f.name: resolved[f.name] for f in dataclasses.fields(NMTAParams)
-            if f.name in resolved}
+    nmta = {f.name: resolved[f.name] for f in dataclasses.fields(NMTAParams)}
     if nmta["thresholds"] is not None:
         try:
             nmta["thresholds"] = tuple(float(x) for x in str(nmta["thresholds"]).split(","))

@@ -10,9 +10,9 @@ Two searchers over a box-constrained parameter space:
   accepted as long as the best vertex worsens by no more than the
   current value of a decreasing threshold sequence. Thresholds are
   quantiles of |f(x) - f(x + shift)| sampled over random points, in the
-  spirit of heuristic-optimization practice for rugged surfaces. With
-  all thresholds zero no shifts are proposed and the search is exactly
-  plain Nelder-Mead.
+  spirit of heuristic-optimization practice for rugged surfaces. Plain
+  Nelder-Mead has one switch, every threshold zero (``--thresholds 0``):
+  then no threshold is sampled and no shift is proposed.
 
 Points stay continuous inside both searchers. An optional ``repair``
 hook maps each one to the feasible set (for example by rounding integral
@@ -57,6 +57,8 @@ GA_ELITES = 1
 GA_BLEND_ALPHA = 0.30
 #: Nelder-Mead initial vertex offset, times bound width.
 NM_SIMPLEX_SCALE = 0.1
+#: Stages of a sampled NMTA threshold sequence, the last one zero.
+NMTA_THRESHOLD_STAGES = 10
 #: An objective value at or above this is a penalty, not a measurement:
 #: threshold sampling drops the pairs that reach it.
 PENALTY_FITNESS = 1e12
@@ -82,15 +84,14 @@ class GAParams:
 class NMTAParams:
     restarts: int = 1
     max_iters: int = 250
-    shift_every: int = 10  # iterations between shift proposals; 0: none
+    shift_every: int = 10  # iterations between shift proposals
     shift_scale: float = 0.15  # shift magnitude, times bound width
-    threshold_len: int = 10
     threshold_samples: int = 100  # random pairs used to build thresholds
     thresholds: tuple | None = None  # explicit override; all-zero = plain NM
 
     def __post_init__(self):
-        _require_at_least(self, {"restarts": 1, "threshold_len": 1, "max_iters": 0,
-                                 "shift_every": 0, "threshold_samples": 0})
+        _require_at_least(self, {"restarts": 1, "max_iters": 0,
+                                 "shift_every": 1, "threshold_samples": 1})
         if self.thresholds is not None and not (
                 len(self.thresholds) > 0 and all(0.0 <= t < np.inf for t in self.thresholds)):
             raise ValueError("thresholds must be a non-empty sequence of finite "
@@ -220,26 +221,27 @@ _NM_CONTRACT = 0.5
 _NM_SHRINK = 0.5
 
 
-def build_thresholds(objective_eval, lower, upper, params: NMTAParams, rng) -> np.ndarray:
-    """Decreasing |delta f| quantiles over random shift pairs.
+def build_thresholds(ev: _Search, params: NMTAParams) -> np.ndarray:
+    """Decreasing |delta f| quantiles over random shift pairs drawn and scored by ``ev``.
 
     Non-finite pairs and pairs reaching PENALTY_FITNESS are discarded; with
     no usable pairs the thresholds are all zero (plain Nelder-Mead behavior).
     """
+    lower, upper, rng = ev.lower, ev.upper, ev.rng
     width = upper - lower
     n = len(lower)
     diffs = []
     for _ in range(params.threshold_samples):
         x = lower + rng.random(n) * width
         delta = rng.uniform(-1.0, 1.0, size=n) * params.shift_scale * width
-        fa = objective_eval(x)
-        fb = objective_eval(np.clip(x + delta, lower, upper))
+        fa = ev(x)
+        fb = ev(np.clip(x + delta, lower, upper))
         if not (np.isfinite(fa) and np.isfinite(fb)) or max(fa, fb) >= PENALTY_FITNESS:
             continue
         diffs.append(abs(fa - fb))
     if not diffs:
-        return np.zeros(params.threshold_len)
-    levels = np.linspace(0.9, 0.0, params.threshold_len)
+        return np.zeros(NMTA_THRESHOLD_STAGES)
+    levels = np.linspace(0.9, 0.0, NMTA_THRESHOLD_STAGES)
     taus = np.quantile(np.asarray(diffs), levels)
     taus[-1] = 0.0  # final stage is plain descent
     return np.minimum.accumulate(taus)
@@ -254,8 +256,6 @@ def _nm_run(ev: _Search, x0: np.ndarray, params: NMTAParams, thresholds: np.ndar
     simplex = np.tile(x0, (n + 1, 1))
     for j in range(n):
         step = NM_SIMPLEX_SCALE * width[j]
-        if step == 0.0:
-            step = max(abs(x0[j]) * 0.05, 1e-4)
         simplex[j + 1, j] = np.clip(x0[j] + step, lower[j], upper[j])
         if simplex[j + 1, j] == x0[j]:  # step hit the wall; go the other way
             simplex[j + 1, j] = np.clip(x0[j] - step, lower[j], upper[j])
@@ -268,7 +268,7 @@ def _nm_run(ev: _Search, x0: np.ndarray, params: NMTAParams, thresholds: np.ndar
     note_best()
     n_stages = len(thresholds)
     for it in range(1, params.max_iters + 1):
-        if params.shift_every > 0 and it % params.shift_every == 0:
+        if not it % params.shift_every:
             # Threshold stage advances with run progress, so several
             # shifts are proposed per stage before the tolerance drops.
             stage = min(n_stages - 1, (n_stages * it) // (params.max_iters + 1))
@@ -332,10 +332,8 @@ def nmta_optimize(objective, bounds, nmta_params: NMTAParams | None = None,
 
     if p.thresholds is not None:
         taus = np.minimum.accumulate(np.asarray(p.thresholds, dtype=float))
-    elif p.shift_every == 0:  # no shift is proposed, so no threshold is read
-        taus = np.zeros(p.threshold_len)
     else:
-        taus = build_thresholds(ev, lower, upper, p, ev.rng)
+        taus = build_thresholds(ev, p)
         ev.best_x, ev.best_f = None, np.inf  # a threshold sample is never the optimum
 
     events: list[dict] = []

@@ -82,36 +82,28 @@ def _r(x) -> str:
     return repr(float(x))
 
 
-def price_band_rows(outputs: list[SimulationOutput], emp_log_prices=None):
-    """Per-day 95% percentile band of log prices across simulations."""
+def price_band_rows(outputs: list[SimulationOutput], emp_log_prices):
+    """Per-day 95% percentile band of log prices across simulations, beside
+    the empirical log price (blank past its end)."""
     paths = np.array([o.log_prices for o in outputs])
     lo, med, hi = np.percentile(paths, [2.5, 50.0, 97.5], axis=0)
-    emp = None if emp_log_prices is None else np.asarray(emp_log_prices, dtype=float)
-    header = ["day", "band_lower", "band_median", "band_upper", "path_0"]
-    if emp is not None:
-        header.append("empirical")
-    yield tuple(header)
+    emp = np.asarray(emp_log_prices, dtype=float)
+    yield ("day", "band_lower", "band_median", "band_upper", "path_0", "empirical")
     for t in range(paths.shape[1]):
-        row = [t, _r(lo[t]), _r(med[t]), _r(hi[t]), _r(paths[0, t])]
-        if emp is not None:
-            row.append(_r(emp[t]) if t < len(emp) else "")
-        yield tuple(row)
+        yield (t, _r(lo[t]), _r(med[t]), _r(hi[t]), _r(paths[0, t]),
+               _r(emp[t]) if t < len(emp) else "")
 
 
-def return_path_rows(outputs: list[SimulationOutput], emp_returns=None):
-    """Log-return paths: one sample path plus percentile bands."""
+def return_path_rows(outputs: list[SimulationOutput], emp_returns):
+    """Log-return paths: one sample path plus percentile bands, beside the
+    empirical return (blank past its end)."""
     paths = np.array([o.log_returns for o in outputs])
     lo, hi = np.percentile(paths, [2.5, 97.5], axis=0)
-    emp = None if emp_returns is None else _values(emp_returns)
-    header = ["day", "path_0", "band_lower", "band_upper"]
-    if emp is not None:
-        header.append("empirical")
-    yield tuple(header)
+    emp = _values(emp_returns)
+    yield ("day", "path_0", "band_lower", "band_upper", "empirical")
     for t in range(paths.shape[1]):
-        row = [t + 1, _r(paths[0, t]), _r(lo[t]), _r(hi[t])]
-        if emp is not None:
-            row.append(_r(emp[t]) if t < len(emp) else "")
-        yield tuple(row)
+        yield (t + 1, _r(paths[0, t]), _r(lo[t]), _r(hi[t]),
+               _r(emp[t]) if t < len(emp) else "")
 
 
 def acf_rows(outputs: list[SimulationOutput], emp_returns, max_lag: int):

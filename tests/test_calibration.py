@@ -18,7 +18,6 @@ from farmerjoshi.calibration import (
     fitness,
     make_objective,
     model_parameters,
-    percentile_interval,
     replicate_calibrations,
     run_optimizer,
     surface_scan,
@@ -328,24 +327,35 @@ def stub_result(theta, fit, seed=0) -> CalibrationResult:
                              wall_time=0.0, seed=seed)
 
 
+def fitness_interval(fits) -> tuple:
+    """The fitness row's (lower, upper) over runs of the given fitness values."""
+    space = ParameterSpace("standard")
+    theta = mid_theta(space)
+    values = iter(fits)
+    summary = replicate_calibrations(lambda s: stub_result(theta, next(values), s),
+                                     space, runs=len(fits), seed=0)
+    return summary.lower[-1], summary.upper[-1]
+
+
 class TestReplicateCalibrations:
     def test_identical_runs_degenerate_interval(self):
         space = ParameterSpace("adaptive")
         theta = mid_theta(space)
         summary = replicate_calibrations(
             lambda s: stub_result(theta, 1.0, s), space, runs=5, seed=0)
-        assert np.array_equal(summary.point, theta)
-        assert np.array_equal(summary.lower, theta)
-        assert np.array_equal(summary.upper, theta)
+        assert np.array_equal(summary.best.theta, theta)
+        assert np.array_equal(summary.lower, np.append(theta, 1.0))
+        assert np.array_equal(summary.upper, np.append(theta, 1.0))
 
     def test_percentile_oracle_1_to_100(self):
-        lo, hi = percentile_interval(np.arange(1.0, 101.0))
+        lo, hi = fitness_interval(np.arange(1.0, 101.0))
+        assert (lo, hi) == tuple(np.percentile(np.arange(1.0, 101.0), [2.5, 97.5]))
         assert lo == pytest.approx(3.475)
         assert hi == pytest.approx(97.525)
 
     def test_two_runs_interval_is_linear_percentile(self):
         # with two samples the 2.5/97.5 percentiles sit 2.5% inside the range
-        lo, hi = percentile_interval(np.array([10.0, 20.0]))
+        lo, hi = fitness_interval([10.0, 20.0])
         assert lo == pytest.approx(10.25)
         assert hi == pytest.approx(19.75)
 

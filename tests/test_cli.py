@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ from farmerjoshi import calibration, cli, weighting
 from farmerjoshi.cli import main
 from farmerjoshi.data_io import load_price_series, log_returns
 from farmerjoshi.market import DEFAULT_PARAMETERS
+from farmerjoshi.optimize import GAParams, NMTAParams
 from farmerjoshi.stats import MIN_OBSERVATIONS, N_MOMENTS, StatisticError, moment_vector
 from farmerjoshi.weighting import WeightMatrix, cached_weight_matrix
 
@@ -153,11 +155,15 @@ class TestCalibrateCommand:
         (("--generations", -1), "GA settings: generations must be >= 0"),
         (("--restarts", 0), "NMTA settings: restarts must be >= 1"),
         (("--max-iters", -1), "NMTA settings: max_iters must be >= 0"),
-        (("--threshold-samples", -1), "NMTA settings: threshold_samples must be >= 0"),
+        (("--threshold-samples", -1), "NMTA settings: threshold_samples must be >= 1"),
+        # plain Nelder-Mead is --thresholds 0 alone
+        (("--threshold-samples", 0), "NMTA settings: threshold_samples must be >= 1"),
+        (("--shift-every", 0), "NMTA settings: shift_every must be >= 1"),
         (("--thresholds", "nan"), "NMTA settings: thresholds must be a non-empty sequence"),
         (("--thresholds=-1",), "NMTA settings: thresholds must be a non-empty sequence"),
     ], ids=["population-3", "generations-minus-1", "restarts-0", "max-iters-minus-1",
-            "threshold-samples-minus-1", "thresholds-nan", "thresholds-negative"])
+            "threshold-samples-minus-1", "threshold-samples-0", "shift-every-0",
+            "thresholds-nan", "thresholds-negative"])
     def test_bad_ga_settings_exit_2_before_any_work(self, flags, expected,
                                                     empirical_csv_session, outdir, capsys):
         code = run_cli("calibrate", "--empirical", empirical_csv_session,
@@ -358,6 +364,13 @@ def test_resolved_config_pinned(command):
     _, resolved = cli._resolve(argv)
     assert resolved == expected
     assert cli.config_hash(resolved) == digest
+
+
+def test_every_search_setting_is_a_calibrate_flag():
+    # a searcher setting that no flag sets is a knob of the library alone
+    flags = vars(cli.build_parser().parse_args(["calibrate"]))
+    fields = {f.name for params in (GAParams, NMTAParams) for f in dataclasses.fields(params)}
+    assert sorted(fields - set(flags)) == []
 
 
 @pytest.mark.parametrize("command, flag", [

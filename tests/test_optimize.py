@@ -7,6 +7,7 @@ from farmerjoshi.optimize import (
     GAParams,
     PENALTY_FITNESS,
     NMTAParams,
+    _Search,
     build_thresholds,
     ga_optimize,
     nmta_optimize,
@@ -105,16 +106,11 @@ class TestNmtaOptimize:
         box = (np.full(3, -5.0), np.full(3, 5.0))
         a = nmta_optimize(quad, box, NMTAParams(thresholds=(0.0,) * 10,
                                                 max_iters=150), seed=5)
-        # the NM loop without its shift branch
-        b = nmta_optimize(quad, box, NMTAParams(shift_every=0, max_iters=150,
-                                                thresholds=(0.0,)), seed=5)
-        # with no shift proposed, no threshold is sampled either
-        c = nmta_optimize(quad, box, NMTAParams(shift_every=0, max_iters=150), seed=5)
-        for run in (a, c):
-            assert not run.details["events"]
-            assert np.array_equal(run.trace, b.trace)
-            assert np.array_equal(run.theta, b.theta)
-            assert run.evaluations == b.evaluations
+        b = nmta_optimize(quad, box, NMTAParams(thresholds=(0.0,), max_iters=150), seed=5)
+        assert not a.details["events"] and not b.details["events"]
+        assert np.array_equal(a.trace, b.trace)
+        assert np.array_equal(a.theta, b.theta)
+        assert a.evaluations == b.evaluations
 
     def test_quadratic_bowl_convergence(self):
         quad = lambda x: float(np.sum((x - 0.7) ** 2))
@@ -164,24 +160,20 @@ class TestNmtaOptimize:
         assert a.fitness == b.fitness
 
     def test_penalty_pairs_excluded_from_thresholds(self):
-        calls = {"n": 0}
-
         def spiky(x):
-            calls["n"] += 1
             return PENALTY_FITNESS if x[0] > 0 else sphere(x)
 
-        class _Eval:
-            def __call__(self, x):
-                return spiky(x)
-
-        rng = np.random.Generator(np.random.PCG64(0))
-        taus = build_thresholds(_Eval(), np.full(2, -1.0), np.full(2, 1.0),
-                                NMTAParams(threshold_samples=60, shift_scale=1.0), rng)
+        ev = _Search(spiky, (np.full(2, -1.0), np.full(2, 1.0)), None, seed=0)
+        taus = build_thresholds(ev, NMTAParams(threshold_samples=60, shift_scale=1.0))
+        assert ev.count == 120
         assert np.all(taus < 1e11)
 
-    def test_threshold_len_zero_rejected(self):
-        with pytest.raises(ValueError, match="threshold_len must be >= 1"):
-            NMTAParams(threshold_len=0)
+    def test_zero_shift_settings_rejected(self):
+        # plain Nelder-Mead is reached by zero thresholds alone
+        with pytest.raises(ValueError, match="shift_every must be >= 1"):
+            NMTAParams(shift_every=0)
+        with pytest.raises(ValueError, match="threshold_samples must be >= 1"):
+            NMTAParams(threshold_samples=0)
 
     @pytest.mark.parametrize("thresholds", [(), (np.nan,), (np.inf,), (0.5, -1.0)],
                              ids=["empty", "nan", "inf", "negative"])

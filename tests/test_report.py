@@ -24,33 +24,37 @@ def outputs():
     return [simulate(p, "adaptive", 300, p0=0.0, seed=100 + s) for s in range(4)]
 
 
+#: An empirical log-price series shorter than the simulated paths.
+EMP_LOG_PRICES = np.linspace(0.0, 1.0, 50)
+
+
 class TestPriceBands:
     def test_single_simulation_bands_collapse(self, outputs):
-        rows = list(price_band_rows(outputs[:1]))
+        rows = list(price_band_rows(outputs[:1], EMP_LOG_PRICES))
         for row in rows[1:]:
             assert row[1] == row[2] == row[3] == row[4]
 
     def test_band_orders_and_length(self, outputs):
-        rows = list(price_band_rows(outputs))
+        rows = list(price_band_rows(outputs, EMP_LOG_PRICES))
         assert len(rows) == 1 + len(outputs[0].log_prices)
         for row in rows[1:]:
             assert float(row[1]) <= float(row[2]) <= float(row[3])
 
     def test_empirical_column_appended(self, outputs):
-        emp = np.linspace(0.0, 1.0, 50)
-        rows = list(price_band_rows(outputs, emp))
+        rows = list(price_band_rows(outputs, EMP_LOG_PRICES))
         assert rows[0][-1] == "empirical"
         assert float(rows[1][-1]) == 0.0
         assert rows[60][-1] == ""  # beyond the empirical length
 
 
 class TestReturnPaths:
-    def test_shape(self, outputs):
-        rows = list(return_path_rows(outputs))
+    def test_shape(self, outputs, clustered_returns):
+        rows = list(return_path_rows(outputs, clustered_returns))
         assert len(rows) == 1 + len(outputs[0].log_returns)
+        assert rows[0][-1] == "empirical"
 
-    def test_single_simulation_bands_collapse(self, outputs):
-        rows = list(return_path_rows(outputs[:1]))
+    def test_single_simulation_bands_collapse(self, outputs, clustered_returns):
+        rows = list(return_path_rows(outputs[:1], clustered_returns))
         for row in rows[1:]:
             assert row[1] == row[2] == row[3]
 
