@@ -9,12 +9,17 @@ every command output and the weight-matrix cache go through.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+
+#: Numbers each ``write_atomic`` call of this process, for its temporary name.
+_WRITE_IDS = itertools.count()
 
 
 class PriceDataError(ValueError):
@@ -75,12 +80,20 @@ class ReturnSeries:
 def write_atomic(path, text: str) -> None:
     """Write ``text`` to ``path`` through a temporary file and a rename, so
     readers see the old file or the whole new one, never a partial one. The
-    one place that creates a directory: ``path``'s parents, if need be."""
+    one place that creates a directory: ``path``'s parents, if need be.
+
+    The temporary name is the process's and the call's own, so concurrent
+    writes to one path never share it; a failed write leaves no temporary.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{next(_WRITE_IDS)}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_price_series(path) -> PriceSeries:

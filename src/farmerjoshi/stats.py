@@ -20,7 +20,7 @@ Conventions frozen here because the calibration target must be stable:
   quasi-maximum-likelihood GARCH(1,1) fit (variance recursion started at
   the mean squared residual) on the standardized series, found by a
   bounded BFGS search with the analytic gradient and L-BFGS-B's stopping
-  rules from three deterministic starts over the box alpha = p*s,
+  rules from two deterministic starts over the box alpha = p*s,
   beta = p*(1-s), 0 <= p <= 0.9999, 0 <= s <= 1, and screened to 0.0 by
   BIC against the constant-variance null;
 * the tail statistic averages Hill tail-index estimates over thresholds
@@ -68,7 +68,7 @@ MOMENT_NAMES = (
 N_MOMENTS = len(MOMENT_NAMES)
 
 #: Version of the statistic conventions above; bump it when a value changes.
-MOMENTS_VERSION = 7
+MOMENTS_VERSION = 8
 
 #: Fewest returns the full moment vector is defined on: the log-periodogram
 #: regression and the GARCH fit need this many, the other statistics fewer.
@@ -322,10 +322,10 @@ class GarchConvergenceError(StatisticError):
         super().__init__(message, component="garch_persistence")
 
 
-# Deterministic (alpha, beta) starting points, ordered by persistence;
+# Two deterministic (alpha, beta) starting points, ordered by persistence;
 # ties in likelihood (within _GARCH_LL_MARGIN) keep the earlier, more
 # parsimonious solution, which pins down the flat ridge at alpha = 0.
-_GARCH_STARTS = ((0.02, 0.05), (0.05, 0.40), (0.10, 0.80))
+_GARCH_STARTS = ((0.02, 0.05), (0.10, 0.80))
 _GARCH_LL_MARGIN = 0.1
 _PERSISTENCE_CAP = 0.9999
 
@@ -634,7 +634,7 @@ def garch_persistence(r) -> float:
 
     The quasi-likelihood starts the variance recursion at the mean squared
     residual. It is maximized by a bounded BFGS search with its analytic
-    gradient from three deterministic starts run together, on the
+    gradient from two deterministic starts run together, on the
     standardized series (which leaves
     alpha, beta and the likelihood ratio unchanged), over the box
     alpha = p*s, beta = p*(1-s), 0 <= p <= 0.9999, 0 <= s <= 1.

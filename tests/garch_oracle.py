@@ -16,13 +16,18 @@ Version 4: the library's stacked bounded BFGS search with its bookkeeping
 (x, g, the direction and the inverse Hessian) in NumPy arrays
 (``version4_fit``); the library keeps the same rules in Python floats.
 
+Versions 1 to 4 run from the library's starts, ``stats._GARCH_STARTS``.
+
+Version 7: the library's search from three starts, (alpha, beta) = (0.05,
+0.40) between the library's two (``version7_fit``).
+
 Run as a script to repeat the equivalence study of the library fit against
 version 1 over a larger set of series (about two minutes on one core), or
-against version 4, 3 or 2 with ``--version 4``, ``--version 3`` or
-``--version 2`` (about ten seconds); the last three exit 1 when a criterion
-fails:
+against version 7, 4, 3 or 2 with ``--version 7`` (three sets of series),
+``--version 4``, ``--version 3`` or ``--version 2`` (about ten seconds a
+set); the last four exit 1 when a criterion fails:
 
-    PYTHONPATH=src python tests/garch_oracle.py [--version {1,2,3,4}] [per_kind]
+    PYTHONPATH=src python tests/garch_oracle.py [--version {1,2,3,4,7}] [per_kind]
 """
 
 from __future__ import annotations
@@ -56,6 +61,7 @@ from farmerjoshi.stats import (
     _centre,
     _garch_fit,
     _garch_objective,
+    _garch_search,
     garch_persistence,
 )
 from farmerjoshi.weighting import moving_block_bootstrap
@@ -82,6 +88,18 @@ VERSION3_SHARE = 0.99
 VERSION4_P_TOL = 1e-6
 VERSION4_SHARE = 0.99
 VERSION4_SPEEDUP = 1.15
+
+#: Criteria of the library fit against version 7, fixed before the change:
+#: every BIC decision agrees, |dp| <= VERSION7_P_TOL on every series and the
+#: persistence is bit-identical on at least VERSION7_IDENTICAL of them; the
+#: script also asks for a median fit no slower than version 7's.
+VERSION7_P_TOL = 1e-5
+VERSION7_IDENTICAL = 0.99
+
+#: Version 7's (alpha, beta) starts and the same as points (mu, omega, p, s).
+VERSION7_STARTS = ((0.02, 0.05), (0.05, 0.40), (0.10, 0.80))
+VERSION7_START_POINTS = np.array([[0.0, 1.0 - a - b, a + b, a / (a + b)]
+                                  for a, b in VERSION7_STARTS])
 
 #: Version 3's box of the standardized (mu, omega, p, s).
 VERSION3_BOUNDS = ((None, None), (1e-10, None), (0.0, _PERSISTENCE_CAP), (0.0, 1.0))
@@ -116,7 +134,7 @@ def null_nll(x: np.ndarray) -> float:
 
 
 def nelder_mead_fit(x: np.ndarray) -> tuple[float, float]:
-    """(best NLL, unscreened alpha + beta) of the three-start Nelder-Mead fit."""
+    """(best NLL, unscreened alpha + beta) of the Nelder-Mead fit from the library's starts."""
     var0 = float(np.var(x, ddof=1))
     mu0 = float(np.mean(x))
     best = None
@@ -292,15 +310,31 @@ def version4_fit(x: np.ndarray) -> tuple[float, float, float, float, float]:
     """(NLL, mu, omega, alpha, beta) of version 4's best start, in the units of ``x``."""
     center = float(np.mean(x))
     sd = math.sqrt(float(np.var(x, ddof=1)))
-    y = (x - center) / sd
+    return best_start(version4_search((x - center) / sd, _GARCH_START_POINTS), center, sd,
+                      len(x))
+
+
+def version7_fit(x: np.ndarray) -> tuple[float, float, float, float, float]:
+    """(NLL, mu, omega, alpha, beta) of version 7's best start, in the units of ``x``."""
+    center, dev, ss = _centre(x)
+    sd = math.sqrt(ss / (len(dev) - 1))
+    return best_start(_garch_search(dev / sd, VERSION7_START_POINTS), center, sd,
+                      len(x))
+
+
+def best_start(searches: list, center: float, sd: float,
+               n: int) -> tuple[float, float, float, float, float]:
+    """(NLL, mu, omega, alpha, beta) of the first search whose NLL no later
+    one beats by more than the tie margin, scaled back by ``center`` and
+    ``sd`` to the units of the series of ``n`` returns."""
     best_nll, best = math.inf, None
-    for search in version4_search(y, _GARCH_START_POINTS):
+    for search in searches:
         if search.f < best_nll - _GARCH_LL_MARGIN:
             best_nll, best = search.f, search.x
     if best is None:
         raise RuntimeError("no GARCH start converged to a finite fit")
     mu, omega, p, s = best
-    return (best_nll + len(x) * math.log(sd), center + sd * mu, sd * sd * omega,
+    return (best_nll + n * math.log(sd), center + sd * mu, sd * sd * omega,
             p * s, p * (1.0 - s))
 
 
@@ -388,16 +422,22 @@ def study(per_kind: int = 44) -> None:
 
 
 #: The earlier gradient fits by version, with the |dp| tolerance, the share
-#: of series held to it and the speed-up that the library fit must meet.
+#: of series held to it (and to the same BIC decision), the share whose
+#: persistence must be bit-identical and the speed-up that the library fit
+#: must meet.
 GRADIENT_FITS = {
-    2: (version2_fit, VERSION3_P_TOL, VERSION3_SHARE, 1.0),
-    3: (version3_fit, VERSION3_P_TOL, VERSION3_SHARE, 1.0),
-    4: (version4_fit, VERSION4_P_TOL, VERSION4_SHARE, VERSION4_SPEEDUP),
+    2: (version2_fit, VERSION3_P_TOL, VERSION3_SHARE, 0.0, 1.0),
+    3: (version3_fit, VERSION3_P_TOL, VERSION3_SHARE, 0.0, 1.0),
+    4: (version4_fit, VERSION4_P_TOL, VERSION4_SHARE, 0.0, VERSION4_SPEEDUP),
+    7: (version7_fit, VERSION7_P_TOL, 1.0, VERSION7_IDENTICAL, 1.0),
 }
+
+#: The seeds of ``equivalence_series`` that each version's study runs on.
+STUDY_SEEDS = {2: (1,), 3: (1,), 4: (1,), 7: (0, 1, 2)}
 
 
 def gradient_fit_rows(series: dict, version: int = 3) -> dict:
-    """The library fit against version 4, 3 or 2 on each named series:
+    """The library fit against version 7, 4, 3 or 2 on each named series:
     screened persistence, best NLL and GARCH seconds of both, the two fits
     run alternately first from one series to the next."""
     old_fit = GRADIENT_FITS[version][0]
@@ -416,34 +456,54 @@ def gradient_fit_rows(series: dict, version: int = 3) -> dict:
 
 
 def gradient_fit_verdict(rows: dict, version: int = 3) -> dict:
-    """Shares of agreeing BIC decisions and of |dp| within that version's
-    tolerance, the series with a larger |dp| whose NLL rose, median GARCH
-    seconds, whether the accuracy criteria are met (``met``) and whether
-    the library's median is at least that version's speed-up faster
-    (``fast``; no slower for versions 2 and 3). The timing is kept apart
-    because it reads the load on the host as well as the fit."""
-    _, p_tol, share, speedup = GRADIENT_FITS[version]
+    """Shares of agreeing BIC decisions, of |dp| within that version's
+    tolerance and of bit-identical persistences, the series with a larger
+    |dp| whose NLL rose, median GARCH seconds, whether the accuracy criteria
+    are met (``met``) and whether the library's median is at least that
+    version's speed-up faster (``fast``; no slower for versions 2, 3 and
+    7). The timing is kept apart because it reads the load on the host as
+    well as the fit."""
+    _, p_tol, share, identical, speedup = GRADIENT_FITS[version]
     dp = {name: abs(r["p_new"] - r["p_old"]) for name, r in rows.items()}
     verdict = {
         "agree": float(np.mean([(r["p_new"] == 0.0) == (r["p_old"] == 0.0)
                                 for r in rows.values()])),
         "close": float(np.mean([d <= p_tol for d in dp.values()])),
+        "identical": float(np.mean([d == 0.0 for d in dp.values()])),
         "worse": [name for name, d in dp.items()
                   if d > p_tol and rows[name]["nll_new"] > rows[name]["nll_old"]],
         "s_old": float(np.median([r["s_old"] for r in rows.values()])),
         "s_new": float(np.median([r["s_new"] for r in rows.values()])),
     }
-    verdict["met"] = verdict["agree"] >= share and verdict["close"] >= share and not verdict["worse"]
+    verdict["met"] = (verdict["agree"] >= share and verdict["close"] >= share
+                      and verdict["identical"] >= identical and not verdict["worse"])
     verdict["fast"] = verdict["s_old"] >= speedup * verdict["s_new"]
     return verdict
 
 
+def search_load(series: dict, points: np.ndarray) -> tuple[float, float]:
+    """Mean likelihood rows and mean lockstep rounds of one fit from the
+    starts ``points`` over the named series."""
+    rows, rounds = [], []
+    for x in series.values():
+        _, dev, ss = _centre(x)
+        evals = [search.evals for search in
+                 _garch_search(dev / math.sqrt(ss / (len(dev) - 1)), points)]
+        rows.append(sum(evals))
+        rounds.append(max(evals))
+    return float(np.mean(rows)), float(np.mean(rounds))
+
+
 def gradient_fit_study(per_kind: int = 44, version: int = 3) -> bool:
-    """Print the library fit against version 4, 3 or 2; True if the accuracy
-    and timing criteria are both met."""
-    rows = gradient_fit_rows(equivalence_series(per_kind, seed=1), version)
+    """Print the library fit against version 7, 4, 3 or 2; True if the
+    accuracy and timing criteria are both met."""
+    series = {f"{seed}:{name}": x for seed in STUDY_SEEDS[version]
+              for name, x in equivalence_series(per_kind, seed=seed).items()}
+    rows = gradient_fit_rows(series, version)
     verdict = gradient_fit_verdict(rows, version)
-    _, p_tol, _, speedup = GRADIENT_FITS[version]
+    _, p_tol, _, identical, speedup = GRADIENT_FITS[version]
+    # With a bit-identical criterion, every series that moved is listed.
+    listed = 0.0 if identical else p_tol
     dp = np.array([abs(r["p_new"] - r["p_old"]) for r in rows.values()])
     print(f"series {len(rows)}  BIC decisions agree {verdict['agree']:.4f}  "
           f"|dp| <= {p_tol:g} on {verdict['close']:.4f}  "
@@ -451,9 +511,14 @@ def gradient_fit_study(per_kind: int = 44, version: int = 3) -> bool:
     print(f"|dp| max {dp.max():.3g}  p99 {np.quantile(dp, 0.99):.3g}  "
           f"median {np.median(dp):.3g}")
     for name, r in rows.items():
-        if abs(r["p_new"] - r["p_old"]) > p_tol:
-            print(f"  {name}: p {r['p_old']:.6f} -> {r['p_new']:.6f}, "
-                  f"NLL {r['nll_old']:.6f} -> {r['nll_new']:.6f}")
+        if abs(r["p_new"] - r["p_old"]) > listed:
+            print(f"  {name}: p {r['p_old']:.9f} -> {r['p_new']:.9f}, "
+                  f"NLL {r['nll_old']:.9f} -> {r['nll_new']:.9f}")
+    if version == 7:
+        for label, points in (("version 7", VERSION7_START_POINTS),
+                              ("library", _GARCH_START_POINTS)):
+            print("{}: likelihood rows per fit {:.1f}, rounds {:.1f}".format(
+                label, *search_load(series, points)))
     print(f"median GARCH time per series: version {version} "
           f"{1e3 * verdict['s_old']:.2f} ms, library {1e3 * verdict['s_new']:.2f} ms "
           f"({verdict['s_old'] / verdict['s_new']:.2f}x)")
@@ -466,7 +531,7 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("per_kind", nargs="?", type=int, default=44,
                         help="series per family (default 44)")
-    parser.add_argument("--version", type=int, choices=(1, 2, 3, 4), default=1,
+    parser.add_argument("--version", type=int, choices=(1, 2, 3, 4, 7), default=1,
                         help="the earlier fit to compare with (default 1)")
     args = parser.parse_args()
     if args.version == 1:

@@ -1,6 +1,8 @@
 import csv
 import math
+import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from farmerjoshi.data_io import (
     ReturnSeries,
     load_price_series,
     log_returns,
+    write_atomic,
 )
 
 
@@ -112,6 +115,35 @@ class TestLoadPriceSeries:
                 writer.writerow([np.datetime_as_string(d, unit="D"), repr(float(c))])
         assert ((tmp_path / "series.csv").read_bytes()
                 == (tmp_path / "reference.csv").read_bytes())
+
+
+class TestWriteAtomic:
+    def test_a_write_completed_inside_another_leaves_the_outer_whole(self, tmp_path,
+                                                                     monkeypatch):
+        # Another writer to the same path finishes between this call's write
+        # and its rename, as two runs sharing a cache directory can.
+        target = tmp_path / "out.txt"
+        write_text = Path.write_text
+
+        def nested(self, text):
+            written = write_text(self, text)
+            if text == "A":
+                write_atomic(target, "B")
+            return written
+
+        monkeypatch.setattr(Path, "write_text", nested)
+        write_atomic(target, "A")
+        assert target.read_text() == "A"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+
+    def test_a_failed_rename_leaves_no_temporary(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise PermissionError(dst)
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(PermissionError):
+            write_atomic(tmp_path / "out.txt", "A")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestValidation:

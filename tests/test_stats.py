@@ -663,6 +663,26 @@ class TestGarchAgainstVersion4:
         assert verdict["met"], verdict
 
 
+class TestGarchAgainstVersion7:
+    """The two-start fit of version 8 against version 7's three starts."""
+
+    def test_fits_meet_the_fixed_bounds(self):
+        """Fixed before the change, for the 660 series of
+        ``python tests/garch_oracle.py --version 7``: every BIC decision
+        agrees, |dp| <= 1e-5 on every series and the persistence is
+        bit-identical on at least 99% of them. On these 20 series a 99% share
+        allows no move, and ``standard/1`` is the one series of the 660 that
+        moves (1.6e-6, to a lower NLL), so the suite asserts the bounds that
+        hold series by series, and that any move lowers the NLL."""
+        series = equivalence_series(4)
+        rows = gradient_fit_rows(series, version=7)
+        assert len(rows) == len(series) == 20
+        verdict = gradient_fit_verdict(rows, version=7)
+        assert verdict["agree"] == 1.0 and verdict["close"] == 1.0, verdict
+        for name, r in rows.items():
+            assert r["p_new"] == r["p_old"] or r["nll_new"] <= r["nll_old"], (name, r)
+
+
 class TestSearchBookkeeping:
     """The search's float arithmetic against the NumPy formulas of version 4."""
 
@@ -739,9 +759,9 @@ class TestGarchSearch:
         return z * np.where(np.arange(2500) % 2 == 0, 0.5, 1.5)
 
     @pytest.mark.parametrize("case, index, bound, starts", [
-        ("variance_break", 2, _PERSISTENCE_CAP, (0, 1, 2)),
-        ("arch1", 3, 1.0, (0, 1, 2)),
-        ("alternating", 3, 0.0, (1, 2)),
+        ("variance_break", 2, _PERSISTENCE_CAP, (0, 1)),
+        ("arch1", 3, 1.0, (0, 1)),
+        ("alternating", 3, 0.0, (1,)),
     ])
     def test_optimum_on_a_bound_meets_the_gradient_rule(self, monkeypatch, case, index,
                                                         bound, starts):
@@ -757,7 +777,7 @@ class TestGarchSearch:
             assert np.abs(projected).max() <= _GARCH_PGTOL
 
     @pytest.mark.parametrize("name, start", [
-        ("standard/29", 0), ("standard/32", 2), ("garch/36", 0),
+        ("standard/29", 0), ("standard/32", 1), ("garch/36", 0),
     ])
     def test_a_lone_start_reaches_the_optimum(self, series_44, name, start):
         # Each of these starts, alone, once stopped on a tiny decrease after
@@ -784,7 +804,8 @@ class TestGarchSearch:
                                 "ignore:invalid value:RuntimeWarning")
     def test_a_non_finite_row_leaves_its_neighbours_exact(self):
         y = self.standardized(garch_returns(1000, seed=0))
-        theta = np.array(_GARCH_START_POINTS)
+        # The overflowing row between the two starts, a neighbour on each side.
+        theta = np.array(_GARCH_START_POINTS)[[0, 0, 1]]
         theta[1, 0] = 1e200  # e**2 overflows
         band = np.zeros((2, 3 * len(y)), order="F")
         band[0] = 1.0
@@ -808,7 +829,7 @@ class TestGarchSearch:
         monkeypatch.setattr(stats, "_garch_objective", wall)
         y = self.standardized(garch_returns(2500, seed=0))
         starts = np.array(_GARCH_START_POINTS)
-        starts[2, 2] = 0.85
+        starts[1, 2] = 0.85
         searches = _garch_search(y, starts)
         assert sum(walled) > 0
         for search in searches:
