@@ -86,9 +86,6 @@ class ModelParameters:
     horizon: int = 50
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
         p = self
         checks = [
             (isinstance(p.n_traders, (int, np.integer)) and p.n_traders >= 1,
@@ -286,7 +283,6 @@ class _Runs:
     """
 
     def __init__(self, params: ModelParameters, p0: float, seeds, days: int, adaptive: bool):
-        params.validate()
         n, n_runs, n_f = params.n_traders, len(seeds), params.n_fundamentalists()
         self.params = params
         self.adaptive = adaptive

@@ -1,7 +1,7 @@
 """The nine moments/statistics used for moment matching, plus diagnostics.
 
-Canonical order (fixed; the weight matrix indexes it): mean, stdev,
-excess_kurtosis, ks_stat, hurst, gph, adf, garch_persistence, hill_avg.
+Canonical order (fixed; the weight matrix indexes it): the field order of
+``MomentVector``, which ``MOMENT_NAMES`` reads.
 
 Conventions frozen here because the calibration target must be stable:
 
@@ -49,23 +49,9 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
-
-MOMENT_NAMES = (
-    "mean",
-    "stdev",
-    "excess_kurtosis",
-    "ks_stat",
-    "hurst",
-    "gph",
-    "adf",
-    "garch_persistence",
-    "hill_avg",
-)
-
-N_MOMENTS = len(MOMENT_NAMES)
 
 #: Version of the statistic conventions above; bump it when a value changes.
 MOMENTS_VERSION = 8
@@ -91,6 +77,14 @@ def _values(series) -> np.ndarray:
     """Accept a ReturnSeries or any 1-d array-like."""
     vals = getattr(series, "values", series)
     return np.asarray(vals, dtype=float)
+
+
+def _series(series, least: int, component: str) -> np.ndarray:
+    """``_values(series)``, refused for ``component`` below ``least`` observations."""
+    x = _values(series)
+    if len(x) < least:
+        raise StatisticError(f"need at least {least} observations", component=component)
+    return x
 
 
 def _effectively_constant(x: np.ndarray) -> bool:
@@ -130,26 +124,27 @@ class MomentVector:
         return {name: float(getattr(self, name)) for name in MOMENT_NAMES}
 
 
+MOMENT_NAMES = tuple(f.name for f in fields(MomentVector))
+
+N_MOMENTS = len(MOMENT_NAMES)
+
+
 # ---------------------------------------------------------------------------
 # Distribution shape
 # ---------------------------------------------------------------------------
 
 def sample_moments(r) -> tuple[float, float, float]:
     """(mean, unbiased stdev, population excess kurtosis) of a return series."""
-    x = _values(r)
+    x = _series(r, 4, "mean")
     n = len(x)
-    if n < 4:
-        raise StatisticError("need at least 4 observations", component="mean")
-    mu = float(np.mean(x))
-    dev = x - mu
-    d2 = dev * dev
     # The operations of np.mean(dev**2) and np.std(x, ddof=1), bit for bit.
-    ss = float(np.sum(d2))
+    mu, dev, ss = _centre(x)
     m2 = ss / n
     if m2 == 0.0 or _effectively_constant(x):
         raise StatisticError("zero variance: excess kurtosis undefined",
                              component="excess_kurtosis")
     sd = math.sqrt(ss / (n - 1))
+    d2 = dev * dev
     # d2 * d2: dev**4 would be a libm pow per element.
     kurt = float(np.mean(d2 * d2) / m2**2 - 3.0)
     return mu, sd, kurt
@@ -214,10 +209,8 @@ def hurst_exponent(r) -> float:
     degenerate and the defined fallback 1.0 is returned with a
     DegenerateSeriesWarning.
     """
-    x = _values(r)
+    x = _series(r, 128, "hurst")
     n = len(x)
-    if n < 128:
-        raise StatisticError("need at least 128 observations", component="hurst")
     log_w, log_rs_excess = [], []
     w = 16
     while w <= n // 4:
@@ -251,10 +244,8 @@ def gph_estimator(r) -> float:
     Regresses log I(lambda_j) on log(4 sin^2(lambda_j / 2)) over the
     lowest m = floor(sqrt(n)) Fourier frequencies of |r| - mean|r|.
     """
-    x = np.abs(_values(r))
+    x = np.abs(_series(r, MIN_OBSERVATIONS, "gph"))
     n = len(x)
-    if n < MIN_OBSERVATIONS:
-        raise StatisticError(f"need at least {MIN_OBSERVATIONS} observations", component="gph")
     if _effectively_constant(x):
         raise StatisticError("degenerate periodogram: |r| is constant",
                              component="gph")
@@ -277,10 +268,8 @@ def adf_statistic(r) -> float:
     lagged-level coefficient; no p-value. Standardizing the series first
     leaves the statistic unchanged (it is invariant to y -> a + b*y).
     """
-    y = _values(r)
+    y = _series(r, 32, "adf")
     n = len(y)
-    if n < 32:
-        raise StatisticError("need at least 32 observations", component="adf")
     if _effectively_constant(y):
         raise StatisticError("singular unit-root regression", component="adf")
     dev = y - np.mean(y)
@@ -645,11 +634,8 @@ def garch_persistence(r) -> float:
     improves the log-likelihood by more than ln(n) the persistence of
     the null (0.0) is reported.
     """
-    x = _values(r)
+    x = _series(r, MIN_OBSERVATIONS, "garch_persistence")
     n = len(x)
-    if n < MIN_OBSERVATIONS:
-        raise StatisticError(f"need at least {MIN_OBSERVATIONS} observations",
-                             component="garch_persistence")
     if _effectively_constant(x):
         raise StatisticError("zero variance: GARCH undefined",
                              component="garch_persistence")
@@ -672,9 +658,7 @@ def hill_tail_average(r) -> float:
     rank), the Hill estimate uses the exceedances above the k-th smallest
     positive return. Reported as the tail index alpha.
     """
-    x = _values(r)
-    if len(x) < 100:
-        raise StatisticError("need at least 100 observations", component="hill_avg")
+    x = _series(r, 100, "hill_avg")
     pos = np.sort(x[x > 0])
     m = len(pos)
     if m == 0:
@@ -705,25 +689,23 @@ def moment_vector(r_sim, r_emp) -> MomentVector:
 
     Component failures propagate as StatisticError naming the component.
     """
-    def run(component, fn, *args):
+    def run(fn, *args):
         try:
             return fn(*args)
         except StatisticError as exc:
-            if exc.component is None:
-                exc.component = component
             raise StatisticError(f"{exc.component}: {exc}", component=exc.component) from exc
 
-    mean, stdev, kurt = run("excess_kurtosis", sample_moments, r_sim)
+    mean, stdev, kurt = run(sample_moments, r_sim)
     return MomentVector(
         mean=mean,
         stdev=stdev,
         excess_kurtosis=kurt,
-        ks_stat=run("ks_stat", ks_statistic, r_sim, r_emp),
-        hurst=run("hurst", hurst_exponent, r_sim),
-        gph=run("gph", gph_estimator, r_sim),
-        adf=run("adf", adf_statistic, r_sim),
-        garch_persistence=run("garch_persistence", garch_persistence, r_sim),
-        hill_avg=run("hill_avg", hill_tail_average, r_sim),
+        ks_stat=run(ks_statistic, r_sim, r_emp),
+        hurst=run(hurst_exponent, r_sim),
+        gph=run(gph_estimator, r_sim),
+        adf=run(adf_statistic, r_sim),
+        garch_persistence=run(garch_persistence, r_sim),
+        hill_avg=run(hill_tail_average, r_sim),
     )
 
 

@@ -36,6 +36,7 @@ import argparse
 import math
 import time
 
+import farmerjoshi  # noqa: F401  (first: it sets the BLAS thread count before numpy loads)
 import numpy as np
 from scipy.linalg.blas import dtbsv
 from scipy.optimize import minimize

@@ -29,6 +29,7 @@ import json
 import sys
 from pathlib import Path
 
+import farmerjoshi  # noqa: F401  (first: it sets the BLAS thread count before numpy loads)
 import numpy as np
 
 from farmerjoshi.calibration import ObjectiveConfig, ParameterSpace, fitness, run_optimizer

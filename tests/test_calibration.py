@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from farmerjoshi import calibration
+from farmerjoshi import calibration, weighting
 from farmerjoshi.calibration import (
     DEFAULT_BOUNDS,
     INTEGRAL_PARAMETERS,
@@ -476,6 +476,26 @@ class TestMakeObjective:
         assert res.evaluations == plain.evaluations == len(requested)
         # with seed 1, three of the 29 requests repeat an earlier theta
         assert len(evaluated) == len(set(requested)) < len(requested)
+
+
+class TestBenchmarkOpSites:
+    def test_ops_are_reached_through_their_module_attributes(self, tiny_cfg, clustered_returns,
+                                                             monkeypatch):
+        # bench/run.py times calibration.fitness and weighting.moment_vector by
+        # replacing the module attributes, so the callers must look them up there
+        evaluated, moments = [], []
+        monkeypatch.setattr(calibration, "fitness",
+                            lambda theta, cfg: evaluated.append(theta) or float(len(evaluated)))
+        objective = make_objective(tiny_cfg)
+        a, b = mid_theta(tiny_cfg.space), tiny_cfg.space.repair(tiny_cfg.space.lower)
+        assert [objective(theta) for theta in (a, b, a.copy(), b)] == [1.0, 2.0, 1.0, 2.0]
+        assert [theta.tobytes() for theta in evaluated] == [a.tobytes(), b.tobytes()]
+
+        moment_vector = weighting.moment_vector
+        monkeypatch.setattr(weighting, "moment_vector",
+                            lambda *args: moments.append(args) or moment_vector(*args))
+        wm = weighting.estimate_weight_matrix(clustered_returns, 50, N_MOMENTS + 2, seed=3)
+        assert len(moments) == wm.metadata["replicates"] == N_MOMENTS + 2
 
 
 class TestRunOptimizer:

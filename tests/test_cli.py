@@ -17,10 +17,6 @@ def run_cli(*args) -> int:
     return main([str(a) for a in args])
 
 
-def read_csv_bytes(path):
-    return path.read_bytes()
-
-
 @pytest.fixture()
 def outdir(tmp_path):
     return tmp_path / "out"

@@ -191,3 +191,26 @@ def test_every_module_level_definition_is_used():
                 if not outside:
                     unused.append(f"{path.name}:{node.lineno} {node.name}")
     assert unused == []
+
+
+def test_test_scripts_import_the_package_before_numpy():
+    # a script that loads numpy or scipy first keeps OpenBLAS on every core
+    late = []
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if not any(isinstance(node, ast.If) and "__main__" in ast.unparse(node.test)
+                   for node in tree.body):
+            continue
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                roots = {alias.name.partition(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                roots = {(node.module or "").partition(".")[0]}
+            else:
+                continue
+            if "farmerjoshi" in roots:
+                break
+            if roots & {"numpy", "scipy"}:
+                late.append(path.name)
+                break
+    assert late == []

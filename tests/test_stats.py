@@ -1,5 +1,7 @@
+import ast
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -880,6 +882,27 @@ class TestMomentVector:
     def test_component_error_names_component(self, clustered_returns):
         with pytest.raises(StatisticError, match="excess_kurtosis"):
             moment_vector(np.zeros(600), clustered_returns)
+
+    def test_a_short_series_fails_at_its_first_undefined_statistic(self, clustered_returns):
+        # 100 days define the mean and KS, but not the rescaled range
+        with pytest.raises(StatisticError) as info:
+            moment_vector(clustered_returns.values[:100], clustered_returns)
+        assert str(info.value) == "hurst: need at least 128 observations"
+        assert info.value.component == "hurst"
+
+    def test_every_statistic_error_names_its_component(self):
+        # moment_vector labels a failure with the component its error carries
+        tree = ast.parse(Path(stats.__file__).read_text())
+        checked = [node for node in tree.body
+                   if not (isinstance(node, ast.ClassDef) and node.name == "MomentVector")]
+        unnamed, raised = [], 0
+        for node in (sub for top in checked for sub in ast.walk(top)):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "StatisticError"):
+                raised += 1
+                if "component" not in [keyword.arg for keyword in node.keywords]:
+                    unnamed.append(node.lineno)
+        assert raised > 10 and unnamed == []
 
     def test_reproducible_bitwise(self, clustered_returns):
         a = moment_vector(clustered_returns, clustered_returns).as_array()
